@@ -1,6 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint check bench repro repro-full examples clean doc
+.PHONY: all build test lint check e2e-pins bench repro repro-full examples \
+  clean doc
 
 all: build
 
@@ -75,6 +76,22 @@ check: build test lint
 	  --jobs 2 --replay-out "$(CHECK_OUT)/fuzz-failure.scenario"
 	rm -rf "$(CHECK_CACHE)" "$(CHECK_TRACE)" "$(CHECK_OUT)"
 	@echo "check: OK"
+
+# Byte-identity guard on the end-to-end benchmark (e2ebench/README.md):
+# one short untraced run of each workload at seed 1 checks every operation
+# against its pinned digest under e2ebench/pinned/. The goldens in `check`
+# cover the figure CSVs; these pins cover the benchmark's own batches, on
+# which a speed-only change is judged. Fails unless the result line reports
+# operations attempted and none failed.
+E2E_WORKLOADS := long-flows churn analytic-sweep
+e2e-pins:
+	@for w in $(E2E_WORKLOADS); do \
+	  line=$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 1 \
+	    --trace 0 | tail -n 1); \
+	  echo "$$w: $$(echo "$$line" | grep -o '"attempted": [0-9]*, "failed": [0-9]*')"; \
+	  echo "$$line" | grep -q '"attempted": [1-9][0-9]*, "failed": 0,' \
+	    || { echo "e2e-pins: $$w failed its pinned digests"; exit 1; }; \
+	done; echo "e2e-pins: OK"
 
 bench:
 	dune exec bench/main.exe

@@ -101,7 +101,7 @@ let droptail_queue_1k () =
       (Netsim.Droptail_queue.enqueue q
          (Netsim.Packet.make ~flow:(seq mod 8) ~seq ~size:1500
             ~retransmit:false ~sent_time:0.0 ~delivered:0.0
-            ~delivered_time:0.0 ~app_limited:false))
+            ~delivered_time:0.0))
   done;
   while Option.is_some (Netsim.Droptail_queue.dequeue q) do
     ()
@@ -332,6 +332,19 @@ let workload_tests =
 let fluid_baseline =
   [ ("bench fluid/short-10flows-pre-soa", 18_615_018.921, 8_673_185.907) ]
 
+(* The packet-level short-sim kernels before calendar lanes were keyed by
+   delay and segment state moved into a ring (median of five runs,
+   alternated with the current tree on one machine), so BENCH_micro.json
+   carries its own before/after pair. *)
+let micro_baseline =
+  [
+    ( "bench fig07/short-sim-vivace-pre-delay-lanes",
+      19_144_101.686, 772_385.107 );
+    ("bench fig08/short-sim-bbr-pre-delay-lanes", 17_347_423.167, 723_461.412);
+    ( "bench tcpflow/short-sim-cubic-v-bbr-pre-delay-lanes",
+      17_521_631.275, 723_461.951 );
+  ]
+
 (* --- Batched evaluation (DESIGN.md §15) ------------------------------ *)
 
 module B = Sim_backend
@@ -390,8 +403,8 @@ let alloc_gates =
     ("engine/event-queue-1k", 50, 13_400.0, event_queue_1k);
     ("cca/windowed-max-filter", 50, 9_100.0, windowed_max_filter);
     ("netsim/droptail-queue", 50, 12_800.0, droptail_queue_1k);
-    ("fig08/short-sim-bbr", 3, 880_000.0, short_sim ~other:"bbr");
-    ("fig07/short-sim-vivace", 3, 935_000.0, short_sim ~other:"vivace");
+    ("fig08/short-sim-bbr", 3, 570_000.0, short_sim ~other:"bbr");
+    ("fig07/short-sim-vivace", 3, 650_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 70_000.0, ode_2flow);
@@ -407,11 +420,15 @@ let alloc_gates =
        three 64-slot scratch arrays the harness sets up per run. *)
     ( "evolve/step-1k-logit", 50, 1_000.0,
       evolve_steps ~dyn:(Ccgame.Evolve.Logit 0.1) );
-    (* Steady-state churn reuses slots, so the budget is per-run setup
-       (sim + dumbbell + schedule) plus per-tenant CC state — it must not
-       scale with segments sent. A breach means the rebind/ACK path
-       started allocating per packet. *)
-    ("workload/churn-6s-40pct", 3, 310_000.0, churn_run);
+    (* Steady-state churn reuses slots, and a slot reuses its segment
+       ring, packet pool and callbacks, so nothing the packet path
+       allocates outlives a minor GC. The budget is per-run setup (sim +
+       dumbbell + schedule), per-tenant CC state, and short-lived float
+       boxes, which do scale with segments sent: every CCA cwnd/pacing
+       query and on_send boxes one float, and so does the RTO re-arm. A
+       breach means the rebind/ACK path started allocating more per
+       packet. *)
+    ("workload/churn-6s-40pct", 3, 227_000.0, churn_run);
   ]
 
 let run_alloc_gates () =
@@ -801,7 +818,8 @@ let () =
   end;
   if List.mem "micro" sections then begin
     Printf.printf "==== Bechamel micro-benchmarks ====\n%!";
-    run_bechamel ~section:"micro" (figure_tests @ substrate_tests)
+    run_bechamel ~baseline:micro_baseline ~section:"micro"
+      (figure_tests @ substrate_tests)
   end;
   if List.mem "fluid" sections then begin
     Printf.printf "==== Analytic-backend benchmarks ====\n%!";

@@ -133,3 +133,5 @@ let pending_events t =
     n := !n + t.lanes.(i).Lane.queued
   done;
   !n
+
+let lane_count t = t.n_lanes

@@ -59,7 +59,8 @@ val lane : t -> dummy:'a -> deliver:('a -> unit) -> 'a lane
 (** Register a delivery lane. [deliver] is the pre-registered callback
     every payload on this lane is handed to; [dummy] fills empty ring
     cells. Registration is O(1) amortized and should happen once per
-    network element, not per packet. *)
+    network element and delay, not per packet or per flow: every event
+    costs O({!lane_count}). *)
 
 val schedule_packet : t -> 'a lane -> delay:float -> 'a -> unit
 (** [schedule_packet t lane ~delay p] delivers [p] to the lane's callback
@@ -74,3 +75,8 @@ val run : ?until:float -> t -> unit
 
 val pending_events : t -> int
 (** Live scheduled events: heap timers plus queued lane deliveries. *)
+
+val lane_count : t -> int
+(** Lanes registered so far. Lanes are never unregistered and the merge
+    loop reads every lane head per event, so components key lanes by
+    delay, not by flow, to keep this small. *)

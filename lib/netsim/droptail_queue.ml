@@ -20,7 +20,10 @@ type t = {
   mutable len : int;
   mutable bytes : int;
   mutable avg_bytes : float;  (* RED EWMA; tracks [bytes] under Tail_drop *)
-  per_flow : (int, int) Hashtbl.t;
+  mutable per_flow : int array;
+      (* Queued bytes per flow id, grown geometrically to the largest id
+         seen: flow ids are small non-negative ints, so an array lookup
+         replaces a hash probe on every enqueue and dequeue. *)
   mutable drops : int;
   mutable early_drops : int;
   mutable dropped_bytes : int;
@@ -59,7 +62,7 @@ let create ?(policy = Tail_drop) ~capacity_bytes () =
     len = 0;
     bytes = 0;
     avg_bytes = 0.0;
-    per_flow = Hashtbl.create 16;
+    per_flow = Array.make 16 0;
     drops = 0;
     early_drops = 0;
     dropped_bytes = 0;
@@ -70,11 +73,15 @@ let create ?(policy = Tail_drop) ~capacity_bytes () =
 
 let capacity_bytes t = t.capacity_bytes
 
-let[@simlint.alloc_ok
-     "Hashtbl.replace mutates an existing bucket in place; a cons is only \
-      built the first time a flow appears"] adjust_flow t flow delta =
-  let current = try Hashtbl.find t.per_flow flow with Not_found -> 0 in
-  Hashtbl.replace t.per_flow flow (current + delta)
+let[@simlint.alloc_ok "amortized geometric growth to the largest flow id"]
+    grow_flows t flow =
+  let a = Array.make (max (flow + 1) (2 * Array.length t.per_flow)) 0 in
+  Array.blit t.per_flow 0 a 0 (Array.length t.per_flow);
+  t.per_flow <- a
+
+let adjust_flow t flow delta =
+  if flow >= Array.length t.per_flow then grow_flows t flow;
+  t.per_flow.(flow) <- t.per_flow.(flow) + delta
 
 let[@simlint.alloc_ok "amortized geometric growth; the ring never shrinks"]
     grow t =
@@ -150,14 +157,16 @@ let dequeue t = if t.len = 0 then None else Some (dequeue_exn t)
 let occupancy_bytes t = t.bytes
 
 let occupancy_of_flow t flow =
-  try Hashtbl.find t.per_flow flow with Not_found -> 0
+  if flow >= 0 && flow < Array.length t.per_flow then t.per_flow.(flow)
+  else 0
 
-let[@simlint.taint_ok "integer sum over a fold: commutative, order-free"]
-    occupancy_of_flows t pred =
-  (* Hash order is harmless: integer addition is commutative. *)
-  Hashtbl.fold (* simlint: allow R1 *)
-    (fun flow bytes acc -> if pred flow then acc + bytes else acc)
-    t.per_flow 0
+let occupancy_of_flows t pred =
+  let sum = ref 0 in
+  for flow = 0 to Array.length t.per_flow - 1 do
+    let bytes = t.per_flow.(flow) in
+    if bytes <> 0 && pred flow then sum := !sum + bytes
+  done;
+  !sum
 
 let length t = t.len
 let is_empty t = t.len = 0

@@ -8,7 +8,9 @@
     exceeds [min_threshold] (gentle variant, byte mode).
 
     Per-flow byte occupancy is tracked so experiments can measure the model
-    quantities [b_c], [b_b], [b_cmin], and [b_cmax] directly. *)
+    quantities [b_c], [b_b], [b_cmin], and [b_cmax] directly. It is kept in
+    an array indexed by flow id, so packets must carry non-negative flow
+    ids. *)
 
 type t
 

@@ -5,18 +5,14 @@
     (see {!Tcpflow.Receiver}), matching the paper's single-bottleneck setup
     where the ACK path is never the bottleneck.
 
-    The [delivered]/[delivered_time]/[app_limited] fields snapshot the
-    sender's delivery state at transmission time; they implement the delivery
-    rate estimator that BBR's bandwidth filter consumes. *)
+    The [delivered]/[delivered_time] stamps snapshot the sender's delivery
+    state at transmission time; they implement the delivery rate estimator
+    that BBR's bandwidth filter consumes. *)
 
-(** Fields are mutable so the transport can recycle acknowledged packets
-    through a free pool (see {!Tcpflow.Sender}); only the owning sender may
-    mutate a packet, and only once no queue or lane references it. *)
-type t = {
-  mutable flow : int;  (** Flow identifier, unique within an experiment. *)
-  mutable seq : int;  (** Segment sequence number (in MSS units). *)
-  mutable size : int;  (** Wire size in bytes. *)
-  mutable retransmit : bool;  (** True when this is a retransmission. *)
+(** The per-transmission timestamps, in an all-float record: OCaml stores
+    it flat, so restamping a pooled packet writes unboxed doubles instead
+    of allocating a box per field. *)
+type stamps = {
   mutable sent_time : float;
       (** Time this (re)transmission left the sender. *)
   mutable delivered : float;
@@ -24,8 +20,19 @@ type t = {
           sent. *)
   mutable delivered_time : float;
       (** Time of the most recent delivery when this packet was sent. *)
-  mutable app_limited : bool;
-      (** Whether the sender was application-limited at send time. *)
+}
+
+(** Fields are mutable so the transport can recycle acknowledged packets
+    through a free pool (see {!Tcpflow.Sender}); only the owning sender may
+    mutate a packet, and only once no queue or lane references it. *)
+type t = {
+  mutable flow : int;
+      (** Flow identifier, unique within an experiment. Never negative:
+          the netsim per-flow tables are arrays indexed by it. *)
+  mutable seq : int;  (** Segment sequence number (in MSS units). *)
+  mutable size : int;  (** Wire size in bytes. *)
+  mutable retransmit : bool;  (** True when this is a retransmission. *)
+  ts : stamps;  (** Send-time snapshot, restamped in place on reuse. *)
 }
 
 val make :
@@ -36,7 +43,6 @@ val make :
   sent_time:float ->
   delivered:float ->
   delivered_time:float ->
-  app_limited:bool ->
   t
 
 val dummy : t

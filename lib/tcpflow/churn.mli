@@ -8,9 +8,9 @@
     completing flow releases its slot (LIFO), and the next arrival rebinds
     it instead of allocating transport state, so steady-state churn
     allocates only per-tenant CC state. All churn flows share one CCA and
-    one base RTT — a requirement of slot reuse (the per-slot ACK lane is
-    FIFO) — matching the open-loop short-flow population of the workload
-    experiments.
+    one base RTT — a requirement of slot reuse (a slot's tenants share one
+    reverse delay, see {!Sender.rebind}) — matching the open-loop
+    short-flow population of the workload experiments.
 
     Determinism: arrivals are chained sim events (one pending arrival at a
     time), per-tenant CC rng streams are split from the sim rng in event

@@ -4,20 +4,6 @@ module Packet = Netsim.Packet
 module Dumbbell = Netsim.Dumbbell
 module Cc = Cca.Cc_types
 
-(* Per-segment transmission state. Entries are garbage-collected once the
-   segment is acknowledged and has left the send-order queue. *)
-type seg_state = {
-  mutable acked : bool;
-  mutable lost : bool;  (* declared lost, awaiting retransmission or ack *)
-  mutable retx_count : int;
-  mutable last_sent_time : float;
-  mutable counted_bytes : int;
-      (* Bytes of this segment currently counted in [t.inflight_bytes]
-         (0, mss, or a multiple when several copies are outstanding).
-         Decrements consult this instead of assuming one MSS, so in-flight
-         accounting stays exact across RTOs and late ACKs. *)
-}
-
 (* Hot mutable floats live in their own all-float record: OCaml stores such
    records flat, so the per-ACK updates below write unboxed doubles instead
    of allocating a box per store (which they would in the mixed record). *)
@@ -42,7 +28,20 @@ type t = {
   trace : Tr.t option;
   mutable next_seq : int;
   mutable cum_ack : int;  (* all segments below this are acked *)
-  segs : (int, seg_state) Hashtbl.t;
+  (* Segment ring: per-segment transmission state for the live window
+     [cum_ack, next_seq), as parallel arrays indexed by
+     [seq land (capacity - 1)] (power-of-two capacity, grown
+     geometrically). Advancing [cum_ack] frees a cell; nothing is
+     allocated per segment. A seq outside the window reads as acked with
+     no retransmissions: an already-collected segment. *)
+  mutable sg_flags : Bytes.t;  (* [acked_bit] lor [lost_bit] *)
+  mutable sg_retx : int array;  (* retransmissions so far *)
+  mutable sg_sent : float array;  (* time of the latest transmission *)
+  mutable sg_counted : int array;
+      (* Bytes of the segment currently counted in [inflight_bytes] (0,
+         mss, or a multiple when several copies are outstanding).
+         Decrements consult this instead of assuming one MSS, so in-flight
+         accounting stays exact across RTOs and late ACKs. *)
   (* Send-order ring (parallel arrays, power-of-two capacity): one
      (seq, sent-time) pair per transmission, FIFO. An entry is stale when
      the segment was acked or retransmitted after this transmission.
@@ -84,16 +83,17 @@ type t = {
   mutable retransmitted_segments : int;
   (* Lifecycle. A sender slot is created once and can host a succession of
      flows ([rebind]): [finished] gates ACK processing after completion so a
-     late retransmitted copy cannot touch the slot's next tenant, and
-     [reverse_delay] is re-read by the single receiver closure so the ACK
-     lane is reused across rebinds. The lane's FIFO contract requires every
-     tenant of one slot to share the same reverse-path delay. *)
+     late retransmitted copy cannot touch the slot's next tenant. Every
+     tenant of one slot shares [reverse_delay] (see [rebind]). The receiver
+     and ACK-handler closures are allocated once and registered for each
+     tenant's flow id. *)
   mutable finished : bool;
   mutable activation_time : float;  (* nan until activated *)
   mutable completion_time : float;  (* nan until completed *)
   mutable on_complete : unit -> unit;
   mutable reverse_delay : float;
   mutable recv_cb : Packet.t -> unit;
+  mutable ack_cb : Packet.t -> unit;
   mutable start_handle : Sim.handle;
   mutable start_cb : unit -> unit;
 }
@@ -145,15 +145,44 @@ let order_pop t =
   t.o_head <- (t.o_head + 1) land (Array.length t.o_seqs - 1);
   t.o_len <- t.o_len - 1
 
-let seg t seq =
-  try Hashtbl.find t.segs seq
-  with Not_found ->
-    (* Unknown segment: already acked and collected. *)
-    ({ acked = true; lost = false; retx_count = 0; last_sent_time = 0.0;
-       counted_bytes = 0 }
-    [@simlint.alloc_ok
-      "placeholder for a dup-ACKed, already-collected segment: off the \
-       steady-state path"])
+let acked_bit = 1
+let lost_bit = 2
+let seg_initial = 256
+let slot t seq = seq land (Array.length t.sg_retx - 1)
+let flags t i = Char.code (Bytes.get t.sg_flags i)
+let set_flags t i v = Bytes.set t.sg_flags i (Char.unsafe_chr v)
+let in_window t seq = seq >= t.cum_ack && seq < t.next_seq
+
+let seg_acked t seq =
+  (not (in_window t seq)) || flags t (slot t seq) land acked_bit <> 0
+
+let[@simlint.alloc_ok "amortized geometric growth; the ring never shrinks"]
+    seg_grow t =
+  let cap = 2 * Array.length t.sg_retx in
+  let fl = Bytes.make cap '\000' in
+  let retx = Array.make cap 0 in
+  let sent = Array.make cap 0.0 in
+  let counted = Array.make cap 0 in
+  for seq = t.cum_ack to t.next_seq - 1 do
+    let i = slot t seq and j = seq land (cap - 1) in
+    Bytes.set fl j (Bytes.get t.sg_flags i);
+    retx.(j) <- t.sg_retx.(i);
+    sent.(j) <- t.sg_sent.(i);
+    counted.(j) <- t.sg_counted.(i)
+  done;
+  t.sg_flags <- fl;
+  t.sg_retx <- retx;
+  t.sg_sent <- sent;
+  t.sg_counted <- counted
+
+(* Open the cell of the next fresh segment [seq] (= [next_seq]); its send
+   time is stamped by [transmit]. *)
+let seg_open t seq =
+  if seq - t.cum_ack = Array.length t.sg_retx then seg_grow t;
+  let i = slot t seq in
+  set_flags t i 0;
+  t.sg_retx.(i) <- 0;
+  t.sg_counted.(i) <- 0
 
 (* The tracked in-flight total must equal the per-segment contributions at
    all times; [on_rto] asserts this after its sweep and tests probe it
@@ -161,14 +190,12 @@ let seg t seq =
 let check_inflight_invariant t =
   let sum = ref 0 in
   for seq = t.cum_ack to t.next_seq - 1 do
-    match Hashtbl.find_opt t.segs seq with
-    | Some s ->
-      if s.counted_bytes < 0 then
-        failwith
-          (Printf.sprintf "Sender: segment %d counts %d in-flight bytes" seq
-             s.counted_bytes);
-      sum := !sum + s.counted_bytes
-    | None -> ()
+    let counted = t.sg_counted.(slot t seq) in
+    if counted < 0 then
+      failwith
+        (Printf.sprintf "Sender: segment %d counts %d in-flight bytes" seq
+           counted);
+    sum := !sum + counted
   done;
   if !sum <> t.inflight_bytes then
     failwith
@@ -178,7 +205,9 @@ let check_inflight_invariant t =
 
 (* Trace emission allocates the event payload (and the record inside
    [Trace.emit]); every site below is gated on a sink being attached, and
-   the records are the run's product, so A1 exempts them by name. *)
+   the records are the run's product, so A1 exempts them by name. The
+   per-packet helpers read the clock themselves: a float argument would be
+   boxed at every call, traced or not. *)
 
 (* CC-state transitions surface as trace events; the comparison runs only
    when a trace is attached. *)
@@ -197,35 +226,37 @@ let[@simlint.alloc_ok
 
 let[@simlint.alloc_ok
      "trace event: built only with a sink attached; the record is the \
-      product"] trace_send t ~now ~seq ~retransmit =
+      product"] trace_send t ~seq ~retransmit =
   match t.trace with
   | None -> ()
   | Some tr ->
-    Tr.emit tr ~time:now ~flow:t.flow
+    Tr.emit tr ~time:(Sim.now t.sim) ~flow:t.flow
       (Tr.Send { seq; size = t.mss; retransmit })
 
 let[@simlint.alloc_ok
      "trace event: built only with a sink attached; the record is the \
-      product"] trace_ack t ~now ~seq ~rtt_sample =
+      product"] trace_ack t (trig : Packet.t) =
   match t.trace with
   | None -> ()
   | Some tr ->
+    let now = Sim.now t.sim in
     Tr.emit tr ~time:now ~flow:t.flow
       (Tr.Ack
          {
-           seq;
-           rtt_sample;
+           seq = trig.seq;
+           rtt_sample = now -. trig.ts.sent_time;
            delivered_bytes = t.fs.delivered;
            inflight_bytes = t.inflight_bytes;
          })
 
 let[@simlint.alloc_ok
      "trace event: built only with a sink attached; the record is the \
-      product"] trace_seg_lost t ~now ~seq ~via_timeout =
+      product"] trace_seg_lost t ~seq ~via_timeout =
   match t.trace with
   | None -> ()
   | Some tr ->
-    Tr.emit tr ~time:now ~flow:t.flow (Tr.Seg_lost { seq; via_timeout })
+    Tr.emit tr ~time:(Sim.now t.sim) ~flow:t.flow
+      (Tr.Seg_lost { seq; via_timeout })
 
 let[@simlint.alloc_ok
      "trace event: built only with a sink attached; the record is the \
@@ -255,39 +286,35 @@ let[@simlint.alloc_ok
       (Tr.Flow_complete
          { fct = now -. t.activation_time; size_bytes = t.size_limit_bytes })
 
-(* Advance the cumulative ACK point, collecting old state. Toplevel
-   (rather than a local [let rec]) so the per-ACK path builds no
-   closure. *)
-let rec advance_cum_ack t =
-  match Hashtbl.find t.segs t.cum_ack with
-  | exception Not_found -> ()
-  | s ->
-    if s.acked then begin
-      Hashtbl.remove t.segs t.cum_ack;
-      t.cum_ack <- t.cum_ack + 1;
-      advance_cum_ack t
-    end
+(* Advance the cumulative ACK point over acked segments, freeing their
+   ring cells. *)
+let advance_cum_ack t =
+  while
+    t.cum_ack < t.next_seq && flags t (slot t t.cum_ack) land acked_bit <> 0
+  do
+    t.cum_ack <- t.cum_ack + 1
+  done
 
 (* RACK sweep: every order-ring entry sent before the triggering
    transmission and still unacked is lost. Returns the count of segments
-   newly marked lost. Toplevel for the same no-closure reason. *)
-let rec reap_lost t ~now ~trig_sent acc =
+   newly marked lost. Toplevel (rather than a local [let rec]) so the
+   per-ACK path builds no closure. *)
+let rec reap_lost t (trig : Packet.t) acc =
   if t.o_len = 0 then acc
   else begin
     let e_seq = t.o_seqs.(t.o_head) in
     let e_sent_time = t.o_times.(t.o_head) in
-    let es = seg t e_seq in
-    if es.acked || es.last_sent_time <> e_sent_time then begin
+    if seg_acked t e_seq || t.sg_sent.(slot t e_seq) <> e_sent_time then begin
       (* Stale entry: segment acked, or retransmitted more recently. *)
       order_pop t;
-      if es.acked && e_seq < t.cum_ack then Hashtbl.remove t.segs e_seq;
-      reap_lost t ~now ~trig_sent acc
+      reap_lost t trig acc
     end
-    else if e_sent_time < trig_sent then begin
+    else if e_sent_time < trig.ts.sent_time then begin
       order_pop t;
+      let i = slot t e_seq in
       let acc =
-        if not es.lost then begin
-          es.lost <- true;
+        if flags t i land lost_bit = 0 then begin
+          set_flags t i (flags t i lor lost_bit);
           t.lost_segments <- t.lost_segments + 1;
           (Queue.push e_seq t.retx_queue)
           [@simlint.alloc_ok
@@ -295,15 +322,15 @@ let rec reap_lost t ~now ~trig_sent acc =
           (* This entry is the segment's latest transmission; that one copy
              stops counting (earlier copies already stopped when the entry
              they belonged to went stale). *)
-          let dec = min es.counted_bytes t.mss in
-          es.counted_bytes <- es.counted_bytes - dec;
+          let dec = min t.sg_counted.(i) t.mss in
+          t.sg_counted.(i) <- t.sg_counted.(i) - dec;
           t.inflight_bytes <- t.inflight_bytes - dec;
-          trace_seg_lost t ~now ~seq:e_seq ~via_timeout:false;
+          trace_seg_lost t ~seq:e_seq ~via_timeout:false;
           acc + 1
         end
         else acc
       in
-      reap_lost t ~now ~trig_sent acc
+      reap_lost t trig acc
     end
     else acc
   end
@@ -326,27 +353,25 @@ and on_rto t =
     (* Declare everything in flight lost and restart. *)
     let fired_interval = rto_interval t in
     let newly_lost = ref 0 in
-    (* Walk the live sequence range in order rather than iterating the
-       hashtable: retransmissions must be queued lowest-sequence first,
-       independent of hash layout. *)
+    (* Walk the live window in sequence order: retransmissions are queued
+       lowest-sequence first. *)
     for seq = t.cum_ack to t.next_seq - 1 do
-      match Hashtbl.find_opt t.segs seq with
-      | Some s ->
-        if (not s.acked) && not s.lost then begin
-          s.lost <- true;
-          incr newly_lost;
-          Queue.push seq t.retx_queue;
-          match t.trace with
-          | None -> ()
-          | Some tr ->
-            Tr.emit tr ~time:(Sim.now t.sim) ~flow:t.flow
-              (Tr.Seg_lost { seq; via_timeout = true })
-        end;
-        (* Nothing survives the timeout: every outstanding copy stops
-           counting, whether or not the segment was already marked lost. *)
-        t.inflight_bytes <- t.inflight_bytes - s.counted_bytes;
-        s.counted_bytes <- 0
-      | None -> ()
+      let i = slot t seq in
+      let f = flags t i in
+      if f land (acked_bit lor lost_bit) = 0 then begin
+        set_flags t i (f lor lost_bit);
+        incr newly_lost;
+        Queue.push seq t.retx_queue;
+        match t.trace with
+        | None -> ()
+        | Some tr ->
+          Tr.emit tr ~time:(Sim.now t.sim) ~flow:t.flow
+            (Tr.Seg_lost { seq; via_timeout = true })
+      end;
+      (* Nothing survives the timeout: every outstanding copy stops
+         counting, whether or not the segment was already marked lost. *)
+      t.inflight_bytes <- t.inflight_bytes - t.sg_counted.(i);
+      t.sg_counted.(i) <- 0
     done;
     assert (t.inflight_bytes = 0);
     t.lost_segments <- t.lost_segments + !newly_lost;
@@ -379,28 +404,19 @@ and on_rto t =
     try_send t
   end
 
+(* [seq] is in the window: a fresh segment opened by [send_one], or a lost
+   one being retransmitted. *)
 and transmit t ~seq ~retransmit =
   let now = Sim.now t.sim in
-  let s =
-    try Hashtbl.find t.segs seq
-    with Not_found ->
-      ((let s = { acked = false; lost = false; retx_count = 0;
-                  last_sent_time = now; counted_bytes = 0 } in
-        Hashtbl.add t.segs seq s;
-        s)
-      [@simlint.alloc_ok
-        "first transmission of a segment: its bookkeeping record lives \
-         until the cumulative ACK passes it; pooled packets cover the \
-         wire path"])
-  in
-  s.last_sent_time <- now;
-  s.lost <- false;
+  let i = slot t seq in
+  t.sg_sent.(i) <- now;
+  set_flags t i (flags t i land lnot lost_bit);
   if retransmit then begin
-    s.retx_count <- s.retx_count + 1;
+    t.sg_retx.(i) <- t.sg_retx.(i) + 1;
     t.retransmitted_segments <- t.retransmitted_segments + 1
   end;
   order_push t ~seq ~time:now;
-  s.counted_bytes <- s.counted_bytes + t.mss;
+  t.sg_counted.(i) <- t.sg_counted.(i) + t.mss;
   t.inflight_bytes <- t.inflight_bytes + t.mss;
   let packet =
     if t.pk_pool_len > 0 then begin
@@ -413,18 +429,17 @@ and transmit t ~seq ~retransmit =
       p.Packet.flow <- t.flow;
       p.Packet.seq <- seq;
       p.Packet.retransmit <- retransmit;
-      p.Packet.sent_time <- now;
-      p.Packet.delivered <- t.fs.delivered;
-      p.Packet.delivered_time <- t.fs.delivered_time;
+      p.Packet.ts.Packet.sent_time <- now;
+      p.Packet.ts.Packet.delivered <- t.fs.delivered;
+      p.Packet.ts.Packet.delivered_time <- t.fs.delivered_time;
       p
     end
     else
       Packet.make ~flow:t.flow ~seq ~size:t.mss ~retransmit ~sent_time:now
         ~delivered:t.fs.delivered ~delivered_time:t.fs.delivered_time
-        ~app_limited:false
   in
   t.cc.Cc.on_send ~now ~inflight_bytes:t.inflight_bytes;
-  trace_send t ~now ~seq ~retransmit;
+  trace_send t ~seq ~retransmit;
   (* Drops surface later through RACK/RTO, exactly as on a real path. *)
   ignore (Dumbbell.send t.net packet);
   if Sim.is_null t.rto_handle then arm_rto t
@@ -456,9 +471,8 @@ and try_send t =
 and send_one t =
   if not (Queue.is_empty t.retx_queue) then begin
     let seq = Queue.pop t.retx_queue in
-    let s = seg t seq in
     (* Skip stale retransmit requests (acked meanwhile). *)
-    if s.acked then send_one t
+    if seg_acked t seq then send_one t
     else begin
       transmit t ~seq ~retransmit:true;
       true
@@ -467,7 +481,8 @@ and send_one t =
   else if t.next_seq >= t.seg_limit then false
   else begin
     let seq = t.next_seq in
-    t.next_seq <- t.next_seq + 1;
+    seg_open t seq;
+    t.next_seq <- seq + 1;
     transmit t ~seq ~retransmit:false;
     true
   end
@@ -493,29 +508,30 @@ let on_ack_packet t (trig : Packet.t) =
   end
   else begin
   let now = Sim.now t.sim in
-  let s = seg t trig.seq in
+  let live = in_window t trig.seq in
+  let i = slot t trig.seq in
   (* Any ACK for an unacked segment means the receiver holds the data,
      whichever transmission got through — and that the path delivers, so
      the RTO backoff resets. *)
   t.rto_backoff <- 0;
-  let first_delivery = not s.acked in
-  let rtt_valid = s.retx_count = 0 in
+  let first_delivery = live && flags t i land acked_bit = 0 in
+  let rtt_valid = (not live) || t.sg_retx.(i) = 0 in
   if first_delivery then begin
-    s.acked <- true;
+    set_flags t i (flags t i lor acked_bit);
     t.fs.delivered <- t.fs.delivered +. float_of_int t.mss;
     t.fs.delivered_time <- now;
     (* Acked data stops counting in flight, however many copies of it were
        outstanding and whichever of them got through. *)
-    t.inflight_bytes <- t.inflight_bytes - s.counted_bytes;
-    s.counted_bytes <- 0
+    t.inflight_bytes <- t.inflight_bytes - t.sg_counted.(i);
+    t.sg_counted.(i) <- 0
   end;
-  trace_ack t ~now ~seq:trig.seq ~rtt_sample:(now -. trig.sent_time);
+  trace_ack t trig;
   (* Advance the cumulative ACK point, collecting old state. *)
   advance_cum_ack t;
   (* RACK: every segment sent before [trig] and still unacked is lost. *)
-  let newly_lost = reap_lost t ~now ~trig_sent:trig.sent_time 0 in
+  let newly_lost = reap_lost t trig 0 in
   (* RTT estimators (Karn's rule: skip retransmitted segments). *)
-  let rtt_sample = now -. trig.sent_time in
+  let rtt_sample = now -. trig.ts.sent_time in
   if rtt_valid then begin
     if Float.is_nan t.fs.srtt then begin
       t.fs.srtt <- rtt_sample;
@@ -553,14 +569,14 @@ let on_ack_packet t (trig : Packet.t) =
   end;
   (* Round accounting and CC ACK notification for first-time deliveries. *)
   if first_delivery then begin
-    let round_start = trig.delivered >= t.fs.next_round_delivered in
+    let round_start = trig.ts.delivered >= t.fs.next_round_delivered in
     if round_start then begin
       t.round <- t.round + 1;
       t.fs.next_round_delivered <- t.fs.delivered
     end;
-    let interval = now -. trig.delivered_time in
+    let interval = now -. trig.ts.delivered_time in
     let delivery_rate =
-      if interval > 0.0 then (t.fs.delivered -. trig.delivered) /. interval
+      if interval > 0.0 then (t.fs.delivered -. trig.ts.delivered) /. interval
       else 0.0
     in
     let rtt_for_cc =
@@ -574,7 +590,6 @@ let on_ack_packet t (trig : Packet.t) =
     a.Cc.f.Cc.delivered <- t.fs.delivered;
     a.Cc.f.Cc.delivery_rate <- delivery_rate;
     a.Cc.acked_bytes <- t.mss;
-    a.Cc.rate_app_limited <- trig.app_limited;
     a.Cc.inflight_bytes <- t.inflight_bytes;
     a.Cc.round <- t.round;
     a.Cc.round_start <- round_start;
@@ -602,8 +617,8 @@ let on_ack_packet t (trig : Packet.t) =
     arm_rto t;
     try_send t
   end;
-  (* [trig] has left the network (its delivery popped it from the ACK lane)
-     and every use above copied values out, so it can be recycled. *)
+  (* [trig] has left the network (its delivery popped it from the reverse
+     lane) and every use above copied values out, so it can be recycled. *)
   if t.pk_pool_len < Array.length t.pk_pool then begin
     t.pk_pool.(t.pk_pool_len) <- trig;
     t.pk_pool_len <- t.pk_pool_len + 1
@@ -637,7 +652,10 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
       trace;
       next_seq = 0;
       cum_ack = 0;
-      segs = Hashtbl.create 1024;
+      sg_flags = Bytes.make seg_initial '\000';
+      sg_retx = Array.make seg_initial 0;
+      sg_sent = Array.make seg_initial 0.0;
+      sg_counted = Array.make seg_initial 0;
       o_seqs = Array.make 256 0;
       o_times = Array.make 256 0.0;
       o_head = 0;
@@ -688,6 +706,7 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
       on_complete = (match on_complete with None -> ignore | Some f -> f);
       reverse_delay = 0.0;
       recv_cb = ignore;
+      ack_cb = ignore;
       start_handle = Sim.null_handle;
       start_cb = ignore;
     }
@@ -697,20 +716,14 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
     (fun () ->
       t.pacing_handle <- Sim.null_handle;
       try_send t);
-  (* Receiver: each arriving data packet generates one ACK that reaches the
-     sender after the flow's reverse-path delay. The reverse delay is a
-     per-flow constant (it is re-read per packet only so [rebind] can retune
-     it between tenants), so ACK arrivals are FIFO and ride a calendar
-     lane. *)
+  (* Receiver: each arriving data packet generates one ACK, which the
+     dumbbell's reverse path (a calendar lane shared by every flow with
+     this delay) hands back to [ack_cb] after the flow's reverse delay. *)
   t.reverse_delay <- (Dumbbell.reverse_delay net ~flow :> float);
-  let ack_lane =
-    Sim.lane sim ~dummy:Packet.dummy
-      ~deliver:(fun packet -> on_ack_packet t packet)
-  in
-  t.recv_cb <-
-    (fun packet ->
-      Sim.schedule_packet sim ack_lane ~delay:t.reverse_delay packet);
+  t.recv_cb <- (fun packet -> Dumbbell.send_ack net packet);
+  t.ack_cb <- (fun packet -> on_ack_packet t packet);
   Dumbbell.set_receiver net ~flow t.recv_cb;
+  Dumbbell.set_ack_handler net ~flow t.ack_cb;
   t.start_cb <-
     (fun () ->
       t.start_handle <- Sim.null_handle;
@@ -740,10 +753,10 @@ let deactivate t =
   end
 
 (* Reset every piece of per-flow state while keeping the allocated
-   containers (segment table, order ring, retransmit queue, packet pool,
-   scratch records, timer callbacks, ACK lane): in steady-state churn the
-   arrival path allocates only the tenant's CC instance and its segment
-   bookkeeping, never the slot machinery. *)
+   containers (segment ring, order ring, retransmit queue, packet pool,
+   scratch records, timer and ACK callbacks): in steady-state churn the
+   arrival path allocates only the tenant's CC instance, never the slot
+   machinery. *)
 let rebind t ~flow ~cc ?data_limit_bytes () =
   if not t.finished then
     invalid_arg "Sender.rebind: slot still hosts an active flow";
@@ -756,7 +769,6 @@ let rebind t ~flow ~cc ?data_limit_bytes () =
   t.size_limit_bytes <- size_limit_bytes;
   t.next_seq <- 0;
   t.cum_ack <- 0;
-  Hashtbl.clear t.segs;
   t.o_head <- 0;
   t.o_len <- 0;
   Queue.clear t.retx_queue;
@@ -776,9 +788,10 @@ let rebind t ~flow ~cc ?data_limit_bytes () =
   t.lost_segments <- 0;
   t.retransmitted_segments <- 0;
   t.completion_time <- nan;
-  (* The slot's ACK lane is FIFO; a tenant with a different reverse delay
-     would let a later flow's ACK overtake an earlier one. Enforce, rather
-     than document, the homogeneity requirement. *)
+  (* Tenants of one slot share a reverse delay, hence one reverse lane: a
+     late ACK of the previous tenant (which still reaches this slot through
+     its flow's ACK handler) stays FIFO with the new tenant's ACKs.
+     Enforce, rather than document, the homogeneity requirement. *)
   let reverse = (Dumbbell.reverse_delay t.net ~flow :> float) in
   if
     Float.abs (reverse -. t.reverse_delay) > 1e-12
@@ -786,6 +799,7 @@ let rebind t ~flow ~cc ?data_limit_bytes () =
   then invalid_arg "Sender.rebind: tenants of one slot must share an RTT";
   t.reverse_delay <- reverse;
   Dumbbell.set_receiver t.net ~flow t.recv_cb;
+  Dumbbell.set_ack_handler t.net ~flow t.ack_cb;
   (* Activate immediately: rebinding happens at the new flow's arrival
      instant. *)
   let now = Sim.now t.sim in

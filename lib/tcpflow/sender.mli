@@ -2,7 +2,8 @@
 
     The sender owns the transport machinery the CCAs plug into:
 
-    - sequence/ACK bookkeeping with SACK-like per-segment state,
+    - sequence/ACK bookkeeping with SACK-like per-segment state, kept in
+      a ring over the live window (no per-segment allocation),
     - RACK-style loss detection (a segment still unacknowledged when a
       later-sent segment has been cumulatively or selectively acknowledged
       is declared lost — exact on our reorder-free FIFO path),
@@ -18,11 +19,14 @@
 
     A [t] is a {e slot}, not just a flow: after its tenant completes,
     {!rebind} resets the per-flow state and activates a new flow in place,
-    reusing every allocated container (segment table, rings, packet pool,
-    timer callbacks, ACK lane) so open-loop churn stays allocation-free in
-    steady state. All tenants of one slot must share a reverse-path delay:
-    the slot's ACK lane is a FIFO calendar and a different delay would let a
-    later flow's ACKs overtake an earlier one's ([rebind] enforces this). *)
+    reusing every allocated container (segment and send-order rings,
+    packet pool, timer and ACK callbacks) so open-loop churn stays
+    allocation-free in steady state. ACKs come back over the dumbbell's
+    reverse lane for the flow's delay ({!Netsim.Dumbbell.send_ack}), which
+    hands them to the ACK handler [create]/[rebind] register for the
+    tenant's flow id. All tenants of one slot must share a reverse-path
+    delay, so a late ACK of the previous tenant stays FIFO with the new
+    tenant's on one lane ([rebind] enforces this). *)
 
 type t
 

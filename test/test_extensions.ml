@@ -7,7 +7,7 @@ module Q = Netsim.Droptail_queue
 
 let mk_packet ?(flow = 0) ?(seq = 0) ?(size = 1500) () =
   Netsim.Packet.make ~flow ~seq ~size ~retransmit:false ~sent_time:0.0
-    ~delivered:0.0 ~delivered_time:0.0 ~app_limited:false
+    ~delivered:0.0 ~delivered_time:0.0
 
 (* --- RED policy --- *)
 

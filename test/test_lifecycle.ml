@@ -112,7 +112,7 @@ let test_dumbbell_orphans_detached_flow () =
   Netsim.Dumbbell.set_receiver net ~flow:3 (fun _ -> incr delivered);
   let pkt =
     Netsim.Packet.make ~flow:3 ~seq:0 ~size:1500 ~retransmit:false
-      ~sent_time:0.0 ~delivered:0.0 ~delivered_time:0.0 ~app_limited:false
+      ~sent_time:0.0 ~delivered:0.0 ~delivered_time:0.0
   in
   ignore (Netsim.Dumbbell.send net pkt);
   Netsim.Dumbbell.remove_flow net ~flow:3;
@@ -159,6 +159,23 @@ let test_teardown_cuts_active_flows () =
   Alcotest.(check bool) "cut flow keeps nan fct" true
     (Float.is_nan (Churn.fcts churn).(1));
   Alcotest.(check int) "sim drained" 0 (Sim.pending_events sim)
+
+(* Calendar lanes are keyed by delay, not by flow: a churn population at
+   one RTT must end with the link's lane plus one forward and one reverse
+   lane, however many short flows and sender slots it went through. (With
+   a lane per flow, every short flow added a pipe lane and every slot an
+   ACK lane, and the merge loop scanned them all on every event.) *)
+let test_churn_lanes_keyed_by_delay () =
+  let schedule =
+    Array.init 240 (fun i -> item (0.02 *. float_of_int i) 15_000)
+  in
+  let sim, _net, churn = churn_setup schedule in
+  Sim.run ~until:20.0 sim;
+  Alcotest.(check bool) "at least 200 arrivals" true
+    (Churn.arrived churn >= 200);
+  Alcotest.(check bool) "several slots" true (Churn.slots_created churn > 1);
+  Alcotest.(check int) "link + forward + reverse lanes" 3
+    (Sim.lane_count sim)
 
 (* Full experiment: static long flows + workload churn, every event traced
    and replayed through the lifecycle auditor. Zero violations expected. *)
@@ -280,6 +297,8 @@ let tests =
     Alcotest.test_case "rebind guard" `Quick
       test_rebind_requires_finished_tenant;
     Alcotest.test_case "teardown" `Quick test_teardown_cuts_active_flows;
+    Alcotest.test_case "lanes keyed by delay" `Quick
+      test_churn_lanes_keyed_by_delay;
     Alcotest.test_case "traced churn audits clean" `Quick
       test_traced_churn_run_audits_clean;
     Alcotest.test_case "long-horizon completions" `Quick

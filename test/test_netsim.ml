@@ -3,7 +3,7 @@ module Sim = Sim_engine.Sim
 
 let mk_packet ?(flow = 0) ?(seq = 0) ?(size = 1500) () =
   Packet.make ~flow ~seq ~size ~retransmit:false ~sent_time:0.0 ~delivered:0.0
-    ~delivered_time:0.0 ~app_limited:false
+    ~delivered_time:0.0
 
 (* --- Droptail_queue --- *)
 
@@ -134,11 +134,8 @@ let test_link_kick_idempotent () =
 let test_pipe_delay () =
   let sim = Sim.create () in
   let arrival = ref nan in
-  let pipe =
-    Pipe.create ~sim
-      ~delay_of:(fun _ -> 0.02)
-      ~deliver:(fun _ -> arrival := Sim.now sim)
-  in
+  let pipe = Pipe.create ~sim ~deliver:(fun _ -> arrival := Sim.now sim) in
+  Pipe.attach pipe ~flow:0 ~delay:0.02;
   Pipe.send pipe (mk_packet ());
   Alcotest.(check int) "in flight" 1 (Pipe.in_flight pipe);
   Sim.run sim;
@@ -150,9 +147,10 @@ let test_pipe_per_flow_delay () =
   let arrivals = ref [] in
   let pipe =
     Pipe.create ~sim
-      ~delay_of:(fun p -> if p.Packet.flow = 0 then 0.01 else 0.03)
       ~deliver:(fun p -> arrivals := (p.Packet.flow, Sim.now sim) :: !arrivals)
   in
+  Pipe.attach pipe ~flow:0 ~delay:0.01;
+  Pipe.attach pipe ~flow:1 ~delay:0.03;
   Pipe.send pipe (mk_packet ~flow:1 ());
   Pipe.send pipe (mk_packet ~flow:0 ());
   Sim.run sim;

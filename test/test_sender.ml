@@ -225,31 +225,52 @@ let test_rto_exponential_backoff () =
 
 (* Regression: inflight_bytes drifted after an RTO (the timeout zeroed it,
    then late ACKs decremented it again). The per-segment accounting must
-   stay exact through loss, timeout, and the late ACKs that follow. *)
+   stay exact through loss, timeout, and the late ACKs that follow. The
+   second input is a 30 BDP path at 100 Mbps: its window reaches thousands
+   of segments, far past the segment ring's initial capacity, so the ring
+   grows (several times, with the window wrapped around the ring's end)
+   under the same audit. *)
 let test_inflight_accounting_exact () =
-  let sim, net, senders =
-    setup ~rate_mbps:10.0 ~rtt:0.02 ~buffer_bdp:1.0 ~ccas:[ "cubic" ]
-  in
-  let sender = List.hd senders in
-  let rec audit () =
-    Tcpflow.Sender.check_inflight_invariant sender;
-    ignore (Sim.schedule sim ~delay:0.01 audit)
-  in
-  audit ();
-  Sim.run ~until:2.0 sim;
-  (* Force an RTO with ACKs still in flight, then let them land. *)
-  let receiver =
-    match Netsim.Dumbbell.receiver net ~flow:0 with
-    | Some r -> r
-    | None -> Alcotest.fail "receiver installed at create time"
-  in
-  Netsim.Dumbbell.set_receiver net ~flow:0 (fun _ -> ());
-  Sim.run ~until:6.0 sim;
-  Netsim.Dumbbell.set_receiver net ~flow:0 receiver;
-  Sim.run ~until:10.0 sim;
-  Alcotest.(check bool) "losses exercised" true
-    (Tcpflow.Sender.lost_segments sender > 0);
-  Tcpflow.Sender.check_inflight_invariant sender
+  List.iter
+    (fun (rate_mbps, rtt, buffer_bdp, hole_at, heal_at, until, min_window) ->
+      let sim, net, senders =
+        setup ~rate_mbps ~rtt ~buffer_bdp ~ccas:[ "cubic" ]
+      in
+      let sender = List.hd senders in
+      let peak_window = ref 0 in
+      let rec audit () =
+        Tcpflow.Sender.check_inflight_invariant sender;
+        peak_window :=
+          max !peak_window
+            (Tcpflow.Sender.next_seq sender - Tcpflow.Sender.cum_ack sender);
+        ignore (Sim.schedule sim ~delay:0.01 audit)
+      in
+      audit ();
+      Sim.run ~until:hole_at sim;
+      (* Force an RTO with ACKs still in flight, then let them land. *)
+      let receiver =
+        match Netsim.Dumbbell.receiver net ~flow:0 with
+        | Some r -> r
+        | None -> Alcotest.fail "receiver installed at create time"
+      in
+      Netsim.Dumbbell.set_receiver net ~flow:0 (fun _ -> ());
+      Sim.run ~until:heal_at sim;
+      Alcotest.(check bool) "RTO fired in the black hole" true
+        (Tcpflow.Sender.rto_backoff sender > 0);
+      Netsim.Dumbbell.set_receiver net ~flow:0 receiver;
+      Sim.run ~until sim;
+      Alcotest.(check bool) "losses exercised" true
+        (Tcpflow.Sender.lost_segments sender > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "window reached %d segments (%d)" min_window
+           !peak_window)
+        true
+        (!peak_window >= min_window);
+      Tcpflow.Sender.check_inflight_invariant sender)
+    [
+      (10.0, 0.02, 1.0, 2.0, 6.0, 10.0, 0);
+      (100.0, 0.04, 30.0, 3.0, 8.0, 12.0, 2048);
+    ]
 
 let test_inflight_zero_when_completed () =
   let sim = Sim.create ~seed:9 () in
