@@ -30,8 +30,9 @@ lint: build
 # change and must be reviewed by re-blessing test/golden/fig03_quick.csv),
 # a second cached run of fig03 must re-simulate nothing, and a traced run
 # must leave one .jsonl per simulated config. The fluidgrid CSV is produced
-# twice — batched (default --batch 8) and unbatched (--batch 1) — and both
-# must match the golden copy: batched evaluation is exact (DESIGN.md §15).
+# twice from one cache and both copies must match the golden one: the cold
+# run must simulate all 22 analytic specs and the warm run none, which
+# smoke-tests the analytic-backend cache path as fig03 does the packet one.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
 CHECK_TRACE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-trace
 CHECK_OUT := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-out
@@ -54,10 +55,10 @@ check: build test lint
 	  --out "$(CHECK_OUT)"
 	cmp test/golden/fig05_quick.csv "$(CHECK_OUT)/fig05.csv"
 	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --cache "$(CHECK_CACHE)" \
-	  --out "$(CHECK_OUT)"
+	  --out "$(CHECK_OUT)" | tee /dev/stderr | grep -q "; 22 simulated"
 	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
-	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --batch 1 \
-	  --out "$(CHECK_OUT)"
+	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --cache "$(CHECK_CACHE)" \
+	  --out "$(CHECK_OUT)" | tee /dev/stderr | grep -q "; 0 simulated"
 	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
 	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \
 	  --out "$(CHECK_OUT)"

@@ -345,7 +345,7 @@ let micro_baseline =
       17_521_631.275, 723_461.951 );
   ]
 
-(* --- Batched evaluation (DESIGN.md §15) ------------------------------ *)
+(* --- 11-cell analytic sweep ------------------------------------------ *)
 
 module B = Sim_backend
 
@@ -363,7 +363,7 @@ let sweep_spec ~buffer_bdp ccas =
 
 (* A fluidgrid-sized sweep — the single-CCA diagonals plus the
    competition cells a `repro fluidgrid` evaluation visits — used as the
-   unit of work for the batched-vs-sequential throughput pair. *)
+   unit of work for the analytic backends' sweep alloc gates. *)
 let sweep_specs =
   [|
     sweep_spec ~buffer_bdp:1.0 [ "cubic" ];
@@ -379,15 +379,8 @@ let sweep_specs =
     sweep_spec ~buffer_bdp:10.0 [ "bbr"; "bbr" ];
   |]
 
-let run_batch_sweep backend () = ignore (B.run_batch_exn backend sweep_specs)
-
-let run_seq_sweep backend () =
+let run_sweep backend () =
   Array.iter (fun s -> ignore (B.run_exn backend s)) sweep_specs
-
-(* Pre-rewrite sequential throughput on the same 11-cell sweep (AoS fluid
-   stepper / per-run-arena ODE integrator, same machine class): the
-   "before" half of BENCH_batch.json's before/after pair. *)
-let batch_baseline = [ ("fluid", 434.5); ("ode", 660.1) ]
 
 (* --- Allocation gates ------------------------------------------------- *)
 
@@ -408,14 +401,14 @@ let alloc_gates =
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 70_000.0, ode_2flow);
-    (* The batched fluid stepper advances a whole sweep through one SoA
-       arena with an allocation-free step loop: the budget covers arena
-       construction plus per-spec result records — anything larger means
-       an allocation crept inside the step loop. The ODE sweep's budget
-       is dominated by its per-sample accounting buffers, which scale
-       with the 60 s horizon, not with stepping. *)
-    ("batch/fluid-11cell-sweep", 3, 16_000.0, run_batch_sweep B.fluid);
-    ("batch/ode-11cell-sweep", 3, 2_500_000.0, run_batch_sweep B.ode);
+    (* Each cell runs through [Sim_backend.run_exn] on its own SoA arena
+       with an allocation-free step loop: the fluid budget covers the
+       per-spec arenas and result records — anything larger means an
+       allocation crept inside the step loop. The ODE sweep's budget is
+       dominated by its per-sample accounting buffers, which scale with
+       the 60 s horizon, not with stepping. *)
+    ("fluid/11cell-sweep", 3, 7_000.0, run_sweep B.fluid);
+    ("ode/11cell-sweep", 3, 1_920_000.0, run_sweep B.ode);
     (* The step kernel itself is allocation-free; the budget covers the
        three 64-slot scratch arrays the harness sets up per run. *)
     ( "evolve/step-1k-logit", 50, 1_000.0,
@@ -499,76 +492,6 @@ let () =
     exit 0
   end
 
-(* --- Batch section ---------------------------------------------------- *)
-
-(* One sweep takes tens of ms — too coarse for bechamel's per-run OLS —
-   and wall-clock on this machine class is noisy (±30% run-to-run), so
-   the batch section times whole sweeps and keeps the best of N. *)
-let sweep_rate f =
-  let reps = if !smoke then 2 else 7 in
-  f ();
-  (* warm-up *)
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in (* simlint: allow R1 *)
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in (* simlint: allow R1 *)
-    if dt < !best then best := dt
-  done;
-  float_of_int (Array.length sweep_specs) /. !best
-
-let write_batch_json ~dir rows =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir "BENCH_batch.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"section\": \"batch\",\n  \"smoke\": %b,\n" !smoke;
-  Printf.fprintf oc
-    "  \"units\": { \"specs_per_second\": \"sweep specs evaluated per \
-     wall-clock second, best of N\" },\n";
-  Printf.fprintf oc "  \"sweep_cells\": %d,\n" (Array.length sweep_specs);
-  Printf.fprintf oc "  \"baseline_pre_rewrite\": {\n";
-  let n = List.length batch_baseline in
-  List.iteri
-    (fun i (name, rate) ->
-      Printf.fprintf oc
-        "    \"%s\": { \"sequential_specs_per_second\": %.1f }%s\n" name rate
-        (if i = n - 1 then "" else ","))
-    batch_baseline;
-  Printf.fprintf oc "  },\n  \"results\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, seq, batched) ->
-      let baseline = List.assoc name batch_baseline in
-      Printf.fprintf oc
-        "    \"%s\": { \"sequential_specs_per_second\": %.1f, \
-         \"batched_specs_per_second\": %.1f, \
-         \"speedup_batched_vs_sequential\": %.2f, \
-         \"speedup_batched_vs_baseline\": %.2f }%s\n"
-        name seq batched (batched /. seq) (batched /. baseline)
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-let run_batch_section () =
-  Printf.printf "%-8s %16s %16s %9s %14s\n" "backend" "seq specs/s"
-    "batch specs/s" "speedup" "vs pre-rewrite";
-  let rows =
-    List.map
-      (fun (name, backend) ->
-        let seq = sweep_rate (run_seq_sweep backend) in
-        let batched = sweep_rate (run_batch_sweep backend) in
-        Printf.printf "%-8s %16.1f %16.1f %8.2fx %13.2fx\n%!" name seq batched
-          (batched /. seq)
-          (batched /. List.assoc name batch_baseline);
-        (name, seq, batched))
-      [ ("fluid", B.fluid); ("ode", B.ode) ]
-  in
-  match !json_dir with
-  | None -> ()
-  | Some dir -> write_batch_json ~dir rows
-
 (* --- Bechamel sections ------------------------------------------------ *)
 
 let estimate_of ols =
@@ -596,7 +519,7 @@ let json_float v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
    [baseline] adds a "baseline_pre_rewrite" object in the same row format
    for sections that track a before/after pair. *)
 let write_bench_json ?(baseline = []) ~dir ~section rows =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Sim_engine.Exec.mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" section) in
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"section\": \"%s\",\n  \"smoke\": %b,\n"
@@ -801,7 +724,7 @@ let scaling_jobs () =
 let sections () =
   match Sys.getenv_opt "REPRO_BENCH_SECTIONS" with
   | None | Some "" ->
-    [ "figures"; "micro"; "fluid"; "batch"; "evolve"; "workload"; "scaling";
+    [ "figures"; "micro"; "fluid"; "evolve"; "workload"; "scaling";
       "ablations" ]
   | Some s -> String.split_on_char ',' s
 
@@ -824,10 +747,6 @@ let () =
   if List.mem "fluid" sections then begin
     Printf.printf "==== Analytic-backend benchmarks ====\n%!";
     run_bechamel ~baseline:fluid_baseline ~section:"fluid" fluid_tests
-  end;
-  if List.mem "batch" sections then begin
-    Printf.printf "==== Batched evaluation (11-cell sweep) ====\n%!";
-    run_batch_section ()
   end;
   if List.mem "evolve" sections then begin
     Printf.printf "==== Adoption-dynamics benchmarks ====\n%!";

@@ -17,8 +17,8 @@
                   [--generations N] [--spot-checks N] [--out results/]
 *)
 
-let ctx_of ~full ~jobs ~batch ~cache_dir ~trace_dir =
-  Experiments.Common.ctx ~jobs ~batch ?cache_dir ?trace_dir
+let ctx_of ~full ~jobs ~cache_dir ~trace_dir =
+  Experiments.Common.ctx ~jobs ?cache_dir ?trace_dir
     (if full then Experiments.Common.Full else Experiments.Common.Quick)
 
 (* Aggregate the .metrics sidecars a traced entry produced into one
@@ -146,15 +146,6 @@ let jobs_arg =
     & opt positive_int (Sim_engine.Exec.domain_count ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let batch_arg =
-  let doc =
-    "Specs per batched analytic-backend call when dispatching grid cache \
-     misses ($(b,1) disables batching). Outcomes are byte-identical for \
-     every value; this only trades throughput against sharding \
-     granularity."
-  in
-  Arg.(value & opt positive_int 8 & info [ "batch" ] ~docv:"N" ~doc)
-
 let cache_arg =
   let doc =
     "Cache simulation results in $(docv) (content-addressed by config \
@@ -185,19 +176,19 @@ let run_cmd =
   let id_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID")
   in
-  let run id full out jobs batch cache_dir trace_dir =
+  let run id full out jobs cache_dir trace_dir =
     match Experiments.Catalog.find id with
     | None ->
       Format.eprintf "unknown experiment %S; try: %s@." id
         (String.concat ", " (Experiments.Catalog.ids ()));
       exit 1
     | Some entry ->
-      run_entry ~out entry (ctx_of ~full ~jobs ~batch ~cache_dir ~trace_dir)
+      run_entry ~out entry (ctx_of ~full ~jobs ~cache_dir ~trace_dir)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ id_arg $ full_arg $ out_arg $ jobs_arg $ batch_arg
-      $ cache_arg $ trace_arg)
+      const run $ id_arg $ full_arg $ out_arg $ jobs_arg $ cache_arg
+      $ trace_arg)
 
 let model_cmd =
   let doc =
@@ -240,14 +231,12 @@ let model_cmd =
 
 let all_cmd =
   let doc = "Run every experiment in paper order." in
-  let run full out jobs batch cache_dir trace_dir =
-    let ctx = ctx_of ~full ~jobs ~batch ~cache_dir ~trace_dir in
+  let run full out jobs cache_dir trace_dir =
+    let ctx = ctx_of ~full ~jobs ~cache_dir ~trace_dir in
     List.iter (fun entry -> run_entry ~out entry ctx) Experiments.Catalog.all
   in
   Cmd.v (Cmd.info "all" ~doc)
-    Term.(
-      const run $ full_arg $ out_arg $ jobs_arg $ batch_arg $ cache_arg
-      $ trace_arg)
+    Term.(const run $ full_arg $ out_arg $ jobs_arg $ cache_arg $ trace_arg)
 
 (* --- correctness tooling: fuzz + replay ------------------------------- *)
 
@@ -519,10 +508,7 @@ let compare_cmd =
     let failed = ref false in
     List.iter
       (fun b ->
-        (* Through the batched entry point (a batch of one is exactly
-           [run]): compare doubles as an end-to-end smoke of the path
-           the grid drivers dispatch on. *)
-        match (Sim_backend.run_batch b [| spec |]).(0) with
+        match Sim_backend.run b spec with
         | Error e ->
           failed := true;
           Format.printf "%-8s %a@." (Sim_backend.name b) Sim_backend.pp_error e
@@ -604,9 +590,9 @@ let evolve_cmd =
             "Packet-level sign checks per trajectory; 0 disables (default: \
              1 quick / 2 full).")
   in
-  let run full out jobs batch cache_dir dynamics backend seed max_generations
+  let run full out jobs cache_dir dynamics backend seed max_generations
       spot_checks =
-    let ctx = ctx_of ~full ~jobs ~batch ~cache_dir ~trace_dir:None in
+    let ctx = ctx_of ~full ~jobs ~cache_dir ~trace_dir:None in
     let dynamics = if dynamics = [] then None else Some dynamics in
     let entry =
       {
@@ -621,9 +607,8 @@ let evolve_cmd =
   in
   Cmd.v (Cmd.info "evolve" ~doc)
     Term.(
-      const run $ full_arg $ out_arg $ jobs_arg $ batch_arg $ cache_arg
-      $ dynamics_arg $ evolve_backend_arg $ seed_arg $ generations_arg
-      $ spot_arg)
+      const run $ full_arg $ out_arg $ jobs_arg $ cache_arg $ dynamics_arg
+      $ evolve_backend_arg $ seed_arg $ generations_arg $ spot_arg)
 
 let main_cmd =
   let doc =

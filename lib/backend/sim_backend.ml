@@ -55,30 +55,6 @@ type t = (module S)
 
 let ( let* ) = Result.bind
 
-(* Shared batched-dispatch shape for backends with a native batch
-   entry point: validate every spec, run the valid ones through one
-   [run_valid] call, and scatter outcomes back into spec order. The
-   per-spec results are position-independent — an invalid spec never
-   perturbs its neighbours. *)
-let batch_via ~validate ~run_valid specs =
-  let n = Array.length specs in
-  let checked = Array.map validate specs in
-  let ok = ref [] in
-  for i = n - 1 downto 0 do
-    if Result.is_ok checked.(i) then ok := i :: !ok
-  done;
-  let ok = Array.of_list !ok in
-  let outcomes = run_valid (Array.map (fun i -> specs.(i)) ok) in
-  let results =
-    Array.map
-      (function
-        | Ok () -> Error (Invalid_spec "unreachable: overwritten below")
-        | Error e -> Error e)
-      checked
-  in
-  Array.iteri (fun k i -> results.(i) <- Ok outcomes.(k)) ok;
-  results
-
 (* Backend-independent sanity of a spec. *)
 let validate_shape s =
   let module Raw = Sim_engine.Units.Raw in
@@ -164,9 +140,6 @@ module Packet = struct
         utilization = r.E.utilization;
       }
 
-  (* The packet engine has no batched stepper (each run is one event
-     loop over mutable per-connection state); the sequential fallback
-     keeps the API uniform. *)
   let run_batch specs = Array.map run specs
 end
 
@@ -196,9 +169,9 @@ module Fluid = struct
     let* () = validate_shape s in
     validate_ccas ~backend:name ~supports ~supported:F.supported_ccas s
 
-  (* "-soa-2": the batched SoA kernel (DESIGN.md §15) folded the step
-     loop into one fused pass; queue-time and estimator sampling moved
-     by at most one step, shifting outcomes in the last ulp. *)
+  (* "-soa-2": the fused SoA step loop (DESIGN.md §15) moved queue-time
+     and estimator sampling by at most one step, shifting outcomes in the
+     last ulp. *)
   let digest s = canonical ~version:"fluid-soa-2" s
 
   let outcome_of s (r : F.result) =
@@ -212,13 +185,11 @@ module Fluid = struct
       utilization = total /. Sim_engine.Units.Raw.to_float s.rate_bps;
     }
 
-  let run_batch specs =
-    batch_via ~validate
-      ~run_valid:(fun valid ->
-        Array.map2 outcome_of valid (F.run_batch (Array.map to_config valid)))
-      specs
+  let run s =
+    let* () = validate s in
+    Ok (outcome_of s (F.run (to_config s)))
 
-  let run s = (run_batch [| s |]).(0)
+  let run_batch specs = Array.map run specs
 end
 
 (* --- ODE backend ---------------------------------------------------- *)
@@ -249,9 +220,9 @@ module Ode = struct
 
   (* The ODE model is deterministic: the seed deliberately does not
      participate, so runs differing only by seed share a cache entry.
-     "-rk4-2": the batched stepper (DESIGN.md §15) caches the shared
-     stage-1 derivative and evaluates CUBIC's x^(2/3) as a squared cube
-     root, shifting trajectories in the last ulp. *)
+     "-rk4-2": the stepper caches the shared stage-1 derivative and
+     evaluates CUBIC's x^(2/3) as a squared cube root (DESIGN.md §15),
+     shifting trajectories in the last ulp. *)
   let digest s = canonical ~version:"ode-rk4-2" { s with seed = 0 }
 
   let outcome_of s (r : O.result) =
@@ -265,13 +236,11 @@ module Ode = struct
       utilization = total /. Sim_engine.Units.Raw.to_float s.rate_bps;
     }
 
-  let run_batch specs =
-    batch_via ~validate
-      ~run_valid:(fun valid ->
-        Array.map2 outcome_of valid (O.run_batch (Array.map to_config valid)))
-      specs
+  let run s =
+    let* () = validate s in
+    Ok (outcome_of s (O.run (to_config s)))
 
-  let run s = (run_batch [| s |]).(0)
+  let run_batch specs = Array.map run specs
 end
 
 let packet : t = (module Packet)
@@ -311,24 +280,11 @@ let validate (b : t) s =
   let module B = (val b) in
   B.validate s
 
-let run_batch (b : t) specs =
-  let module B = (val b) in
-  B.run_batch specs
-
 let run_exn b s =
   match run b s with
   | Ok o -> o
   | Error e ->
     invalid_arg (Format.asprintf "Sim_backend %s: %a" (name b) pp_error e)
-
-let run_batch_exn b specs =
-  Array.map
-    (function
-      | Ok o -> o
-      | Error e ->
-        invalid_arg
-          (Format.asprintf "Sim_backend %s: %a" (name b) pp_error e))
-    (run_batch b specs)
 
 let mean_bps_of_cca o cca =
   let sum = ref 0.0 and count = ref 0 in

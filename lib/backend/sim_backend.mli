@@ -80,14 +80,12 @@ module type S = sig
   val run : spec -> (outcome, error) result
 
   val run_batch : spec array -> (outcome, error) result array
-  (** Evaluate many specs in one call, preserving order: slot [i] holds
-      exactly what [run specs.(i)] would return. The analytic backends
-      (fluid, ode) dispatch every valid spec through their batched
-      struct-of-arrays steppers — amortizing allocation and keeping
-      state compact — while invalid specs come back as their [Error]
-      without perturbing the rest. The packet backend falls back to
-      sequential [run]. Results are byte-identical to sequential
-      evaluation regardless of batch composition or order. *)
+  (** [Array.map run] in every backend. No library code calls it:
+      batched evaluation measured no faster than [run] (DESIGN.md §15).
+      It stays in the signature only because the end-to-end benchmark's
+      delegating backend ([e2ebench/probe.ml]) defines and calls it, and
+      that benchmark stays unchanged so its runs compare across
+      commits. *)
 end
 
 type t = (module S)
@@ -119,14 +117,8 @@ val run : t -> spec -> (outcome, error) result
 val digest : t -> spec -> string
 val validate : t -> spec -> (unit, error) result
 
-val run_batch : t -> spec array -> (outcome, error) result array
-(** See {!S.run_batch}. *)
-
 val run_exn : t -> spec -> outcome
 (** Raises [Invalid_argument] with the formatted {!error}. *)
-
-val run_batch_exn : t -> spec array -> outcome array
-(** Raises [Invalid_argument] on the first [Error] slot. *)
 
 val mean_bps_of_cca : outcome -> string -> float
 (** Mean per-flow goodput over flows running the named CCA; [nan] if

@@ -70,22 +70,22 @@ let map ?(jobs = 1) f xs =
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
 
+(* A concurrent creator may win the race for any component; losing it is
+   the one failure tolerated, and only if a directory is what it left. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
+  end
+
 module Cache = struct
   type t = { dir : string }
 
   let magic = "bbr-equilibrium-cache-v1"
 
   let create dir =
-    if not (Sys.file_exists dir) then begin
-      (* Create parents too; races with concurrent creators are benign. *)
-      let rec mkdir_p d =
-        if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-          mkdir_p (Filename.dirname d);
-          try Sys.mkdir d 0o755 with Sys_error _ -> ()
-        end
-      in
-      mkdir_p dir
-    end;
+    mkdir_p dir;
     { dir }
 
   let dir t = t.dir

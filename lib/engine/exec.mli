@@ -26,7 +26,7 @@ type counters = {
   cache_misses : int;  (** {!Cache.find} calls that fell through. *)
   memo_evictions : int;
       (** Entries displaced from capped in-memory memo layers
-          ({!note_memo_eviction} calls — see [Runs.run_specs_memo]). *)
+          ({!note_memo_eviction} calls — see [Runs.run_specs]). *)
 }
 
 val counters : unit -> counters
@@ -35,6 +35,11 @@ val counters : unit -> counters
 
 val note_memo_eviction : unit -> unit
 (** Count one memo eviction (atomic; callable from worker domains). *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; a no-op when it already
+    exists. Losing a creation race to a concurrent caller is tolerated;
+    any other failure raises [Sys_error]. *)
 
 (** Content-addressed result store: values are marshalled under the MD5 of
     a caller-chosen key string (for experiments, the marshalled config).

@@ -6,8 +6,9 @@
     classes; the state is one BBR share per class, evolved by
     {!Ccgame.Evolve} dynamics (replicator / smoothed best response / logit)
     against tagged-flow deviation payoffs measured by a {!Sim_backend}
-    backend through {!Runs.run_specs_memo} — every profile simulated at
-    most once per unit of work, content-addressed in the on-disk cache.
+    backend through {!Runs.run_specs} with a memo — every profile
+    simulated at most once per unit of work, content-addressed in the
+    on-disk cache.
 
     Each (cell x dynamics) pair is an independent, sequential unit of work;
     the units shard across [ctx.jobs] domains (the fig10 pattern), so the
@@ -116,8 +117,8 @@ let neighbourhood ~sizes counts =
 
 (* Tagged-flow payoffs over the quantized profile, batched per state: the
    first query at a new state prefetches the whole deviation neighbourhood
-   through [run_specs_memo] in one submission, so a generation costs one
-   batch rather than up to 2G sequential runs. *)
+   through [Runs.run_specs ~memo] in one submission, so a generation costs
+   one batch rather than up to 2G sequential runs. *)
 let tagged_payoffs ~ctx ~backend ~memo ~cell ~seed ~sizes =
   let duration, warmup = horizon ctx.Common.mode in
   let spec_of counts =
@@ -125,7 +126,7 @@ let tagged_payoffs ~ctx ~backend ~memo ~cell ~seed ~sizes =
       counts
   in
   let outcome_of counts =
-    match Runs.run_specs_memo ~memo ctx backend [ spec_of counts ] with
+    match Runs.run_specs ~memo ctx backend [ spec_of counts ] with
     | [ o ] -> o
     | _ -> assert false
   in
@@ -134,7 +135,7 @@ let tagged_payoffs ~ctx ~backend ~memo ~cell ~seed ~sizes =
     if !last <> shares then begin
       let counts = Ccgame.Evolve.counts_of_shares ~sizes shares in
       ignore
-        (Runs.run_specs_memo ~memo ctx backend
+        (Runs.run_specs ~memo ctx backend
            (List.map spec_of (neighbourhood ~sizes counts))
         : Sim_backend.outcome list);
       last := Array.copy shares
@@ -231,7 +232,7 @@ let spot_check ~ctx ~backend ~memo ~cell ~seed ~sizes ~limit traj =
       (fun gen ->
         let counts = Ccgame.Evolve.counts_of_shares ~sizes states.(gen) in
         let run b =
-          match Runs.run_specs_memo ~memo ctx b [ spec_of counts ] with
+          match Runs.run_specs ~memo ctx b [ spec_of counts ] with
           | [ o ] -> o
           | _ -> assert false
         in

@@ -3,15 +3,13 @@ type mode = Quick | Full
 type ctx = {
   mode : mode;
   jobs : int;
-  batch : int;
   cache_dir : string option;
   trace_dir : string option;
 }
 
-let ctx ?(jobs = 1) ?(batch = 8) ?cache_dir ?trace_dir mode =
+let ctx ?(jobs = 1) ?cache_dir ?trace_dir mode =
   if jobs < 1 then invalid_arg "Common.ctx: jobs must be >= 1";
-  if batch < 1 then invalid_arg "Common.ctx: batch must be >= 1";
-  { mode; jobs; batch; cache_dir; trace_dir }
+  { mode; jobs; cache_dir; trace_dir }
 
 let quick = ctx Quick
 
@@ -62,7 +60,7 @@ let csv_of_table table =
   String.concat "\n" (line table.header :: List.map line table.rows) ^ "\n"
 
 let write_csv ~dir table =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Sim_engine.Exec.mkdir_p dir;
   let path = Filename.concat dir (table.id ^ ".csv") in
   let oc = open_out path in
   output_string oc (csv_of_table table);

@@ -9,14 +9,7 @@ type mode = Quick | Full
 
 type ctx = {
   mode : mode;
-  jobs : int;  (** Worker domains for batched simulation runs. *)
-  batch : int;
-      (** Specs per {!Sim_backend.run_batch} call when {!Runs.run_specs}
-          dispatches analytic-backend cache misses: same-shape specs are
-          chunked this many at a time through one batched integrator
-          pass. [1] disables batching (every spec runs alone). Outcomes
-          are byte-identical for every value — this is purely a
-          throughput/parallelism trade-off. *)
+  jobs : int;  (** Worker domains that simulation runs are spread over. *)
   cache_dir : string option;
       (** When set, completed runs are stored here (content-addressed by
           config digest) and replayed on re-runs instead of re-simulating. *)
@@ -31,16 +24,10 @@ type ctx = {
     through to {!Runs.eval}. *)
 
 val ctx :
-  ?jobs:int ->
-  ?batch:int ->
-  ?cache_dir:string ->
-  ?trace_dir:string ->
-  mode ->
-  ctx
+  ?jobs:int -> ?cache_dir:string -> ?trace_dir:string -> mode -> ctx
 (** [jobs] defaults to 1 (sequential); pass
-    [Sim_engine.Exec.domain_count ()] to use every core. [batch]
-    defaults to 8 specs per analytic-backend batch. Raises
-    [Invalid_argument] when [jobs < 1] or [batch < 1]. *)
+    [Sim_engine.Exec.domain_count ()] to use every core. Raises
+    [Invalid_argument] when [jobs < 1]. *)
 
 val quick : ctx
 (** [ctx Quick]: sequential, uncached — the tests' and benches' default. *)
@@ -63,7 +50,8 @@ val print_table : Format.formatter -> table -> unit
 val csv_of_table : table -> string
 
 val write_csv : dir:string -> table -> string
-(** Writes [<dir>/<id>.csv] (creating [dir] if needed); returns the path. *)
+(** Writes [<dir>/<id>.csv] (creating [dir] and any missing parents);
+    returns the path. *)
 
 val cell : float -> string
 (** Format a float for a table cell ("-" for [nan]). *)

@@ -29,21 +29,19 @@ let run_point ~mode ~offered_load ~buffer_bdp ~seed =
   let duration = (Common.duration mode :> float)
   and warmup = (Common.warmup mode :> float) in
   let sim = Sim.create ~seed () in
-  let arrival_rng = Sim_engine.Rng.split (Sim.rng sim) in
+  let schedule_rng = Sim_engine.Rng.split (Sim.rng sim) in
   (* Pre-draw the short-flow schedule so the dumbbell knows every flow id's
-     RTT up front. [generate_shared] keeps the original single-stream
-     gap/size draw interleaving, so the numbers match the pre-workload-layer
-     runs exactly. *)
+     RTT up front. *)
   let schedule =
     if offered_load <= 0.0 then [||]
     else
-      Workload.Schedule.generate_shared
+      Workload.Schedule.generate
         ~arrival:
           (Workload.Arrival.poisson_of_load ~load:offered_load
              ~rate_bps:(rate_bps :> float)
              ~mean_size_bytes)
         ~sizes:(Workload.Dist.Uniform { lo_bytes = 100_000; hi_bytes = 500_000 })
-        ~horizon_s:duration ~rng:arrival_rng ()
+        ~horizon_s:duration ~rng:schedule_rng ()
   in
   let arrivals =
     Array.to_list

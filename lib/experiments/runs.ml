@@ -19,18 +19,12 @@ let config ?duration ?warmup ?(aqm = E.Tail_drop) ~mode ~mbps ~rtt_ms
     ~duration:(Option.value duration ~default:(Common.duration mode))
     flows
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* Run one config with a trace hub feeding a JSONL file and a metrics
    rollup, both named by the config digest. Each file is written wholly
    inside the worker domain that simulates its config, and the writers are
    byte-deterministic, so the trace directory's contents do not depend on
    [jobs] or scheduling. *)
-let run_traced ~dir (key, config) =
+let run_traced ~dir key config =
   let hub = Sim_engine.Trace.create () in
   let metrics =
     Sim_engine.Trace.Metrics.create ~rate_bps:(config.E.rate_bps :> float) ()
@@ -50,171 +44,63 @@ let run_traced ~dir (key, config) =
   close_out mc;
   result
 
-(* The central choke point every simulation in the experiment suite goes
-   through: consult the cache, farm the misses out to the ctx's worker
-   pool, persist what was computed, and return results in config order.
-   Tracing bypasses the cache — a cache hit skips the simulation and would
-   produce no trace — but still dedupes repeated configs, so one file pair
-   per distinct digest. *)
+(* Where [evaluate] looks results up before running them, and where it
+   puts what it ran. *)
+type 'v store = { find : string -> 'v option; add : string -> 'v -> unit }
+
+let no_store = { find = (fun _ -> None); add = (fun _ _ -> ()) }
+
+(* The caller fixes ['v]: [Exec.Cache.find] reads at whatever type it is
+   asked for, so each key space must be read at the type it was stored
+   at. *)
+let disk (type v) dir : v store =
+  let cache = Sim_engine.Exec.Cache.create dir in
+  {
+    find = (fun key -> Sim_engine.Exec.Cache.find cache ~key);
+    add = (fun key v -> Sim_engine.Exec.Cache.store cache ~key v);
+  }
+
+(* The choke point every simulation in the experiment suite goes through:
+   key each item, skip repeated keys, look each distinct key up in
+   [store], run the misses on the ctx's worker pool (one job per miss),
+   store what was computed, and return results in input order. With
+   [no_store], duplicates still run once. *)
+let evaluate (ctx : Common.ctx) ~key ~store run items =
+  let keyed = List.map (fun x -> (key x, x)) items in
+  (* key -> its result; [None] while a miss is pending. *)
+  let known = Hashtbl.create 16 in
+  let misses =
+    List.filter
+      (fun (k, _) ->
+        if Hashtbl.mem known k then false
+        else begin
+          let hit = store.find k in
+          Hashtbl.add known k hit;
+          Option.is_none hit
+        end)
+      keyed
+  in
+  let computed =
+    Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun (k, x) -> run k x) misses
+  in
+  List.iter2
+    (fun (k, _) v ->
+      store.add k v;
+      Hashtbl.replace known k (Some v))
+    misses computed;
+  List.map (fun (k, _) -> Option.get (Hashtbl.find known k)) keyed
+
+(* Tracing bypasses the cache — a cache hit skips the simulation and
+   would produce no trace — but still dedupes repeated configs, so one
+   file pair per distinct digest. *)
 let eval (ctx : Common.ctx) configs =
   match ctx.trace_dir with
   | Some dir ->
-    mkdir_p dir;
-    let keyed = List.map (fun c -> (E.digest c, c)) configs in
-    let seen = Hashtbl.create 16 in
-    let distinct =
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
-          end)
-        keyed
-    in
-    let computed =
-      Sim_engine.Exec.map_list ~jobs:ctx.jobs (run_traced ~dir) distinct
-    in
-    let results : (string, E.result) Hashtbl.t = Hashtbl.create 16 in
-    List.iter2
-      (fun (key, _) result -> Hashtbl.replace results key result)
-      distinct computed;
-    List.map (fun (key, _) -> Hashtbl.find results key) keyed
-  | None -> (
-    match ctx.cache_dir with
-    | None -> Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun c -> E.run c) configs
-    | Some dir ->
-    let cache = Sim_engine.Exec.Cache.create dir in
-    let keyed = List.map (fun c -> (E.digest c, c)) configs in
-    let known : (string, E.result) Hashtbl.t = Hashtbl.create 16 in
-    let pending = Hashtbl.create 16 in
-    let to_run =
-      (* One lookup (and at most one run) per distinct config, even when a
-         batch repeats a grid point. *)
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem known key || Hashtbl.mem pending key then false
-          else
-            match Sim_engine.Exec.Cache.find cache ~key with
-            | Some (result : E.result) ->
-              Hashtbl.add known key result;
-              false
-            | None ->
-              Hashtbl.add pending key ();
-              true)
-        keyed
-    in
-    let computed =
-      Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun (_, c) -> E.run c) to_run
-    in
-    List.iter2
-      (fun (key, _) result ->
-        Sim_engine.Exec.Cache.store cache ~key result;
-        Hashtbl.replace known key result)
-      to_run computed;
-    List.map (fun (key, _) -> Hashtbl.find known key) keyed)
-
-(* Batched dispatch of backend specs: group by shape (flow count ×
-   horizon — specs a backend's SoA stepper advances over the same step
-   grid), cut each group into [ctx.batch]-sized chunks, and evaluate
-   chunks across the worker pool through {!Sim_backend.run_batch}. The
-   shard unit is the chunk, so parallelism composes with batching.
-
-   Grouping and chunking are a pure scheduling choice: [run_batch] is
-   byte-identical to sequential evaluation per spec, so outcomes do not
-   depend on [ctx.batch], [ctx.jobs], or which specs share a chunk.
-   Groups keep first-appearance order and chunks preserve input order
-   within a group, so chunk composition itself is deterministic too. *)
-let dispatch_specs (ctx : Common.ctx) backend (specs : Sim_backend.spec array)
-    =
-  let n = Array.length specs in
-  let shape_order = ref [] in
-  let groups : (int * float, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i (s : Sim_backend.spec) ->
-      let shape =
-        ( List.length s.flows,
-          Sim_engine.Units.Raw.to_float s.duration )
-      in
-      match Hashtbl.find_opt groups shape with
-      | Some members -> members := i :: !members
-      | None ->
-        Hashtbl.add groups shape (ref [ i ]);
-        shape_order := shape :: !shape_order)
-    specs;
-  let chunk_size = max 1 ctx.batch in
-  let rec chunks = function
-    | [] -> []
-    | idxs ->
-      let rec take k = function
-        | rest when k = 0 -> ([], rest)
-        | [] -> ([], [])
-        | i :: rest ->
-          let taken, dropped = take (k - 1) rest in
-          (i :: taken, dropped)
-      in
-      let c, rest = take chunk_size idxs in
-      c :: chunks rest
-  in
-  let work =
-    List.concat_map
-      (fun shape -> chunks (List.rev !(Hashtbl.find groups shape)))
-      (List.rev !shape_order)
-  in
-  let computed =
-    Sim_engine.Exec.map_list ~jobs:ctx.jobs
-      (fun idxs ->
-        Sim_backend.run_batch_exn backend
-          (Array.of_list (List.map (fun i -> specs.(i)) idxs)))
-      work
-  in
-  let results = Array.make n None in
-  List.iter2
-    (fun idxs outcomes ->
-      List.iteri (fun k i -> results.(i) <- Some outcomes.(k)) idxs)
-    work computed;
-  Array.map
-    (function Some o -> o | None -> assert false (* every index chunked *))
-    results
-
-(* [eval]'s cache discipline for the backend-neutral API: one lookup and
-   at most one run per distinct (backend, spec) digest, misses grouped by
-   shape and dispatched through the backend's batched entry point over
-   the ctx's worker pool. Analytic backends have no event stream, so
-   [trace_dir] does not apply here. *)
-let run_specs (ctx : Common.ctx) backend specs =
-  match ctx.cache_dir with
+    Sim_engine.Exec.mkdir_p dir;
+    evaluate ctx ~key:E.digest ~store:no_store (run_traced ~dir) configs
   | None ->
-    Array.to_list (dispatch_specs ctx backend (Array.of_list specs))
-  | Some dir ->
-    let cache = Sim_engine.Exec.Cache.create dir in
-    let keyed = List.map (fun s -> (Sim_backend.digest backend s, s)) specs in
-    let known : (string, Sim_backend.outcome) Hashtbl.t = Hashtbl.create 16 in
-    let pending = Hashtbl.create 16 in
-    let to_run =
-      List.filter
-        (fun (key, _) ->
-          if Hashtbl.mem known key || Hashtbl.mem pending key then false
-          else
-            match Sim_engine.Exec.Cache.find cache ~key with
-            | Some (outcome : Sim_backend.outcome) ->
-              Hashtbl.add known key outcome;
-              false
-            | None ->
-              Hashtbl.add pending key ();
-              true)
-        keyed
-    in
-    let computed =
-      dispatch_specs ctx backend (Array.of_list (List.map snd to_run))
-    in
-    List.iteri
-      (fun i (key, _) ->
-        let outcome = computed.(i) in
-        Sim_engine.Exec.Cache.store cache ~key outcome;
-        Hashtbl.replace known key outcome)
-      to_run;
-    List.map (fun (key, _) -> Hashtbl.find known key) keyed
+    let store = Option.fold ~none:no_store ~some:disk ctx.cache_dir in
+    evaluate ctx ~key:E.digest ~store (fun _ c -> E.run c) configs
 
 (* A capped memo: outcomes keyed by digest, stamped with a logical access
    tick. When full, the least-recently-used entry is evicted (an O(cap)
@@ -261,36 +147,35 @@ let memo_add memo key outcome =
   incr memo.tick;
   Hashtbl.replace memo.table key (outcome, ref !(memo.tick))
 
-(* An in-memory layer over [run_specs] for adaptive drivers (the evolve
-   loop) that revisit the same profile across generations: one digest
-   lookup per spec, one run per distinct miss, order preserved. The memo
-   only ever sees find/replace, so no hash-order dependence can leak into
-   results. *)
-let run_specs_memo ~memo (ctx : Common.ctx) backend specs =
-  let keyed = List.map (fun s -> (Sim_backend.digest backend s, s)) specs in
-  let found = Hashtbl.create 16 in
-  let pending = Hashtbl.create 16 in
-  let to_run =
-    List.filter
-      (fun (key, _) ->
-        if Hashtbl.mem found key || Hashtbl.mem pending key then false
-        else
-          match memo_find memo key with
-          | Some outcome ->
-            Hashtbl.add found key outcome;
-            false
-          | None ->
-            Hashtbl.add pending key ();
-            true)
-      keyed
+(* The memo in front of [store]: a memo miss falls through to [store], and
+   whatever [store] holds or learns is remembered. *)
+let memo_over memo store =
+  let recall key =
+    match memo_find memo key with
+    | Some _ as hit -> hit
+    | None -> (
+      match store.find key with
+      | Some outcome as hit ->
+        memo_add memo key outcome;
+        hit
+      | None -> None)
   in
-  let computed = run_specs ctx backend (List.map snd to_run) in
-  List.iter2
-    (fun (key, _) outcome ->
-      memo_add memo key outcome;
-      Hashtbl.replace found key outcome)
-    to_run computed;
-  List.map (fun (key, _) -> Hashtbl.find found key) keyed
+  let remember key outcome =
+    store.add key outcome;
+    memo_add memo key outcome
+  in
+  { find = recall; add = remember }
+
+(* Analytic backends have no event stream, so [trace_dir] does not apply
+   here. *)
+let run_specs ?memo (ctx : Common.ctx) backend specs =
+  let store = Option.fold ~none:no_store ~some:disk ctx.cache_dir in
+  let store =
+    match memo with Some m -> memo_over m store | None -> store
+  in
+  evaluate ctx ~key:(Sim_backend.digest backend) ~store
+    (fun _ s -> Sim_backend.run_exn backend s)
+    specs
 
 type mix_spec = {
   spec_duration : Sim_engine.Units.seconds option;

@@ -1,4 +1,4 @@
-(** Planning and execution of batched packet-level runs.
+(** Planning and execution of batched simulation runs.
 
     Drivers no longer call {!Tcpflow.Experiment.run} inline: they build
     {!mix_spec}s (or raw configs) for every grid point up front, submit the
@@ -18,11 +18,12 @@ val eval :
   Common.ctx ->
   Tcpflow.Experiment.config list ->
   Tcpflow.Experiment.result list
-(** Run every config, in order. With [ctx.cache_dir] set, cached results
-    are returned without simulating and fresh results are persisted;
-    duplicate configs within one batch are simulated once. Misses run on
-    [ctx.jobs] worker domains; results are independent of [jobs] because
-    each run derives all randomness from its config's seed.
+(** Run every config, in order. Duplicate configs within one call are
+    simulated once. With [ctx.cache_dir] set, cached results are returned
+    without simulating and fresh results are persisted. Misses run on
+    [ctx.jobs] worker domains, one job per distinct config; results are
+    independent of [jobs] because each run derives all randomness from its
+    config's seed.
 
     With [ctx.trace_dir] set, every distinct config is simulated with a
     trace hub attached and writes [<trace_dir>/<digest>.jsonl] (the full
@@ -31,24 +32,6 @@ val eval :
     the result cache entirely — a hit would skip the simulation and leave
     no trace — and the files are byte-identical across invocations and
     [jobs] settings for a given config. *)
-
-val run_specs :
-  Common.ctx ->
-  Sim_backend.t ->
-  Sim_backend.spec list ->
-  Sim_backend.outcome list
-(** {!eval}'s backend-neutral sibling: run every spec on the given backend,
-    in order, with the same cache discipline — outcomes are keyed by
-    {!Sim_backend.digest} (which includes the backend's version token), so
-    the packet, fluid and ODE backends never share entries. Misses are
-    grouped by shape (flow count × duration), cut into [ctx.batch]-sized
-    chunks, and dispatched through {!Sim_backend.run_batch} with one
-    chunk per worker-pool job — the analytic backends advance each chunk
-    through one batched integrator pass. Outcomes are byte-identical
-    across [ctx.jobs] and [ctx.batch] settings (batched evaluation is
-    exact, see DESIGN.md §15). [ctx.trace_dir] does not apply: analytic
-    backends emit no event stream. Raises [Invalid_argument] when the
-    backend rejects a spec (unsupported CCA, malformed spec). *)
 
 type memo
 (** An in-memory outcome store keyed by {!Sim_backend.digest}, layered in
@@ -65,17 +48,23 @@ val memo : ?cap:int -> unit -> memo
 (** [cap] defaults to 4096 outcomes. Raises [Invalid_argument] when
     [cap < 1]. *)
 
-val run_specs_memo :
-  memo:memo ->
+val run_specs :
+  ?memo:memo ->
   Common.ctx ->
   Sim_backend.t ->
   Sim_backend.spec list ->
   Sim_backend.outcome list
-(** {!run_specs} with memoization: specs whose digest is already in the
-    memo are answered without touching the cache or the worker pool;
-    distinct misses run once (batched, so a generation's whole payoff
-    batch shares one {!eval}-style fan-out) and are recorded. Results are
-    independent of [ctx.jobs], like {!run_specs}. *)
+(** {!eval}'s backend-neutral sibling: run every spec on the given backend,
+    in order, with the same cache discipline — outcomes are keyed by
+    {!Sim_backend.digest} (which includes the backend's version token), so
+    the packet, fluid and ODE backends never share entries. Each distinct
+    miss is one worker-pool job through {!Sim_backend.run}, so outcomes
+    are byte-identical across [ctx.jobs] settings. With [memo], specs whose
+    digest the memo holds are answered without touching the disk cache or
+    the worker pool, and every outcome read from disk or computed is
+    recorded in it. [ctx.trace_dir] does not apply: analytic backends emit
+    no event stream. Raises [Invalid_argument] when the backend rejects a
+    spec (unsupported CCA, malformed spec). *)
 
 type mix_spec
 (** One homogeneous-RTT CUBIC-vs-other mix — one grid point of a figure,

@@ -91,50 +91,45 @@ let probe_rtt_duration = 0.2
 let[@inline] fmin (a : float) (b : float) = if a <= b then a else b
 let[@inline] fmax (a : float) (b : float) = if a >= b then a else b
 
-(* Batched struct-of-arrays state: the per-flow state of every spec in the
-   batch lives in one set of contiguous arrays, spec [s] owning the slice
-   [off.(s) .. off.(s+1) - 1] (the BBR bandwidth rings use the same global
-   flow index, [i * bw_cap]). Per-spec parameters and accumulators are
-   plain arrays indexed by [s]. One float array per field (plus int/bool
-   arrays for discrete state) keeps the integrator's inner loop free of
-   per-step allocation; the hot functions below additionally take only
-   [int] arguments and communicate transient floats through scratch
-   slots ([srate], [prev_qdelay]) so no float is boxed at a call
-   boundary.
-
-   There is no cross-spec state anywhere in the kernel: each spec reads
-   and writes only its own slice and draws only from its own RNG, which is
-   what makes batched results byte-identical to one-spec-at-a-time runs
-   regardless of batch composition or order (see DESIGN.md §15). *)
+(* Struct-of-arrays state of one run: one float array per per-flow field
+   (plus int/bool arrays for discrete state), with the BBR bandwidth rings
+   flat at [i * bw_cap] for flow [i]. Per-spec constants are immutable
+   fields that the kernel reads into locals. The per-spec accumulators live
+   in the all-float [acc] record, so writing them boxes nothing. The hot
+   functions below additionally take only [int] arguments and pass
+   transient floats through [acc] slots ([srate], [prev_qdelay]), so no
+   float is boxed at a call boundary either. *)
 
 let bw_cap = 64 (* per-flow deque slots; ~11 live entries at 10-RTT windows *)
 
-type batch = {
-  off : int array;  (* length nspecs+1: spec s owns flows off.(s)..off.(s+1)-1 *)
-  (* per-spec parameters *)
-  capacity : float array;  (* bytes/s *)
-  inv_capacity : float array;
-  buffer : float array;  (* bytes *)
-  fair : float array;  (* capacity / n *)
-  sdt : float array;  (* step width, seconds *)
-  swarmup : float array;
-  swindow : float array;  (* duration - warmup *)
-  nsteps : int array;
-  heun : bool array;
-  sync : sync_mode array;
-  uniform : bool array;  (* all flow RTTs equal: closed-form queue solve *)
-  all_cubic : bool array;  (* no BBR flows: skip the estimator pass *)
-  cap_rtt0 : float array;  (* capacity * rtt, valid when uniform *)
-  rngs : Sim_engine.Rng.t array;
-  (* per-spec accumulators and scratch *)
-  srate : float array;  (* staging slot for [update_btlbw]'s rate sample *)
-  prev_qdelay : float array;  (* clamped queuing delay of the last step *)
-  q_prev : float array;  (* unclamped q*, warm start for the Newton solve *)
-  last_q : float array;  (* clamped queue of the last step (for traces) *)
-  queue_integral : float array;
-  queue_time : float array;
-  loss_events : int array;
-  (* per-flow state, concatenated across specs *)
+type acc = {
+  mutable srate : float;  (* staging slot for [update_btlbw]'s rate sample *)
+  mutable prev_qdelay : float;  (* clamped queuing delay of the last step *)
+  mutable q_prev : float;  (* unclamped q*, warm start for the Newton solve *)
+  mutable last_q : float;  (* clamped queue of the last step (for traces) *)
+  mutable queue_integral : float;
+  mutable queue_time : float;
+}
+
+type arena = {
+  n : int;  (* flows *)
+  capacity : float;  (* bytes/s *)
+  inv_capacity : float;
+  buffer : float;  (* bytes *)
+  fair : float;  (* capacity / n *)
+  dt : float;  (* step width, seconds *)
+  warmup : float;
+  window : float;  (* duration - warmup *)
+  nsteps : int;
+  heun : bool;
+  sync : sync_mode;
+  uniform : bool;  (* all flow RTTs equal: closed-form queue solve *)
+  all_cubic : bool;  (* no BBR flows: skip the estimator pass *)
+  cap_rtt0 : float;  (* capacity * rtt, valid when uniform *)
+  rng : Sim_engine.Rng.t;
+  acc : acc;
+  mutable loss_events : int;
+  (* per-flow state *)
   kinds : kind array;
   rtt : float array;  (* seconds *)
   w : float array;  (* current window / in-flight target, bytes *)
@@ -167,179 +162,161 @@ type batch = {
   w_cur_save : float array;
 }
 
-let make_batch configs =
+let make_arena (c : config) =
   let module Raw = Sim_engine.Units.Raw in
-  let nspecs = Array.length configs in
-  let off = Array.make (nspecs + 1) 0 in
-  Array.iteri
-    (fun s (c : config) -> off.(s + 1) <- off.(s) + List.length c.flows)
-    configs;
-  let total = off.(nspecs) in
-  let bt =
-    {
-      off;
-      capacity = Array.make nspecs 0.0;
-      inv_capacity = Array.make nspecs 0.0;
-      buffer = Array.make nspecs 0.0;
-      fair = Array.make nspecs 0.0;
-      sdt = Array.make nspecs 0.0;
-      swarmup = Array.make nspecs 0.0;
-      swindow = Array.make nspecs 0.0;
-      nsteps = Array.make nspecs 0;
-      heun = Array.make nspecs false;
-      sync = Array.make nspecs Synchronized;
-      uniform = Array.make nspecs true;
-      all_cubic = Array.make nspecs true;
-      cap_rtt0 = Array.make nspecs 0.0;
-      rngs = Array.make nspecs (Sim_engine.Rng.create 0);
-      srate = Array.make nspecs 0.0;
-      prev_qdelay = Array.make nspecs 0.0;
-      q_prev = Array.make nspecs 0.0;
-      last_q = Array.make nspecs 0.0;
-      queue_integral = Array.make nspecs 0.0;
-      queue_time = Array.make nspecs 0.0;
-      loss_events = Array.make nspecs 0;
-      kinds = Array.make total Cubic;
-      rtt = Array.make total 0.0;
-      w = Array.make total 0.0;
-      slow_start = Array.make total true;
-      w_max = Array.make total 0.0;
-      epoch = Array.make total 0.0;
-      ck = Array.make total 0.0;
-      btlbw = Array.make total 0.0;
-      bw_time = Array.make (total * bw_cap) 0.0;
-      bw_rate = Array.make (total * bw_cap) 0.0;
-      bw_head = Array.make total 0;
-      bw_len = Array.make total 0;
-      last_bw_update = Array.make total neg_infinity;
-      w_cur = Array.make total 0.0;
-      rtprop = Array.make total 0.0;
-      rtprop_stamp = Array.make total 0.0;
-      probing_until = Array.make total 0.0;
-      probe_min_rtt = Array.make total infinity;
-      inflight_hi = Array.make total infinity;
-      last_loss_time = Array.make total neg_infinity;
-      last_hi_growth = Array.make total 0.0;
-      last_backoff = Array.make total neg_infinity;
-      delivered = Array.make total 0.0;
-      rate = Array.make total 0.0;
-      w_save = Array.make total 0.0;
-      w_cur_save = Array.make total 0.0;
-    }
-  in
-  Array.iteri
-    (fun s (c : config) ->
-      let dt = Raw.to_float c.dt in
-      let duration = Raw.to_float c.duration in
-      let warmup = Raw.to_float c.warmup in
-      if dt <= 0.0 then invalid_arg "Fluid_sim.run: dt";
-      if warmup >= duration then
-        invalid_arg "Fluid_sim.run: warmup must precede duration";
-      if c.flows = [] then invalid_arg "Fluid_sim.run: no flows";
-      let capacity = Sim_engine.Units.bytes_per_sec c.capacity_bps in
-      let lo = off.(s) in
-      let n = off.(s + 1) - lo in
-      let rng = Sim_engine.Rng.create c.seed in
-      bt.capacity.(s) <- capacity;
-      bt.inv_capacity.(s) <- 1.0 /. capacity;
-      bt.buffer.(s) <- Raw.to_float c.buffer_bytes;
-      bt.fair.(s) <- capacity /. float_of_int n;
-      bt.sdt.(s) <- dt;
-      bt.swarmup.(s) <- warmup;
-      bt.swindow.(s) <- duration -. warmup;
-      bt.nsteps.(s) <- int_of_float (Float.round (duration /. dt));
-      bt.heun.(s) <- (match c.stepper with Heun -> true | Rounds -> false);
-      bt.sync.(s) <- c.sync;
-      bt.rngs.(s) <- rng;
-      List.iteri
-        (fun k (f : flow_spec) ->
-          let i = lo + k in
-          let s_rtt = Raw.to_float f.rtt in
-          (* All flows start together, as in the paper's experiments; the
-             jitter only desynchronizes slow-start exits slightly. *)
-          let jitter = Sim_engine.Rng.uniform_in rng ~lo:0.8 ~hi:1.2 in
-          let w0 = 10.0 *. mss *. jitter in
-          bt.kinds.(i) <- f.kind;
-          bt.rtt.(i) <- s_rtt;
-          bt.w.(i) <- w0;
-          bt.w_max.(i) <- w0;
-          bt.epoch.(i) <- -.Sim_engine.Rng.float rng 1.0;
-          bt.btlbw.(i) <- w0 /. s_rtt;
-          bt.w_cur.(i) <- w0;
-          bt.rtprop.(i) <- s_rtt;
-          bt.rtprop_stamp.(i) <- Sim_engine.Rng.float rng 2.0)
-        c.flows;
-      let uniform = ref true in
-      for i = lo + 1 to off.(s + 1) - 1 do
-        if bt.rtt.(i) <> bt.rtt.(lo) then uniform := false
-        (* simlint: allow R4 *)
-      done;
-      bt.uniform.(s) <- !uniform;
-      let all_cubic = ref true in
-      for i = lo to off.(s + 1) - 1 do
-        match bt.kinds.(i) with
-        | Cubic -> ()
-        | Bbr | Bbr2 -> all_cubic := false
-      done;
-      bt.all_cubic.(s) <- !all_cubic;
-      bt.cap_rtt0.(s) <- capacity *. bt.rtt.(lo))
-    configs;
-  bt
+  let dt = Raw.to_float c.dt in
+  let duration = Raw.to_float c.duration in
+  let warmup = Raw.to_float c.warmup in
+  if dt <= 0.0 then invalid_arg "Fluid_sim.run: dt";
+  if warmup >= duration then
+    invalid_arg "Fluid_sim.run: warmup must precede duration";
+  if c.flows = [] then invalid_arg "Fluid_sim.run: no flows";
+  let n = List.length c.flows in
+  let capacity = Sim_engine.Units.bytes_per_sec c.capacity_bps in
+  let rng = Sim_engine.Rng.create c.seed in
+  let kinds = Array.make n Cubic in
+  let rtt = Array.make n 0.0 in
+  let w = Array.make n 0.0 in
+  let w_max = Array.make n 0.0 in
+  let epoch = Array.make n 0.0 in
+  let btlbw = Array.make n 0.0 in
+  let w_cur = Array.make n 0.0 in
+  let rtprop = Array.make n 0.0 in
+  let rtprop_stamp = Array.make n 0.0 in
+  List.iteri
+    (fun i (f : flow_spec) ->
+      let s_rtt = Raw.to_float f.rtt in
+      (* All flows start together, as in the paper's experiments; the
+         jitter only desynchronizes slow-start exits slightly. *)
+      let jitter = Sim_engine.Rng.uniform_in rng ~lo:0.8 ~hi:1.2 in
+      let w0 = 10.0 *. mss *. jitter in
+      kinds.(i) <- f.kind;
+      rtt.(i) <- s_rtt;
+      w.(i) <- w0;
+      w_max.(i) <- w0;
+      epoch.(i) <- -.Sim_engine.Rng.float rng 1.0;
+      btlbw.(i) <- w0 /. s_rtt;
+      w_cur.(i) <- w0;
+      rtprop.(i) <- s_rtt;
+      rtprop_stamp.(i) <- Sim_engine.Rng.float rng 2.0)
+    c.flows;
+  let uniform = ref true in
+  for i = 1 to n - 1 do
+    if rtt.(i) <> rtt.(0) then uniform := false (* simlint: allow R4 *)
+  done;
+  let all_cubic = ref true in
+  for i = 0 to n - 1 do
+    match kinds.(i) with Cubic -> () | Bbr | Bbr2 -> all_cubic := false
+  done;
+  let flows v = Array.make n v in
+  {
+    n;
+    capacity;
+    inv_capacity = 1.0 /. capacity;
+    buffer = Raw.to_float c.buffer_bytes;
+    fair = capacity /. float_of_int n;
+    dt;
+    warmup;
+    window = duration -. warmup;
+    nsteps = int_of_float (Float.round (duration /. dt));
+    heun = (match c.stepper with Heun -> true | Rounds -> false);
+    sync = c.sync;
+    uniform = !uniform;
+    all_cubic = !all_cubic;
+    cap_rtt0 = capacity *. rtt.(0);
+    rng;
+    acc =
+      {
+        srate = 0.0;
+        prev_qdelay = 0.0;
+        q_prev = 0.0;
+        last_q = 0.0;
+        queue_integral = 0.0;
+        queue_time = 0.0;
+      };
+    loss_events = 0;
+    kinds;
+    rtt;
+    w;
+    slow_start = flows true;
+    w_max;
+    epoch;
+    ck = flows 0.0;
+    btlbw;
+    bw_time = Array.make (n * bw_cap) 0.0;
+    bw_rate = Array.make (n * bw_cap) 0.0;
+    bw_head = flows 0;
+    bw_len = flows 0;
+    last_bw_update = flows neg_infinity;
+    w_cur;
+    rtprop;
+    rtprop_stamp;
+    probing_until = flows 0.0;
+    probe_min_rtt = flows infinity;
+    inflight_hi = flows infinity;
+    last_loss_time = flows neg_infinity;
+    last_hi_growth = flows 0.0;
+    last_backoff = flows neg_infinity;
+    delivered = flows 0.0;
+    rate = flows 0.0;
+    w_save = flows 0.0;
+    w_cur_save = flows 0.0;
+  }
 
-let[@inline] cubic_window bt i ~now =
-  let t = now -. bt.epoch.(i) in
-  let t3 = t -. bt.ck.(i) in
-  let w_mss = (cubic_c *. (t3 *. t3 *. t3)) +. (bt.w_max.(i) *. inv_mss) in
+let[@inline] cubic_window (st : arena) i ~now =
+  let t = now -. st.epoch.(i) in
+  let t3 = t -. st.ck.(i) in
+  let w_mss = (cubic_c *. (t3 *. t3 *. t3)) +. (st.w_max.(i) *. inv_mss) in
   fmax (2.0 *. mss) (w_mss *. mss)
 
-let cubic_backoff bt i ~now =
-  bt.slow_start.(i) <- false;
-  bt.w_max.(i) <- bt.w.(i);
-  bt.ck.(i) <- Float.cbrt (bt.w_max.(i) *. inv_mss *. cubic_beta /. cubic_c);
-  bt.epoch.(i) <- now;
-  bt.w.(i) <- fmax (2.0 *. mss) (0.7 *. bt.w.(i));
-  bt.last_backoff.(i) <- now
+let cubic_backoff (st : arena) i ~now =
+  st.slow_start.(i) <- false;
+  st.w_max.(i) <- st.w.(i);
+  st.ck.(i) <- Float.cbrt (st.w_max.(i) *. inv_mss *. cubic_beta /. cubic_c);
+  st.epoch.(i) <- now;
+  st.w.(i) <- fmax (2.0 *. mss) (0.7 *. st.w.(i));
+  st.last_backoff.(i) <- now
 
 (* Windowed max of the achieved rate over roughly 10 (inflated) RTTs: a
    monotone deque (decreasing rates front→back, increasing times) in the
    flat ring. Expired entries leave at the front, dominated ones at the
    back, and the front is the max. Called once per inflated RTT per BBR
    flow; takes only ints and reads the rate sample and queuing delay from
-   the batch scratch ([srate], [prev_qdelay]) so the amortized call boxes
+   the [acc] scratch ([srate], [prev_qdelay]) so the amortized call boxes
    nothing. *)
-let update_btlbw bt ~s ~i ~step =
-  let now = float_of_int step *. bt.sdt.(s) in
-  let rate = bt.srate.(s) in
-  let window = 10.0 *. (bt.rtt.(i) +. bt.prev_qdelay.(s)) in
+let update_btlbw (st : arena) ~i ~step =
+  let now = float_of_int step *. st.dt in
+  let rate = st.acc.srate in
+  let window = 10.0 *. (st.rtt.(i) +. st.acc.prev_qdelay) in
   let base = i * bw_cap in
   (* Expire from the front (times increase front→back). *)
   while
-    bt.bw_len.(i) > 0
-    && now -. bt.bw_time.(base + bt.bw_head.(i)) > window
+    st.bw_len.(i) > 0
+    && now -. st.bw_time.(base + st.bw_head.(i)) > window
   do
-    bt.bw_head.(i) <- (bt.bw_head.(i) + 1) mod bw_cap;
-    bt.bw_len.(i) <- bt.bw_len.(i) - 1
+    st.bw_head.(i) <- (st.bw_head.(i) + 1) mod bw_cap;
+    st.bw_len.(i) <- st.bw_len.(i) - 1
   done;
   (* Drop dominated entries from the back. *)
   while
-    bt.bw_len.(i) > 0
+    st.bw_len.(i) > 0
     &&
-    let back = (bt.bw_head.(i) + bt.bw_len.(i) - 1) mod bw_cap in
-    bt.bw_rate.(base + back) <= rate
+    let back = (st.bw_head.(i) + st.bw_len.(i) - 1) mod bw_cap in
+    st.bw_rate.(base + back) <= rate
   do
-    bt.bw_len.(i) <- bt.bw_len.(i) - 1
+    st.bw_len.(i) <- st.bw_len.(i) - 1
   done;
   (* Push (now, rate); on a full ring drop the oldest (cannot happen at
      one sample per RTT and 10-RTT windows, but stay safe). *)
-  if bt.bw_len.(i) = bw_cap then begin
-    bt.bw_head.(i) <- (bt.bw_head.(i) + 1) mod bw_cap;
-    bt.bw_len.(i) <- bt.bw_len.(i) - 1
+  if st.bw_len.(i) = bw_cap then begin
+    st.bw_head.(i) <- (st.bw_head.(i) + 1) mod bw_cap;
+    st.bw_len.(i) <- st.bw_len.(i) - 1
   end;
-  let slot = (bt.bw_head.(i) + bt.bw_len.(i)) mod bw_cap in
-  bt.bw_time.(base + slot) <- now;
-  bt.bw_rate.(base + slot) <- rate;
-  bt.bw_len.(i) <- bt.bw_len.(i) + 1;
-  bt.btlbw.(i) <- bt.bw_rate.(base + bt.bw_head.(i))
+  let slot = (st.bw_head.(i) + st.bw_len.(i)) mod bw_cap in
+  st.bw_time.(base + slot) <- now;
+  st.bw_rate.(base + slot) <- rate;
+  st.bw_len.(i) <- st.bw_len.(i) + 1;
+  st.btlbw.(i) <- st.bw_rate.(base + st.bw_head.(i))
 
 
 (* Buffer overflow: the queue saturates at B, excess is dropped, and
@@ -347,110 +324,106 @@ let update_btlbw bt ~s ~i ~step =
    victim set is the synchronization mode; BBRv2 clamps inflight_hi.
    Reads the clamped queuing delay from [prev_qdelay] (already updated for
    this step). *)
-let apply_losses bt s ~step =
-  let lo = bt.off.(s) in
-  let hi = bt.off.(s + 1) in
-  let now = float_of_int step *. bt.sdt.(s) in
-  let qdelay = bt.prev_qdelay.(s) in
+let apply_losses (st : arena) ~step =
+  let n = st.n in
+  let now = float_of_int step *. st.dt in
+  let qdelay = st.acc.prev_qdelay in
   (* Eligibility (one backoff per inflated RTT) is tested inline in each
      loop: a local [eligible i] helper would close over [now]/[qdelay]
      and allocate on every overflow call (A1). *)
-  (match bt.sync.(s) with
+  (match st.sync with
   | Synchronized ->
-    for i = lo to hi - 1 do
-      match bt.kinds.(i) with
-      | Cubic when now -. bt.last_backoff.(i) > bt.rtt.(i) +. qdelay ->
-        cubic_backoff bt i ~now
+    for i = 0 to n - 1 do
+      match st.kinds.(i) with
+      | Cubic when now -. st.last_backoff.(i) > st.rtt.(i) +. qdelay ->
+        cubic_backoff st i ~now
       | Cubic | Bbr | Bbr2 -> ()
     done
   | Desynchronized ->
     (* The largest eligible window backs off (first max wins ties). *)
     let victim = ref (-1) in
-    for i = lo to hi - 1 do
-      match bt.kinds.(i) with
+    for i = 0 to n - 1 do
+      match st.kinds.(i) with
       | Cubic
-        when now -. bt.last_backoff.(i) > bt.rtt.(i) +. qdelay
-             && (!victim < 0 || bt.w.(i) > bt.w.(!victim)) ->
+        when now -. st.last_backoff.(i) > st.rtt.(i) +. qdelay
+             && (!victim < 0 || st.w.(i) > st.w.(!victim)) ->
         victim := i
       | Cubic | Bbr | Bbr2 -> ()
     done;
-    if !victim >= 0 then cubic_backoff bt !victim ~now
+    if !victim >= 0 then cubic_backoff st !victim ~now
   | Stochastic p ->
-    let rng = bt.rngs.(s) in
+    let rng = st.rng in
     let any = ref false in
     let victim = ref (-1) in
-    for i = lo to hi - 1 do
-      match bt.kinds.(i) with
-      | Cubic when now -. bt.last_backoff.(i) > bt.rtt.(i) +. qdelay ->
-        if !victim < 0 || bt.w.(i) > bt.w.(!victim) then victim := i;
+    for i = 0 to n - 1 do
+      match st.kinds.(i) with
+      | Cubic when now -. st.last_backoff.(i) > st.rtt.(i) +. qdelay ->
+        if !victim < 0 || st.w.(i) > st.w.(!victim) then victim := i;
         if Sim_engine.Rng.float rng 1.0 < p then begin
           any := true;
-          cubic_backoff bt i ~now
+          cubic_backoff st i ~now
         end
       | Cubic | Bbr | Bbr2 -> ()
     done;
-    if (not !any) && !victim >= 0 then cubic_backoff bt !victim ~now);
+    if (not !any) && !victim >= 0 then cubic_backoff st !victim ~now);
   (* BBRv2 reacts to the shared loss round. *)
-  for i = lo to hi - 1 do
-    match bt.kinds.(i) with
-    | Bbr2 when now -. bt.last_backoff.(i) > bt.rtt.(i) +. qdelay ->
-      bt.inflight_hi.(i) <-
-        fmax (4.0 *. mss) (0.7 *. fmin bt.w.(i) bt.inflight_hi.(i));
-      bt.last_loss_time.(i) <- now;
-      bt.last_backoff.(i) <- now
+  for i = 0 to n - 1 do
+    match st.kinds.(i) with
+    | Bbr2 when now -. st.last_backoff.(i) > st.rtt.(i) +. qdelay ->
+      st.inflight_hi.(i) <-
+        fmax (4.0 *. mss) (0.7 *. fmin st.w.(i) st.inflight_hi.(i));
+      st.last_loss_time.(i) <- now;
+      st.last_backoff.(i) <- now
     | Cubic | Bbr | Bbr2 -> ()
   done
 
-(* The fused per-spec integrator: advances spec [s] through steps
-   [from, until) of its time grid. One call per spec is the whole batch
-   pass — spec-major order keeps the spec's slice of the arena L1-hot
-   for its entire run, and every per-spec invariant (capacity, dt, flow
-   range, uniformity, Heun flag) and accumulator lives in a local across
-   all steps instead of being re-read per step. Each step runs two
-   passes over the spec's flows: windows (with the queue fixed point
-   solved between passes — closed-form for the uniform-RTT shape,
-   warm-started Newton otherwise) and fused rates/accounting; all-CUBIC
-   specs skip the estimator machinery entirely.
+(* The fused integrator: advances the run through steps [from, until) of
+   its time grid. Every per-spec invariant (capacity, dt, flow count,
+   uniformity, Heun flag) and accumulator lives in a local across all
+   steps instead of being re-read per step. Each step runs two passes over
+   the flows: windows (with the queue fixed point solved between passes —
+   closed-form for the uniform-RTT shape, warm-started Newton otherwise)
+   and fused rates/accounting; all-CUBIC specs skip the estimator
+   machinery entirely.
 
    With the Heun stepper the predictor's stage is discarded and re-taken
    under the midpoint of the old and predicted delays, damping the
    dt-sized lag of the explicit round step.
 
    Zero-alloc: registered under the A1 verifier in hotpaths.sexp; traced
-   runs are driven in per-step segments by [run_batch] so the sample
-   consing stays out of this kernel. *)
-let run_spec bt s ~from ~until =
-  let lo = bt.off.(s) in
-  let hi = bt.off.(s + 1) in
-  let n = hi - lo in
-  let dt = bt.sdt.(s) in
-  let capacity = bt.capacity.(s) in
-  let inv_capacity = bt.inv_capacity.(s) in
-  let buffer = bt.buffer.(s) in
-  let swarmup = bt.swarmup.(s) in
-  let fair = bt.fair.(s) in
-  let heun = bt.heun.(s) in
-  let uniform = bt.uniform.(s) in
-  let all_cubic = bt.all_cubic.(s) in
-  let cap_rtt0 = bt.cap_rtt0.(s) in
-  let kinds = bt.kinds in
-  let w = bt.w in
-  let rtt = bt.rtt in
-  let slow_start = bt.slow_start in
-  let delivered = bt.delivered in
-  let rate_a = bt.rate in
+   runs are driven in per-step segments by [run] so the sample consing
+   stays out of this kernel. *)
+let run_spec (st : arena) ~from ~until =
+  let n = st.n in
+  let dt = st.dt in
+  let capacity = st.capacity in
+  let inv_capacity = st.inv_capacity in
+  let buffer = st.buffer in
+  let swarmup = st.warmup in
+  let fair = st.fair in
+  let heun = st.heun in
+  let uniform = st.uniform in
+  let all_cubic = st.all_cubic in
+  let cap_rtt0 = st.cap_rtt0 in
+  let acc = st.acc in
+  let kinds = st.kinds in
+  let w = st.w in
+  let rtt = st.rtt in
+  let slow_start = st.slow_start in
+  let delivered = st.delivered in
+  let rate_a = st.rate in
   let nstages = if heun then 2 else 1 in
-  let prev_qdelay = ref bt.prev_qdelay.(s) in
-  let q_prev = ref bt.q_prev.(s) in
-  let queue_integral = ref bt.queue_integral.(s) in
-  let last_q = ref bt.last_q.(s) in
+  let prev_qdelay = ref acc.prev_qdelay in
+  let q_prev = ref acc.q_prev in
+  let queue_integral = ref acc.queue_integral in
+  let last_q = ref acc.last_q in
   for step = from to until - 1 do
     let now = float_of_int step *. dt in
     (* 1. Desired in-flight per flow from the effective queuing delay,
        and the queue fixed point at those windows. *)
     if heun then begin
-      Array.blit w lo bt.w_save lo n;
-      Array.blit bt.w_cur lo bt.w_cur_save lo n
+      Array.blit w 0 st.w_save 0 n;
+      Array.blit st.w_cur 0 st.w_cur_save 0 n
     end;
     let q_star = ref 0.0 in
     for stage = 1 to nstages do
@@ -459,46 +432,45 @@ let run_spec bt s ~from ~until =
         else begin
           (* Heun corrector: rewind and re-take the step under the
              midpoint of the old and predicted delays. *)
-          Array.blit bt.w_save lo w lo n;
-          Array.blit bt.w_cur_save lo bt.w_cur lo n;
+          Array.blit st.w_save 0 w 0 n;
+          Array.blit st.w_cur_save 0 st.w_cur 0 n;
           0.5 *. (!prev_qdelay +. (fmin !q_star buffer *. inv_capacity))
         end
       in
       let sum = ref 0.0 in
-      for i = lo to hi - 1 do
+      for i = 0 to n - 1 do
         (match kinds.(i) with
         | Cubic ->
           if slow_start.(i) then
             (* Doubling per (inflated) RTT until the first loss. *)
             w.(i) <- w.(i) *. Float.exp2 (dt /. (rtt.(i) +. qdelay))
-          else w.(i) <- cubic_window bt i ~now
+          else w.(i) <- cubic_window st i ~now
         | Bbr | Bbr2 ->
-          if now < bt.probing_until.(i) then w.(i) <- 4.0 *. mss
+          if now < st.probing_until.(i) then w.(i) <- 4.0 *. mss
           else begin
-            let btlbw = bt.btlbw.(i) in
-            let cap = 2.0 *. btlbw *. bt.rtprop.(i) in
+            let btlbw = st.btlbw.(i) in
+            let cap = 2.0 *. btlbw *. st.rtprop.(i) in
             let cap =
               match kinds.(i) with
-              | Bbr2 -> fmin cap bt.inflight_hi.(i)
+              | Bbr2 -> fmin cap st.inflight_hi.(i)
               | Cubic | Bbr -> cap
             in
             (* The in-flight cap applies immediately (it is a cwnd
                bound); growth toward a raised cap is limited by the
                pacing surplus of the ProbeBW up-phases (~0.25·btlbw). *)
-            let wc = bt.w_cur.(i) in
+            let wc = st.w_cur.(i) in
             let wc =
               if wc > cap then cap
               else fmin cap (wc +. (0.25 *. btlbw *. dt))
             in
-            bt.w_cur.(i) <- wc;
+            st.w_cur.(i) <- wc;
             w.(i) <- fmax (4.0 *. mss) wc
           end);
         sum := !sum +. w.(i)
       done;
       q_star :=
         (if uniform then fmax 0.0 (!sum -. cap_rtt0)
-         else
-           Queue_fixpoint.solve ~base:lo ~capacity ~w ~rtt ~n ~init:!q_prev)
+         else Queue_fixpoint.solve ~capacity ~w ~rtt ~n ~init:!q_prev)
     done;
     let q_star = !q_star in
     q_prev := q_star;
@@ -510,9 +482,9 @@ let run_spec bt s ~from ~until =
        The cold helpers read the queuing delay from the [prev_qdelay]
        slot, so it is written back only on the paths that call them. *)
     if overflowing then begin
-      bt.prev_qdelay.(s) <- qdelay;
-      bt.loss_events.(s) <- bt.loss_events.(s) + 1;
-      apply_losses bt s ~step
+      acc.prev_qdelay <- qdelay;
+      st.loss_events <- st.loss_events + 1;
+      apply_losses st ~step
     end;
     queue_integral := !queue_integral +. (q *. dt);
     last_q := q;
@@ -522,13 +494,13 @@ let run_spec bt s ~from ~until =
        inflight_hi recovery. *)
     (if overflowing then begin
        let total = ref 0.0 in
-       for i = lo to hi - 1 do
+       for i = 0 to n - 1 do
          let d = w.(i) /. (rtt.(i) +. qdelay) in
          rate_a.(i) <- d;
          total := !total +. d
        done;
        let scale = capacity /. !total in
-       for i = lo to hi - 1 do
+       for i = 0 to n - 1 do
          rate_a.(i) <- rate_a.(i) *. scale
        done
      end);
@@ -538,28 +510,28 @@ let run_spec bt s ~from ~until =
          delivery accounting, and to nothing at all during warm-up. *)
       if measuring then
         if overflowing then
-          for i = lo to hi - 1 do
+          for i = 0 to n - 1 do
             delivered.(i) <- delivered.(i) +. (rate_a.(i) *. dt)
           done
         else if uniform then begin
           (* One reciprocal for the whole spec instead of one per flow. *)
-          let inv_rtt = dt /. (rtt.(lo) +. qdelay) in
-          for i = lo to hi - 1 do
+          let inv_rtt = dt /. (rtt.(0) +. qdelay) in
+          for i = 0 to n - 1 do
             delivered.(i) <- delivered.(i) +. (w.(i) *. inv_rtt)
           done
         end
         else
-          for i = lo to hi - 1 do
+          for i = 0 to n - 1 do
             delivered.(i) <-
               delivered.(i) +. (w.(i) /. (rtt.(i) +. qdelay) *. dt)
           done
     end
     else begin
       let inv_rtt0 =
-        if uniform && not overflowing then 1.0 /. (rtt.(lo) +. qdelay)
+        if uniform && not overflowing then 1.0 /. (rtt.(0) +. qdelay)
         else 0.0
       in
-      for i = lo to hi - 1 do
+      for i = 0 to n - 1 do
         let rate =
           if overflowing then rate_a.(i)
           else if uniform then w.(i) *. inv_rtt0
@@ -574,113 +546,90 @@ let run_spec bt s ~from ~until =
              as in the real delivery-rate estimator; the in-flight ramp
              in the windows pass is what bounds the feedback loop to
              physical timescales. *)
-          if now -. bt.last_bw_update.(i) >= inflated_rtt then begin
-            bt.last_bw_update.(i) <- now;
-            bt.srate.(s) <- rate;
-            bt.prev_qdelay.(s) <- qdelay;
-            update_btlbw bt ~s ~i ~step
+          if now -. st.last_bw_update.(i) >= inflated_rtt then begin
+            st.last_bw_update.(i) <- now;
+            acc.srate <- rate;
+            acc.prev_qdelay <- qdelay;
+            update_btlbw st ~i ~step
           end;
           (* ProbeRTT state machine. *)
-          if now < bt.probing_until.(i) then begin
-            bt.probe_min_rtt.(i) <- fmin bt.probe_min_rtt.(i) inflated_rtt;
-            if now +. dt >= bt.probing_until.(i) then begin
-              bt.rtprop.(i) <- bt.probe_min_rtt.(i);
-              bt.rtprop_stamp.(i) <- now
+          if now < st.probing_until.(i) then begin
+            st.probe_min_rtt.(i) <- fmin st.probe_min_rtt.(i) inflated_rtt;
+            if now +. dt >= st.probing_until.(i) then begin
+              st.rtprop.(i) <- st.probe_min_rtt.(i);
+              st.rtprop_stamp.(i) <- now
             end
           end
-          else if inflated_rtt < bt.rtprop.(i) then begin
-            bt.rtprop.(i) <- inflated_rtt;
-            bt.rtprop_stamp.(i) <- now
+          else if inflated_rtt < st.rtprop.(i) then begin
+            st.rtprop.(i) <- inflated_rtt;
+            st.rtprop_stamp.(i) <- now
           end
-          else if now -. bt.rtprop_stamp.(i) > probe_rtt_interval then begin
-            bt.probing_until.(i) <- now +. probe_rtt_duration;
-            bt.probe_min_rtt.(i) <- infinity;
-            bt.rtprop_stamp.(i) <- now
+          else if now -. st.rtprop_stamp.(i) > probe_rtt_interval then begin
+            st.probing_until.(i) <- now +. probe_rtt_duration;
+            st.probe_min_rtt.(i) <- infinity;
+            st.rtprop_stamp.(i) <- now
           end;
           (* BBRv2 inflight_hi recovery: multiplicative growth every
              2 s of loss-free cruising. *)
           (match kinds.(i) with
           | Bbr2
-            when bt.inflight_hi.(i) < infinity
-                 && now -. bt.last_loss_time.(i) > 2.0
-                 && now -. bt.last_hi_growth.(i) > 2.0 ->
-            bt.inflight_hi.(i) <-
+            when st.inflight_hi.(i) < infinity
+                 && now -. st.last_loss_time.(i) > 2.0
+                 && now -. st.last_hi_growth.(i) > 2.0 ->
+            st.inflight_hi.(i) <-
               fmin
-                (bt.inflight_hi.(i) *. 1.25)
-                (2.0 *. fmax bt.btlbw.(i) fair *. bt.rtprop.(i));
-            bt.last_hi_growth.(i) <- now
+                (st.inflight_hi.(i) *. 1.25)
+                (2.0 *. fmax st.btlbw.(i) fair *. st.rtprop.(i));
+            st.last_hi_growth.(i) <- now
           | Cubic | Bbr | Bbr2 -> ())
       done
     end
   done;
-  bt.prev_qdelay.(s) <- !prev_qdelay;
-  bt.q_prev.(s) <- !q_prev;
-  bt.queue_integral.(s) <- !queue_integral;
-  bt.last_q.(s) <- !last_q;
-  bt.queue_time.(s) <-
-    bt.queue_time.(s) +. (float_of_int (until - from) *. dt)
+  acc.prev_qdelay <- !prev_qdelay;
+  acc.q_prev <- !q_prev;
+  acc.queue_integral <- !queue_integral;
+  acc.last_q <- !last_q;
+  acc.queue_time <- acc.queue_time +. (float_of_int (until - from) *. dt)
 
-(* One trace sample of spec [s]'s state after [step] (driver-side: the
-   sample consing must stay out of the zero-alloc kernel). *)
-let sample_trace bt s ~step =
-  let lo = bt.off.(s) in
-  let n = bt.off.(s + 1) - lo in
+(* One trace sample of the state after [step] (driver-side: the sample
+   consing must stay out of the zero-alloc kernel). *)
+let sample_trace (st : arena) ~step =
   {
-    t_time = float_of_int step *. bt.sdt.(s);
-    t_queue = bt.last_q.(s);
-    t_w = Array.sub bt.w lo n;
-    t_btlbw = Array.sub bt.btlbw lo n;
-    t_rtprop = Array.sub bt.rtprop lo n;
+    t_time = float_of_int step *. st.dt;
+    t_queue = st.acc.last_q;
+    t_w = Array.copy st.w;
+    t_btlbw = Array.copy st.btlbw;
+    t_rtprop = Array.copy st.rtprop;
   }
 
-let run_batch configs =
-  let module Raw = Sim_engine.Units.Raw in
-  let nspecs = Array.length configs in
-  if nspecs = 0 then [||]
+let run config =
+  let st = make_arena config in
+  let trace_period = Sim_engine.Units.Raw.to_float config.trace_period in
+  let trace = ref [] in
+  if trace_period <= 0.0 then run_spec st ~from:0 ~until:st.nsteps
   else begin
-    let bt = make_batch configs in
-    let traces = Array.make nspecs [] in
-    for s = 0 to nspecs - 1 do
-      let nsteps = bt.nsteps.(s) in
-      let trace_period = Raw.to_float configs.(s).trace_period in
-      if trace_period <= 0.0 then run_spec bt s ~from:0 ~until:nsteps
-      else begin
-        (* Traced runs advance one step per kernel call so the sampling
-           decision (first step whose time crosses the next sample
-           point, post-accounting state) stays exact. *)
-        let next_trace = ref 0.0 in
-        for step = 0 to nsteps - 1 do
-          run_spec bt s ~from:step ~until:(step + 1);
-          let now = float_of_int step *. bt.sdt.(s) in
-          if now >= !next_trace then begin
-            next_trace := now +. trace_period;
-            traces.(s) <- sample_trace bt s ~step :: traces.(s)
-          end
-        done
+    (* Traced runs advance one step per kernel call so the sampling
+       decision (first step whose time crosses the next sample point,
+       post-accounting state) stays exact. *)
+    let next_trace = ref 0.0 in
+    for step = 0 to st.nsteps - 1 do
+      run_spec st ~from:step ~until:(step + 1);
+      let now = float_of_int step *. st.dt in
+      if now >= !next_trace then begin
+        next_trace := now +. trace_period;
+        trace := sample_trace st ~step :: !trace
       end
-    done;
-    Array.init nspecs (fun s ->
-        let lo = bt.off.(s) in
-        let n = bt.off.(s + 1) - lo in
-        let window = bt.swindow.(s) in
-        let qtime = bt.queue_time.(s) in
-        {
-          per_flow_bps =
-            Array.init n (fun k -> bt.delivered.(lo + k) /. window *. 8.0);
-          mean_queue_bytes = bt.queue_integral.(s) /. qtime;
-          mean_queuing_delay =
-            bt.queue_integral.(s) /. qtime /. bt.capacity.(s);
-          loss_events = bt.loss_events.(s);
-          flow_kinds = Array.sub bt.kinds lo n;
-          trace = List.rev traces.(s);
-        })
-  end
-
-
-(* The single-spec entry point is the batch of one, so sequential and
-   batched evaluation share every instruction: batched results are
-   byte-identical to sequential ones by construction. *)
-let run config = (run_batch [| config |]).(0)
+    done
+  end;
+  let acc = st.acc in
+  {
+    per_flow_bps = Array.map (fun d -> d /. st.window *. 8.0) st.delivered;
+    mean_queue_bytes = acc.queue_integral /. acc.queue_time;
+    mean_queuing_delay = acc.queue_integral /. acc.queue_time /. st.capacity;
+    loss_events = st.loss_events;
+    flow_kinds = Array.copy st.kinds;
+    trace = List.rev !trace;
+  }
 
 let mean_bps_of_kind result kind =
   let total = ref 0.0 and count = ref 0 in

@@ -105,17 +105,9 @@ type result = {
 }
 
 val run : config -> result
-
-val run_batch : config array -> result array
-(** Advance all configs, spec-major, over one contiguous
-    struct-of-arrays arena: each config owns a disjoint slice of the
-    batch state and its own RNG and is stepped through its full horizon
-    before the next starts, so [run_batch configs] returns exactly
-    [Array.map run configs] — byte-identical to sequential evaluation
-    regardless of batch composition or order — while amortizing arena
-    allocation and validation across the batch. [run] itself is the
-    batch of one. Validation errors ([Invalid_argument]) are raised for
-    the first offending config, before any stepping. *)
+(** Advance one config over its own struct-of-arrays arena with a
+    zero-allocation step loop. Raises [Invalid_argument] on an empty flow
+    list, a non-positive [dt], or [warmup >= duration]. *)
 
 val mean_bps_of_kind : result -> kind -> float
 (** Mean per-flow goodput over flows of the given kind; [nan] if none. *)

@@ -99,28 +99,28 @@ let residual_gamma = 0.84
    fluid sim), as a continuous rate. *)
 let hi_recovery_rate = Float.log 1.25 /. 2.0
 
-(* --- Preallocated batch state --------------------------------------- *)
+(* --- Preallocated run state ----------------------------------------- *)
 
 (* State vector layout: 3 slots per flow.
    [3i]   window / in-flight target w, bytes
    [3i+1] CUBIC: w_max (bytes); BBR/BBRv2: btlbw estimate (bytes/s)
-   [3i+2] BBRv2: inflight_hi (bytes); otherwise unused (zero derivative)
+   [3i+2] BBRv2: inflight_hi (bytes); otherwise unused (zero derivative) *)
 
-   A batch concatenates every job's flows into shared arrays: job [j]
-   owns flow slots [off.(j) .. off.(j+1) - 1] and state-vector slots
-   [3·off.(j) .. 3·off.(j+1) - 1]. Jobs share no state — each advances
-   over its own slice with its own scratch slots — so batched evaluation
-   is byte-identical to sequential evaluation (see [run_batch]). *)
+(* What [compute_rates] leaves behind. All-float, so writing a slot boxes
+   nothing. *)
+type acc = {
+  mutable q : float;  (* buffer-clamped queue, bytes *)
+  mutable p : float;  (* overflow drop fraction *)
+  mutable warm : float;  (* warm start for the fixed-point solve *)
+}
 
-(* [acc] scratch-slot indices (per job, [acc_slots] apiece). *)
-let a_q = 0 (* buffer-clamped queue, bytes *)
-let a_p = 1 (* overflow drop fraction *)
-let a_warm = 2 (* warm start for the fixed-point solve *)
-let acc_slots = 3
-
-type bt = {
-  off : int array; (* njobs + 1: flow base offset per job *)
-  (* Per flow, concatenated across jobs. *)
+type arena = {
+  n : int;  (* flows *)
+  capacity : float;  (* bytes/s *)
+  buffer : float;  (* bytes *)
+  fair : float;  (* capacity / n *)
+  acc : acc;
+  (* Per flow. *)
   kinds : Fluid_sim.kind array;
   rtt : float array;
   w_floor : float array;
@@ -132,7 +132,7 @@ type bt = {
          mirroring the fluid model's doubling phase. BBR's window-tracking
          dynamics are already exponential from a cold start, so only CUBIC
          flows begin [true]. *)
-  (* Per state slot (3 per flow), concatenated across jobs. *)
+  (* Per state slot (3 per flow). *)
   y : float array;
   k1y : float array; (* deriv at the accepted state, cached across retries *)
   k1 : float array;
@@ -143,11 +143,6 @@ type bt = {
   y_full : float array; (* step-doubling scratch *)
   y_mid : float array;
   y_half : float array;
-  (* Per job. *)
-  capacity : float array; (* bytes/s *)
-  buffer : float array; (* bytes *)
-  fair : float array; (* capacity / n *)
-  acc : float array; (* acc_slots per job *)
 }
 
 let validate (config : config) =
@@ -178,141 +173,120 @@ let validate (config : config) =
         invalid_arg "Ode_model: flow rtt must be > 0")
     config.flows
 
-(* Build the concatenated arena; [validate] has already run on every
-   config, so no exception can escape mid-build. *)
-let make_bt (configs : config array) =
-  let njobs = Array.length configs in
-  let off = Array.make (njobs + 1) 0 in
-  for j = 0 to njobs - 1 do
-    off.(j + 1) <- off.(j) + List.length configs.(j).flows
-  done;
-  let total = off.(njobs) in
-  let kinds = Array.make total Fluid_sim.Cubic in
-  let rtt = Array.make total 0.0 in
-  let w_floor = Array.make total 0.0 in
-  let w_ceil = Array.make total 0.0 in
-  let startup = Array.make total false in
-  let y = Array.make (3 * total) 0.0 in
-  let capacity = Array.make njobs 0.0 in
-  let buffer = Array.make njobs 0.0 in
-  let fair = Array.make njobs 0.0 in
-  for j = 0 to njobs - 1 do
-    let c = configs.(j) in
-    let cap = Sim_engine.Units.bytes_per_sec c.capacity_bps in
-    let buf = Sim_engine.Units.Raw.to_float c.buffer_bytes in
-    capacity.(j) <- cap;
-    buffer.(j) <- buf;
-    fair.(j) <- cap /. float_of_int (off.(j + 1) - off.(j));
-    List.iteri
-      (fun k (f : Fluid_sim.flow_spec) ->
-        let i = off.(j) + k in
-        kinds.(i) <- f.kind;
-        rtt.(i) <- Sim_engine.Units.Raw.to_float f.rtt;
-        w_floor.(i) <-
-          (match f.kind with
-          | Fluid_sim.Cubic -> 2.0 *. mss
-          | Fluid_sim.Bbr | Fluid_sim.Bbr2 -> 4.0 *. mss);
-        w_ceil.(i) <-
-          (4.0 *. cap *. (rtt.(i) +. (buf /. cap))) +. (16.0 *. mss);
-        startup.(i) <- f.kind = Fluid_sim.Cubic;
-        let w0 = 10.0 *. mss in
-        y.(3 * i) <- w0;
+(* Build the arena; [validate] has already run, so no exception can escape
+   mid-build. *)
+let make_arena (c : config) =
+  let n = List.length c.flows in
+  let cap = Sim_engine.Units.bytes_per_sec c.capacity_bps in
+  let buf = Sim_engine.Units.Raw.to_float c.buffer_bytes in
+  let kinds = Array.make n Fluid_sim.Cubic in
+  let rtt = Array.make n 0.0 in
+  let w_floor = Array.make n 0.0 in
+  let w_ceil = Array.make n 0.0 in
+  let startup = Array.make n false in
+  let y = Array.make (3 * n) 0.0 in
+  List.iteri
+    (fun i (f : Fluid_sim.flow_spec) ->
+      kinds.(i) <- f.kind;
+      rtt.(i) <- Sim_engine.Units.Raw.to_float f.rtt;
+      w_floor.(i) <-
         (match f.kind with
-        | Fluid_sim.Cubic -> y.((3 * i) + 1) <- w0
-        | Fluid_sim.Bbr | Fluid_sim.Bbr2 -> y.((3 * i) + 1) <- w0 /. rtt.(i));
-        y.((3 * i) + 2) <-
-          (match f.kind with
-          | Fluid_sim.Bbr2 -> 2.0 *. cap *. (rtt.(i) +. (buf /. cap))
-          | Fluid_sim.Cubic | Fluid_sim.Bbr -> 0.0))
-      c.flows
-  done;
+        | Fluid_sim.Cubic -> 2.0 *. mss
+        | Fluid_sim.Bbr | Fluid_sim.Bbr2 -> 4.0 *. mss);
+      w_ceil.(i) <- (4.0 *. cap *. (rtt.(i) +. (buf /. cap))) +. (16.0 *. mss);
+      startup.(i) <- f.kind = Fluid_sim.Cubic;
+      let w0 = 10.0 *. mss in
+      y.(3 * i) <- w0;
+      (match f.kind with
+      | Fluid_sim.Cubic -> y.((3 * i) + 1) <- w0
+      | Fluid_sim.Bbr | Fluid_sim.Bbr2 -> y.((3 * i) + 1) <- w0 /. rtt.(i));
+      y.((3 * i) + 2) <-
+        (match f.kind with
+        | Fluid_sim.Bbr2 -> 2.0 *. cap *. (rtt.(i) +. (buf /. cap))
+        | Fluid_sim.Cubic | Fluid_sim.Bbr -> 0.0))
+    c.flows;
+  let slots () = Array.make (3 * n) 0.0 in
   {
-    off;
+    n;
+    capacity = cap;
+    buffer = buf;
+    fair = cap /. float_of_int n;
+    acc = { q = 0.0; p = 0.0; warm = 0.0 };
     kinds;
     rtt;
     w_floor;
     w_ceil;
-    w = Array.make total 0.0;
-    x = Array.make total 0.0;
+    w = Array.make n 0.0;
+    x = Array.make n 0.0;
     startup;
     y;
-    k1y = Array.make (3 * total) 0.0;
-    k1 = Array.make (3 * total) 0.0;
-    k2 = Array.make (3 * total) 0.0;
-    k3 = Array.make (3 * total) 0.0;
-    k4 = Array.make (3 * total) 0.0;
-    ytmp = Array.make (3 * total) 0.0;
-    y_full = Array.make (3 * total) 0.0;
-    y_mid = Array.make (3 * total) 0.0;
-    y_half = Array.make (3 * total) 0.0;
-    capacity;
-    buffer;
-    fair;
-    acc = Array.make (acc_slots * njobs) 0.0;
+    k1y = slots ();
+    k1 = slots ();
+    k2 = slots ();
+    k3 = slots ();
+    k4 = slots ();
+    ytmp = slots ();
+    y_full = slots ();
+    y_mid = slots ();
+    y_half = slots ();
   }
 
-(* Queue fixed point and per-flow rates of job [j] at state [y]; leaves
-   the clamped queue in acc slot [a_q] and the overflow drop fraction in
-   [a_p]. *)
-let compute_rates bt j y =
-  let lo = bt.off.(j) and hi = bt.off.(j + 1) in
-  let capacity = bt.capacity.(j) in
-  let w = bt.w and rtt = bt.rtt and x = bt.x in
-  for i = lo to hi - 1 do
+(* Queue fixed point and per-flow rates at state [y]; leaves the clamped
+   queue in [acc.q] and the overflow drop fraction in [acc.p]. *)
+let compute_rates st y =
+  let n = st.n in
+  let capacity = st.capacity in
+  let acc = st.acc in
+  let w = st.w and rtt = st.rtt and x = st.x in
+  for i = 0 to n - 1 do
     let wi = y.(3 * i) in
     w.(i) <-
-      (if wi < bt.w_floor.(i) then bt.w_floor.(i)
-       else if wi > bt.w_ceil.(i) then bt.w_ceil.(i)
+      (if wi < st.w_floor.(i) then st.w_floor.(i)
+       else if wi > st.w_ceil.(i) then st.w_ceil.(i)
        else wi)
   done;
-  let ja = acc_slots * j in
-  let qstar =
-    Queue_fixpoint.solve ~base:lo ~capacity ~w ~rtt ~n:(hi - lo)
-      ~init:bt.acc.(ja + a_warm)
-  in
-  bt.acc.(ja + a_warm) <- qstar;
-  let buffer = bt.buffer.(j) in
+  let qstar = Queue_fixpoint.solve ~capacity ~w ~rtt ~n ~init:acc.warm in
+  acc.warm <- qstar;
+  let buffer = st.buffer in
   let q = fmin qstar buffer in
   let qdelay = q /. capacity in
   if qstar > buffer then begin
     (* Drop-tail: demands scaled so the served rates sum to capacity. *)
     let sumd = ref 0.0 in
-    for i = lo to hi - 1 do
+    for i = 0 to n - 1 do
       let d = w.(i) /. (rtt.(i) +. qdelay) in
       x.(i) <- d;
       sumd := !sumd +. d
     done;
     let scale = capacity /. !sumd in
-    for i = lo to hi - 1 do
+    for i = 0 to n - 1 do
       x.(i) <- x.(i) *. scale
     done;
-    bt.acc.(ja + a_p) <- (!sumd -. capacity) /. !sumd
+    acc.p <- (!sumd -. capacity) /. !sumd
   end
   else begin
-    for i = lo to hi - 1 do
+    for i = 0 to n - 1 do
       x.(i) <- w.(i) /. (rtt.(i) +. qdelay)
     done;
-    bt.acc.(ja + a_p) <- 0.0
+    acc.p <- 0.0
   end;
-  bt.acc.(ja + a_q) <- q
+  acc.q <- q
 
-let deriv bt j y dy =
-  compute_rates bt j y;
-  let lo = bt.off.(j) and hi = bt.off.(j + 1) in
-  let ja = acc_slots * j in
-  let capacity = bt.capacity.(j) in
-  let qdelay = bt.acc.(ja + a_q) /. capacity in
-  let p = bt.acc.(ja + a_p) in
+let deriv st y dy =
+  compute_rates st y;
+  let capacity = st.capacity in
+  let qdelay = st.acc.q /. capacity in
+  let p = st.acc.p in
   let nu_rtt = p /. (p +. p0) in
   (* back-off events per RTT *)
-  for i = lo to hi - 1 do
-    let rtt_eff = bt.rtt.(i) +. qdelay in
+  for i = 0 to st.n - 1 do
+    let rtt_eff = st.rtt.(i) +. qdelay in
     let nu = nu_rtt /. rtt_eff in
     (* events/s *)
-    match bt.kinds.(i) with
+    match st.kinds.(i) with
     | Fluid_sim.Cubic ->
       let w = y.(3 * i) in
-      if bt.startup.(i) then begin
+      if st.startup.(i) then begin
         (* Slow start: double per (inflated) RTT until the first
            overflow ends the phase (see [account]). *)
         dy.(3 * i) <- ln2 *. w /. rtt_eff;
@@ -334,14 +308,14 @@ let deriv bt j y dy =
       end
     | Fluid_sim.Bbr | Fluid_sim.Bbr2 ->
       let w = y.(3 * i) in
-      let b = fmax y.((3 * i) + 1) (mss /. bt.rtt.(i)) in
-      let x = bt.x.(i) in
+      let b = fmax y.((3 * i) + 1) (mss /. st.rtt.(i)) in
+      let x = st.x.(i) in
       let share = fmin 1.0 (x /. capacity) in
       let rtprop =
-        bt.rtt.(i) +. (residual_gamma *. qdelay *. (1.0 -. share))
+        st.rtt.(i) +. (residual_gamma *. qdelay *. (1.0 -. share))
       in
       let target =
-        match bt.kinds.(i) with
+        match st.kinds.(i) with
         | Fluid_sim.Bbr2 ->
           let h = fmax y.((3 * i) + 2) (4.0 *. mss) in
           fmin (2.0 *. b *. rtprop) h
@@ -350,10 +324,10 @@ let deriv bt j y dy =
       dy.(3 * i) <- (target -. w) /. rtt_eff;
       dy.((3 * i) + 1) <-
         (x -. b) /. (rtt_eff *. if x > b then bw_tc_up else bw_tc_down);
-      (match bt.kinds.(i) with
+      (match st.kinds.(i) with
       | Fluid_sim.Bbr2 ->
         let h = fmax y.((3 * i) + 2) (4.0 *. mss) in
-        let h_cap = 2.0 *. fmax b bt.fair.(j) *. rtprop in
+        let h_cap = 2.0 *. fmax b st.fair *. rtprop in
         let recover =
           if nu_rtt < 1e-3 && h < h_cap then hi_recovery_rate *. h else 0.0
         in
@@ -361,32 +335,31 @@ let deriv bt j y dy =
       | Fluid_sim.Bbr | Fluid_sim.Cubic -> dy.((3 * i) + 2) <- 0.0)
   done
 
-(* One classical RK4 step of job [j] from [y] into [out], with the first
-   stage derivative [k1] precomputed by the caller ([deriv bt j y k1]):
-   the adaptive loop shares one stage-1 evaluation between the full step
-   and the first half step, and keeps it across rejected retries.
-   out == y is allowed: [y] is only read while building the stage
-   states. *)
-let rk4_step bt j ~dt ~y ~k1 ~out =
-  let s3 = 3 * bt.off.(j) and e3 = (3 * bt.off.(j + 1)) - 1 in
-  let ytmp = bt.ytmp in
-  for s = s3 to e3 do
+(* One classical RK4 step from [y] into [out], with the first stage
+   derivative [k1] precomputed by the caller ([deriv st y k1]): the
+   adaptive loop shares one stage-1 evaluation between the full step and
+   the first half step, and keeps it across rejected retries. out == y is
+   allowed: [y] is only read while building the stage states. *)
+let rk4_step st ~dt ~y ~k1 ~out =
+  let last = (3 * st.n) - 1 in
+  let ytmp = st.ytmp in
+  for s = 0 to last do
     ytmp.(s) <- y.(s) +. (0.5 *. dt *. k1.(s))
   done;
-  deriv bt j ytmp bt.k2;
-  let k2 = bt.k2 in
-  for s = s3 to e3 do
+  deriv st ytmp st.k2;
+  let k2 = st.k2 in
+  for s = 0 to last do
     ytmp.(s) <- y.(s) +. (0.5 *. dt *. k2.(s))
   done;
-  deriv bt j ytmp bt.k3;
-  let k3 = bt.k3 in
-  for s = s3 to e3 do
+  deriv st ytmp st.k3;
+  let k3 = st.k3 in
+  for s = 0 to last do
     ytmp.(s) <- y.(s) +. (dt *. k3.(s))
   done;
-  deriv bt j ytmp bt.k4;
-  let k4 = bt.k4 in
+  deriv st ytmp st.k4;
+  let k4 = st.k4 in
   let c = dt /. 6.0 in
-  for s = s3 to e3 do
+  for s = 0 to last do
     out.(s) <-
       y.(s)
       +. (c *. (k1.(s) +. (2.0 *. k2.(s)) +. (2.0 *. k3.(s)) +. k4.(s)))
@@ -394,47 +367,45 @@ let rk4_step bt j ~dt ~y ~k1 ~out =
 
 (* Projection after an accepted step: keep every component in its
    physically meaningful box so the smoothed dynamics stay well-posed. *)
-let clamp_state bt j =
-  let lo = bt.off.(j) and hi = bt.off.(j + 1) in
-  let y = bt.y in
-  for i = lo to hi - 1 do
-    y.(3 * i) <- fclamp bt.w_floor.(i) bt.w_ceil.(i) y.(3 * i);
-    (match bt.kinds.(i) with
+let clamp_state st =
+  let y = st.y in
+  for i = 0 to st.n - 1 do
+    y.(3 * i) <- fclamp st.w_floor.(i) st.w_ceil.(i) y.(3 * i);
+    (match st.kinds.(i) with
     | Fluid_sim.Cubic ->
-      y.((3 * i) + 1) <- fclamp (2.0 *. mss) bt.w_ceil.(i) y.((3 * i) + 1)
+      y.((3 * i) + 1) <- fclamp (2.0 *. mss) st.w_ceil.(i) y.((3 * i) + 1)
     | Fluid_sim.Bbr | Fluid_sim.Bbr2 ->
       y.((3 * i) + 1) <-
-        fclamp (mss /. bt.rtt.(i)) (2.0 *. bt.capacity.(j)) y.((3 * i) + 1));
-    match bt.kinds.(i) with
+        fclamp (mss /. st.rtt.(i)) (2.0 *. st.capacity) y.((3 * i) + 1));
+    match st.kinds.(i) with
     | Fluid_sim.Bbr2 ->
-      y.((3 * i) + 2) <- fclamp (4.0 *. mss) bt.w_ceil.(i) y.((3 * i) + 2)
+      y.((3 * i) + 2) <- fclamp (4.0 *. mss) st.w_ceil.(i) y.((3 * i) + 2)
     | Fluid_sim.Cubic | Fluid_sim.Bbr -> ()
   done
 
 (* Scaled max-norm distance between the full-step and half-step results. *)
-let step_error bt j =
-  let s3 = 3 * bt.off.(j) and e3 = (3 * bt.off.(j + 1)) - 1 in
+let step_error st =
   let err = ref 0.0 in
-  for s = s3 to e3 do
-    let scale = fmax (Float.abs bt.y_half.(s)) mss in
-    let e = Float.abs (bt.y_full.(s) -. bt.y_half.(s)) /. scale in
+  for s = 0 to (3 * st.n) - 1 do
+    let scale = fmax (Float.abs st.y_half.(s)) mss in
+    let e = Float.abs (st.y_full.(s) -. st.y_half.(s)) /. scale in
     if e > !err then err := e
   done;
   !err
 
 let dt_min = 1e-5
 
-(* Advance job [j] from its cold initial state to [duration]; every array
-   access stays inside the job's slice, so jobs are independent. *)
-let run_job bt j (config : config) =
+(* Integrate from the cold initial state to [duration]. *)
+let run (config : config) =
   let module Raw = Sim_engine.Units.Raw in
+  validate config;
+  let st = make_arena config in
   let duration = Raw.to_float config.duration in
   let warmup = Raw.to_float config.warmup in
   let sample_period = Raw.to_float config.sample_period in
-  let lo = bt.off.(j) in
-  let n = bt.off.(j + 1) - lo in
-  let ja = acc_slots * j in
-  let capacity = bt.capacity.(j) in
+  let n = st.n in
+  let acc = st.acc in
+  let capacity = st.capacity in
   let capacity_bps = capacity *. Sim_engine.Units.bits_per_byte in
   (* Sampled per-flow rate trajectory (bps) for the stability metrics. *)
   let max_samples = int_of_float (duration /. sample_period) + 2 in
@@ -445,8 +416,7 @@ let run_job bt j (config : config) =
     if !n_samples < max_samples then begin
       s_times.(!n_samples) <- t;
       s_rows.(!n_samples) <-
-        Array.init n (fun i ->
-            bt.x.(lo + i) *. Sim_engine.Units.bits_per_byte);
+        Array.map (fun x -> x *. Sim_engine.Units.bits_per_byte) st.x;
       incr n_samples
     end
   in
@@ -459,22 +429,22 @@ let run_job bt j (config : config) =
   let next_sample = ref 0.0 in
   (* Goodput/queue accounting over [t, t+dt] at the just-accepted state. *)
   let account t_new dt =
-    compute_rates bt j bt.y;
+    compute_rates st st.y;
     let overlap = fmin dt (fmax 0.0 (t_new -. warmup)) in
     if overlap > 0.0 then begin
       for i = 0 to n - 1 do
-        delivered.(i) <- delivered.(i) +. (bt.x.(lo + i) *. overlap)
+        delivered.(i) <- delivered.(i) +. (st.x.(i) *. overlap)
       done;
-      queue_integral := !queue_integral +. (bt.acc.(ja + a_q) *. overlap);
+      queue_integral := !queue_integral +. (acc.q *. overlap);
       measured := !measured +. overlap
     end;
-    let nu_rtt = bt.acc.(ja + a_p) /. (bt.acc.(ja + a_p) +. p0) in
+    let nu_rtt = acc.p /. (acc.p +. p0) in
     if nu_rtt > 0.0 then begin
-      let qdelay = bt.acc.(ja + a_q) /. capacity in
-      for i = lo to lo + n - 1 do
-        match bt.kinds.(i) with
+      let qdelay = acc.q /. capacity in
+      for i = 0 to n - 1 do
+        match st.kinds.(i) with
         | Fluid_sim.Cubic | Fluid_sim.Bbr2 ->
-          backoffs := !backoffs +. (nu_rtt /. (bt.rtt.(i) +. qdelay) *. dt)
+          backoffs := !backoffs +. (nu_rtt /. (st.rtt.(i) +. qdelay) *. dt)
         | Fluid_sim.Bbr -> ()
       done
     end;
@@ -486,17 +456,17 @@ let run_job bt j (config : config) =
        with the fluid model's backoff (w_max := w, then w := 0.7 w). A
        discrete event, like the clamping projection: from here the
        continuous loss term takes over. *)
-    if bt.acc.(ja + a_p) > 0.0 then
-      for i = lo to lo + n - 1 do
-        if bt.startup.(i) then begin
-          bt.startup.(i) <- false;
-          bt.y.((3 * i) + 1) <- bt.y.(3 * i);
-          bt.y.(3 * i) <- fmax (2.0 *. mss) (0.7 *. bt.y.(3 * i))
+    if acc.p > 0.0 then
+      for i = 0 to n - 1 do
+        if st.startup.(i) then begin
+          st.startup.(i) <- false;
+          st.y.((3 * i) + 1) <- st.y.(3 * i);
+          st.y.(3 * i) <- fmax (2.0 *. mss) (0.7 *. st.y.(3 * i))
         end
       done
   in
   (* Initial sample at t = 0. *)
-  compute_rates bt j bt.y;
+  compute_rates st st.y;
   account 0.0 0.0;
   let t = ref 0.0 in
   (match config.integrator with
@@ -504,9 +474,9 @@ let run_job bt j (config : config) =
     let dt0 = Raw.to_float dt_u in
     while !t < duration -. 1e-12 do
       let dt = fmin dt0 (duration -. !t) in
-      deriv bt j bt.y bt.k1y;
-      rk4_step bt j ~dt ~y:bt.y ~k1:bt.k1y ~out:bt.y;
-      clamp_state bt j;
+      deriv st st.y st.k1y;
+      rk4_step st ~dt ~y:st.y ~k1:st.k1y ~out:st.y;
+      clamp_state st;
       t := !t +. dt;
       incr steps;
       account !t dt
@@ -521,21 +491,21 @@ let run_job bt j (config : config) =
       let h = fmin (fmin !dt dt_max) (duration -. !t) in
       let h = fmax h dt_min in
       if not !k1_valid then begin
-        deriv bt j bt.y bt.k1y;
+        deriv st st.y st.k1y;
         k1_valid := true
       end;
-      rk4_step bt j ~dt:h ~y:bt.y ~k1:bt.k1y ~out:bt.y_full;
-      rk4_step bt j ~dt:(0.5 *. h) ~y:bt.y ~k1:bt.k1y ~out:bt.y_mid;
-      deriv bt j bt.y_mid bt.k1;
-      rk4_step bt j ~dt:(0.5 *. h) ~y:bt.y_mid ~k1:bt.k1 ~out:bt.y_half;
-      let err = step_error bt j in
+      rk4_step st ~dt:h ~y:st.y ~k1:st.k1y ~out:st.y_full;
+      rk4_step st ~dt:(0.5 *. h) ~y:st.y ~k1:st.k1y ~out:st.y_mid;
+      deriv st st.y_mid st.k1;
+      rk4_step st ~dt:(0.5 *. h) ~y:st.y_mid ~k1:st.k1 ~out:st.y_half;
+      let err = step_error st in
       if err <= tol || h <= dt_min then begin
         (* Accept, with Richardson extrapolation of the half-step pair. *)
-        for s = 3 * lo to (3 * (lo + n)) - 1 do
-          bt.y.(s) <-
-            bt.y_half.(s) +. ((bt.y_half.(s) -. bt.y_full.(s)) /. 15.0)
+        for s = 0 to (3 * n) - 1 do
+          st.y.(s) <-
+            st.y_half.(s) +. ((st.y_half.(s) -. st.y_full.(s)) /. 15.0)
         done;
-        clamp_state bt j;
+        clamp_state st;
         k1_valid := false;
         t := !t +. h;
         incr steps;
@@ -572,7 +542,7 @@ let run_job bt j (config : config) =
   in
   {
     per_flow_bps;
-    flow_kinds = Array.sub bt.kinds lo n;
+    flow_kinds = Array.copy st.kinds;
     mean_queue_bytes = !queue_integral /. window;
     mean_queuing_delay = !queue_integral /. window /. capacity;
     expected_backoffs = !backoffs;
@@ -580,18 +550,6 @@ let run_job bt j (config : config) =
     steps = !steps;
     rejected_steps = !rejected;
   }
-
-let run_batch configs =
-  if Array.length configs = 0 then [||]
-  else begin
-    Array.iter validate configs;
-    let bt = make_bt configs in
-    Array.mapi (fun j config -> run_job bt j config) configs
-  end
-
-(* The batch of one: same arena layout, same code path, so [run config]
-   is byte-identical to the corresponding slot of any batched call. *)
-let run config = (run_batch [| config |]).(0)
 
 let mean_bps_of_kind res kind =
   let sum = ref 0.0 and count = ref 0 in

@@ -82,16 +82,5 @@ val run : config -> result
     Raises [Invalid_argument] on an empty flow list, non-positive
     durations/steps, or [warmup >= duration]. *)
 
-val run_batch : config array -> result array
-(** Integrate all configs over one contiguous struct-of-arrays arena.
-    [run_batch configs] returns exactly [Array.map run configs] — each
-    job owns a disjoint slice of the concatenated per-flow state and
-    scratch arrays, so results are byte-identical to sequential
-    evaluation regardless of batch composition or order ([run] itself is
-    the batch of one) — but shares allocation and keeps the integrator
-    state compact across the batch. Validation errors
-    ([Invalid_argument]) are raised for the first offending config,
-    before any stepping. *)
-
 val mean_bps_of_kind : result -> Fluid_sim.kind -> float
 (** Mean per-flow goodput over flows of the given kind; [nan] if none. *)

@@ -10,24 +10,16 @@
     data [wᵢ] is spread over its inflated round trip, and the queue length
     is whatever makes the arrival rate match the capacity. This module
     solves that equation over bare float arrays so the per-step inner loops
-    of both backends allocate nothing.
-
-    The [base] offset lets batched callers, whose per-flow arrays
-    concatenate many specs' flows, solve the slice
-    [w.(base) .. w.(base + n - 1)] in place; single-spec callers pass
-    [~base:0]. [base] is a required (not optional) argument so no call
-    site boxes a [Some] per solve on the per-step hot path. *)
+    of both backends allocate nothing. *)
 
 val offered :
-  base:int ->
   capacity:float -> w:float array -> rtt:float array -> n:int -> q:float ->
   float
-(** [offered ~base ~capacity ~w ~rtt ~n ~q] is [Σᵢ wᵢ/(rttᵢ + q/capacity)]
-    over the [n] entries starting at [base] — the aggregate arrival rate
+(** [offered ~capacity ~w ~rtt ~n ~q] is [Σᵢ wᵢ/(rttᵢ + q/capacity)]
+    over the first [n] entries — the aggregate arrival rate
     (bytes/s) at queue length [q] (bytes). *)
 
 val solve :
-  base:int ->
   capacity:float -> w:float array -> rtt:float array -> n:int ->
   init:float ->
   float
@@ -37,5 +29,5 @@ val solve :
     [offered q - capacity], so a warm start from a nearby solution
     converges in a couple of iterations. Allocation-free.
 
-    When every [rtt.(i)] in the slice is equal the fixed point is
+    When the first [n] RTTs are all equal the fixed point is
     closed-form ([Σ w - C·rtt]) and [init] is ignored. *)

@@ -60,8 +60,11 @@ let finalize items =
     idx;
   Array.map snd idx
 
-let generate_with ~arrival_rng ~size_rng ?(pattern = Single) ~arrival ~sizes
-    ~horizon_s () =
+let generate ?(pattern = Single) ~arrival ~sizes ~horizon_s ~rng () =
+  (* Two independent sub-streams: changing the size distribution must not
+     move a single arrival instant, and vice versa. *)
+  let arrival_rng = Rng.split rng in
+  let size_rng = Rng.split rng in
   Arrival.validate arrival;
   Dist.validate sizes;
   validate_pattern pattern;
@@ -77,21 +80,8 @@ let generate_with ~arrival_rng ~size_rng ?(pattern = Single) ~arrival ~sizes
   done;
   finalize !acc
 
-let generate ?pattern ~arrival ~sizes ~horizon_s ~rng () =
-  (* Two independent sub-streams: changing the size distribution must not
-     move a single arrival instant, and vice versa. *)
-  let arrival_rng = Rng.split rng in
-  let size_rng = Rng.split rng in
-  generate_with ~arrival_rng ~size_rng ?pattern ~arrival ~sizes ~horizon_s ()
-
 let generate_seeded ?pattern ~arrival ~sizes ~horizon_s ~seed () =
   generate ?pattern ~arrival ~sizes ~horizon_s ~rng:(Rng.create seed) ()
-
-let generate_shared ?pattern ~arrival ~sizes ~horizon_s ~rng () =
-  (* Compatibility mode: gap and size draws interleave on one stream, which
-     is the draw order of the original ext_short_flows arrival loop. *)
-  generate_with ~arrival_rng:rng ~size_rng:rng ?pattern ~arrival ~sizes
-    ~horizon_s ()
 
 let count = Array.length
 let total_bytes t = Array.fold_left (fun s it -> s + it.size_bytes) 0 t

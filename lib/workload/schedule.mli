@@ -42,18 +42,6 @@ val generate_seeded :
   t
 (** [generate] with a fresh generator from [seed]. *)
 
-val generate_shared :
-  ?pattern:pattern ->
-  arrival:Arrival.t ->
-  sizes:Dist.t ->
-  horizon_s:float ->
-  rng:Sim_engine.Rng.t ->
-  unit ->
-  t
-(** Single-stream compatibility mode: gap and size draws interleave on [rng]
-    in generation order — the draw order of the original hand-rolled
-    ext_short_flows loop, kept so its numbers reproduce exactly. *)
-
 val count : t -> int
 val total_bytes : t -> int
 

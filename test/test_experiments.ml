@@ -66,6 +66,23 @@ let test_write_csv () =
   Sys.remove path;
   Sys.rmdir dir
 
+(* [repro run ... --out a/b] with [a] absent: the writer creates every
+   missing parent before it opens the file. *)
+let test_write_csv_nested () =
+  let root = Filename.temp_file "repro" "" in
+  Sys.remove root;
+  let parent = Filename.concat root "a" in
+  let dir = Filename.concat parent "b" in
+  let table =
+    { Common.id = "unit"; title = "t"; header = [ "x" ]; rows = [ [ "1" ] ];
+      notes = [] }
+  in
+  let path = Common.write_csv ~dir table in
+  Alcotest.(check string) "path" (Filename.concat dir "unit.csv") path;
+  Alcotest.(check bool) "file exists" true (Sys.file_exists path);
+  Sys.remove path;
+  List.iter Sys.rmdir [ dir; parent; root ]
+
 let test_print_table_no_exn () =
   let table =
     { Common.id = "unit"; title = "t"; header = [ "col" ];
@@ -253,7 +270,76 @@ let test_fig10_br_detects_cycle () =
   Alcotest.(check (list (array int))) "no NE exists" []
     (Ccgame.Grouped_game.equilibria ~sizes:[| 1; 1 |] payoffs)
 
-(* --- Runs.run_specs_memo --- *)
+(* --- Runs.run_specs --- *)
+
+module B = Sim_backend
+
+let mk_spec ?warmup ~mbps ~rtt_ms ~buffer_bdp ~duration ~seed ccas =
+  let rate_bps = Sim_engine.Units.mbps mbps in
+  let rtt = Sim_engine.Units.ms rtt_ms in
+  B.spec ?warmup ~seed ~rate_bps
+    ~buffer_bytes:
+      (Sim_engine.Units.scale buffer_bdp
+         (Sim_engine.Units.bdp_bytes ~rate_bps ~rtt))
+    ~duration:(Sim_engine.Units.seconds duration)
+    (List.map (fun cca -> { B.cca; rtt }) ccas)
+
+(* Byte-level equality is the contract under test, so these tests marshal
+   directly rather than through the Exec cache. *)
+let bytes v = Marshal.to_string v [] (* simlint: allow R2 *)
+
+(* Each distinct cache miss is one worker-pool job, so [repro]'s
+   "N simulated" counts specs even when they all share one shape (flow
+   count and horizon). *)
+let test_run_specs_one_job_per_miss () =
+  let specs =
+    List.map
+      (fun buffer_bdp ->
+        mk_spec ~mbps:50.0 ~rtt_ms:40.0 ~buffer_bdp ~duration:8.0 ~seed:1
+          [ "cubic"; "bbr" ])
+      [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
+  in
+  let before = (Sim_engine.Exec.counters ()).jobs_executed in
+  ignore (Runs.run_specs Common.quick B.fluid specs : B.outcome list);
+  Alcotest.(check int) "one job per distinct spec" (List.length specs)
+    ((Sim_engine.Exec.counters ()).jobs_executed - before)
+
+(* The differential-grid cells the analytic backends are calibrated on. *)
+let fluid_grid_specs =
+  let warmup = Sim_engine.Units.seconds 5.0 in
+  let singles =
+    List.map
+      (fun cca ->
+        mk_spec ~warmup ~mbps:50.0 ~rtt_ms:40.0 ~buffer_bdp:1.0 ~duration:20.0
+          ~seed:1 [ cca ])
+      Fluidsim.Fluid_sim.supported_ccas
+  in
+  let pairs =
+    List.concat_map
+      (fun buffer_bdp ->
+        List.map
+          (fun ccas ->
+            mk_spec ~warmup ~mbps:100.0 ~rtt_ms:40.0 ~buffer_bdp
+              ~duration:20.0 ~seed:1 ccas)
+          [ [ "cubic"; "bbr" ]; [ "cubic"; "bbr2" ] ])
+      [ 1.0; 10.0 ]
+  in
+  singles @ pairs
+
+let test_run_specs_jobs_invariant () =
+  let run jobs =
+    bytes
+      (Runs.run_specs (Common.ctx ~jobs Common.Quick) B.fluid
+         fluid_grid_specs)
+  in
+  let reference = run 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d = sequential" jobs)
+        true
+        (String.equal reference (run jobs)))
+    [ 2; 3 ]
 
 let test_run_specs_memo_dedupes () =
   let rtt = Sim_engine.Units.ms 40.0 in
@@ -268,13 +354,10 @@ let test_run_specs_memo_dedupes () =
       [ { Sim_backend.cca; rtt } ]
   in
   let memo = Runs.memo () in
-  (* batch:1 so jobs_executed counts specs, making the dedup visible;
-     batching (batch > 1) merges misses into chunks and is covered by
-     test_batch.ml. *)
-  let ctx = Common.ctx ~batch:1 Common.Quick in
+  let ctx = Common.quick in
   let before = (Sim_engine.Exec.counters ()).jobs_executed in
   let outcomes =
-    Runs.run_specs_memo ~memo ctx Sim_backend.ode
+    Runs.run_specs ~memo ctx Sim_backend.ode
       [ spec "cubic"; spec "bbr"; spec "cubic" ]
   in
   let first_batch = (Sim_engine.Exec.counters ()).jobs_executed - before in
@@ -282,13 +365,63 @@ let test_run_specs_memo_dedupes () =
   Alcotest.(check int) "duplicates run once" 2 first_batch;
   Alcotest.(check bool) "repeats share the outcome" true
     (List.nth outcomes 0 = List.nth outcomes 2);
-  let again = Runs.run_specs_memo ~memo ctx Sim_backend.ode [ spec "bbr" ] in
+  let again = Runs.run_specs ~memo ctx Sim_backend.ode [ spec "bbr" ] in
   let second_batch =
     (Sim_engine.Exec.counters ()).jobs_executed - before - first_batch
   in
   Alcotest.(check int) "memo hit runs nothing" 0 second_batch;
   Alcotest.(check bool) "memo returns the same outcome" true
     (List.nth outcomes 1 = List.hd again)
+
+let test_memo_cap_validation () =
+  match Runs.memo ~cap:0 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "memo ~cap:0 accepted"
+
+let test_memo_eviction () =
+  let ctx = Common.quick in
+  let specs =
+    List.map
+      (fun seed ->
+        mk_spec ~mbps:50.0 ~rtt_ms:40.0
+          ~buffer_bdp:(float_of_int seed)
+          ~duration:8.0 ~seed [ "cubic" ])
+      [ 1; 2; 3 ]
+  in
+  let expected = bytes (Runs.run_specs ctx B.fluid specs) in
+  let memo = Runs.memo ~cap:2 () in
+  let before = (Sim_engine.Exec.counters ()).memo_evictions in
+  (* Three distinct outcomes through a 2-slot memo: at least one entry
+     must be evicted, and a second pass (re-missing whatever was
+     evicted) must still return the same bytes. *)
+  let first = bytes (Runs.run_specs ~memo ctx B.fluid specs) in
+  let second = bytes (Runs.run_specs ~memo ctx B.fluid specs) in
+  let after = (Sim_engine.Exec.counters ()).memo_evictions in
+  Alcotest.(check bool) "evictions counted" true (after > before);
+  Alcotest.(check bool) "first pass correct" true (String.equal expected first);
+  Alcotest.(check bool)
+    "second pass correct despite evictions" true
+    (String.equal expected second)
+
+let test_memo_results_cap_independent () =
+  let specs =
+    List.map
+      (fun seed ->
+        mk_spec ~mbps:50.0 ~rtt_ms:40.0 ~buffer_bdp:2.0 ~duration:8.0 ~seed
+          [ "bbr" ])
+      [ 1; 2; 3; 1; 2 ]
+  in
+  let run cap =
+    bytes (Runs.run_specs ~memo:(Runs.memo ~cap ()) Common.quick B.fluid specs)
+  in
+  let unbounded = run 4096 in
+  List.iter
+    (fun cap ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d = cap 4096" cap)
+        true
+        (String.equal unbounded (run cap)))
+    [ 1; 2 ]
 
 (* --- the evolve driver --- *)
 
@@ -321,6 +454,8 @@ let tests =
     Alcotest.test_case "grids" `Quick test_grids;
     Alcotest.test_case "csv escaping" `Quick test_csv;
     Alcotest.test_case "write csv" `Quick test_write_csv;
+    Alcotest.test_case "write csv, missing parents" `Quick
+      test_write_csv_nested;
     Alcotest.test_case "print table" `Quick test_print_table_no_exn;
     Alcotest.test_case "memoize" `Quick test_memoize;
     Alcotest.test_case "NE search crossing" `Quick
@@ -340,8 +475,17 @@ let tests =
       test_fig10_br_converges_on_dominant;
     Alcotest.test_case "fig10 BR cycle detected" `Quick
       test_fig10_br_detects_cycle;
+    Alcotest.test_case "run_specs one job per miss" `Quick
+      test_run_specs_one_job_per_miss;
+    Alcotest.test_case "run_specs invariant under jobs" `Quick
+      test_run_specs_jobs_invariant;
     Alcotest.test_case "run_specs_memo dedupes" `Quick
       test_run_specs_memo_dedupes;
+    Alcotest.test_case "memo cap validation" `Quick test_memo_cap_validation;
+    Alcotest.test_case "memo eviction counted, results intact" `Quick
+      test_memo_eviction;
+    Alcotest.test_case "memo results cap-independent" `Quick
+      test_memo_results_cap_independent;
     Alcotest.test_case "evolve jobs-deterministic" `Quick
       test_adoption_jobs_deterministic;
     Alcotest.test_case "fig12 regimes" `Quick test_fig12_regimes;
