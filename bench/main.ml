@@ -397,6 +397,7 @@ let alloc_gates =
     ("cca/windowed-max-filter", 50, 9_100.0, windowed_max_filter);
     ("netsim/droptail-queue", 50, 12_800.0, droptail_queue_1k);
     ("fig08/short-sim-bbr", 3, 570_000.0, short_sim ~other:"bbr");
+    ("fig11/short-sim-bbr2", 3, 562_000.0, short_sim ~other:"bbr2");
     ("fig07/short-sim-vivace", 3, 650_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
@@ -603,9 +604,8 @@ let ablation_bbr_cap () =
   List.iter
     (fun gain ->
       Cca.Registry.register "bbr-cap" (fun ~mss ~rng ->
-          Cca.Bbr.make
-            ~params:{ Cca.Bbr.default_params with probe_bw_cwnd_gain = gain }
-            ~mss ~rng ());
+          Cca.Bbr.make ~probe_bw_cwnd_gain:gain ~variant:Cca.Bbr.V1 ~mss ~rng
+            ());
       let summary =
         Experiments.Runs.mix ~ctx:Experiments.Common.quick ~mbps:50.0
           ~rtt_ms:40.0 ~buffer_bdp:8.0 ~n_cubic:1 ~other:"bbr-cap" ~n_other:1

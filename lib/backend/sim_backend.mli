@@ -2,7 +2,7 @@
 
     The repo has three ways to answer "what happens when these flows share
     this bottleneck": the packet-level simulator ({!Tcpflow.Experiment}),
-    the fluid round/Heun model ({!Fluidsim.Fluid_sim}) and the
+    the fluid round-stepped model ({!Fluidsim.Fluid_sim}) and the
     control-theoretic ODE model ({!Fluidsim.Ode_model}). This module fronts
     all three behind one backend-neutral {!spec} so that experiment
     drivers, differential tests, the fuzzer and [repro --backend] select a
@@ -94,8 +94,8 @@ val packet : t
 (** The packet-level simulator. Supports every {!Cca.Registry} name. *)
 
 val fluid : t
-(** {!Fluidsim.Fluid_sim} with the historical {!Fluidsim.Fluid_sim.Rounds}
-    stepper, synchronized loss, dt 2 ms. Supports cubic/bbr/bbr2. *)
+(** {!Fluidsim.Fluid_sim}: one explicit round step per dt (2 ms),
+    synchronized loss. Supports cubic/bbr/bbr2. *)
 
 val ode : t
 (** {!Fluidsim.Ode_model} with the adaptive integrator. Deterministic;

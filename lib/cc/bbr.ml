@@ -1,26 +1,35 @@
-type params = {
-  bw_window_rounds : int;
-  rtprop_window : float;
-  probe_rtt_duration : float;
-  probe_bw_cwnd_gain : float;
-  high_gain : float;
-}
+type variant = V1 | V2
 
-let default_params =
-  {
-    bw_window_rounds = 10;
-    rtprop_window = 10.0;
-    probe_rtt_duration = 0.2;
-    probe_bw_cwnd_gain = 2.0;
-    high_gain = 2.0 /. log 2.0;
-  }
+(* Constants shared by both variants. *)
+let bw_window_rounds = 10
+let probe_rtt_duration = 0.2
+let high_gain = 2.0 /. log 2.0
+let gain_cycle = [| 1.25; 0.75; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 |]
+
+(* RTprop expiry, which is also the interval between ProbeRTT episodes. *)
+let rtprop_window = function V1 -> 10.0 | V2 -> 5.0
+
+(* V2's loss response. *)
+let beta = 0.7
+let loss_thresh = 0.02
+let headroom_growth = 1.25
+let cruise_headroom = 0.85
+let probe_rtt_cwnd_gain = 0.5
 
 type mode = Startup | Drain | ProbeBW | ProbeRTT
 
-let gain_cycle = [| 1.25; 0.75; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 |]
+(* V2's in-flight bound and its per-round loss accounting. All floats, so
+   the record is stored flat and the per-ACK updates box nothing. *)
+type v2_floats = {
+  mutable inflight_hi : float;  (* bytes; upper bound learned from loss *)
+  mutable hi_growth_mss : float;  (* PROBE_UP per-round growth, doubles *)
+  mutable round_delivered : float;  (* bytes acked this round *)
+  mutable round_lost : float;  (* bytes lost this round *)
+}
 
 type t = {
-  params : params;
+  variant : variant;
+  probe_bw_cwnd_gain : float;
   mss : float;
   rng : Sim_engine.Rng.t;
   btlbw : Windowed_filter.Max_rounds.t;  (* bytes/s *)
@@ -34,7 +43,12 @@ type t = {
   mutable filled_pipe : bool;
   mutable cycle_index : int;
   mutable cycle_stamp : float;
-  mutable probe_rtt_done_stamp : float;  (* nan until in-flight reached 4 MSS *)
+  mutable probe_rtt_done_stamp : float;
+      (* nan until in-flight reached the ProbeRTT cwnd *)
+  (* V2 only. *)
+  v2 : v2_floats;
+  mutable loss_in_round : bool;
+  mutable round_id : int;
 }
 
 let bdp t =
@@ -44,13 +58,30 @@ let bdp t =
 
 let min_cwnd t = 4.0 *. t.mss
 
+let probe_rtt_cwnd t =
+  match t.variant with
+  | V1 -> min_cwnd t
+  | V2 -> Float.max (probe_rtt_cwnd_gain *. bdp t) (min_cwnd t)
+
 let cwnd_bytes t =
   match t.mode with
-  | ProbeRTT -> min_cwnd t
-  | Startup | Drain | ProbeBW ->
+  | ProbeRTT -> probe_rtt_cwnd t
+  | Startup | Drain | ProbeBW -> (
     let bdp = bdp t in
     if Sim_engine.Stats.is_zero bdp then 10.0 *. t.mss
-    else Float.max (t.cwnd_gain *. bdp) (min_cwnd t)
+    else
+      let model_cwnd = Float.max (t.cwnd_gain *. bdp) (min_cwnd t) in
+      match t.variant with
+      | V1 -> model_cwnd
+      | V2 ->
+        (* In cruise the draft leaves headroom below the bound for other
+           flows; during probes the bound itself is ramped upward (the
+           additive growth in [on_ack]), so no overshoot is needed here. *)
+        let hi =
+          if t.pacing_gain > 1.0 then t.v2.inflight_hi
+          else cruise_headroom *. t.v2.inflight_hi
+        in
+        Float.max (Float.min model_cwnd hi) (min_cwnd t))
 
 let pacing_rate t =
   let bw = Windowed_filter.Max_rounds.get t.btlbw in
@@ -58,7 +89,7 @@ let pacing_rate t =
 
 let enter_probe_bw t ~now =
   t.mode <- ProbeBW;
-  t.cwnd_gain <- t.params.probe_bw_cwnd_gain;
+  t.cwnd_gain <- t.probe_bw_cwnd_gain;
   (* Random initial phase, excluding the 0.75 drain phase (index 1). *)
   let idx = Sim_engine.Rng.int t.rng (Array.length gain_cycle) in
   t.cycle_index <- (if idx = 1 then 2 else idx);
@@ -92,9 +123,26 @@ let advance_cycle t (ack : Cc_types.ack_info) =
       elapsed > t.rtprop || inflight <= bdp t
   in
   if should_advance then begin
+    (* V2, leaving a loss-free up-probe: the path has headroom, so raise
+       the in-flight bound to what was actually flown, with a growth cap
+       (the draft's PROBE_UP growth). *)
+    (match t.variant with
+    | V1 -> ()
+    | V2 ->
+      if t.pacing_gain > 1.0 && not t.loss_in_round then
+        t.v2.inflight_hi <-
+          Float.min
+            (Float.min
+               (Float.max t.v2.inflight_hi inflight)
+               (t.v2.inflight_hi *. headroom_growth))
+            (2.0 *. Float.max (bdp t) t.mss));
     t.cycle_index <- (t.cycle_index + 1) mod Array.length gain_cycle;
     t.pacing_gain <- gain_cycle.(t.cycle_index);
-    t.cycle_stamp <- ack.f.now
+    t.cycle_stamp <- ack.f.now;
+    (* V2: each up-probe restarts the inflight_hi growth ramp. *)
+    match t.variant with
+    | V1 -> ()
+    | V2 -> if t.pacing_gain > 1.0 then t.v2.hi_growth_mss <- 1.0
   end
 
 let enter_probe_rtt t =
@@ -106,8 +154,8 @@ let exit_probe_rtt t ~now =
   if t.filled_pipe then enter_probe_bw t ~now
   else begin
     t.mode <- Startup;
-    t.pacing_gain <- t.params.high_gain;
-    t.cwnd_gain <- t.params.high_gain
+    t.pacing_gain <- high_gain;
+    t.cwnd_gain <- high_gain
   end
 
 (* The Linux rule: a smaller sample always wins; an expired estimate adopts
@@ -120,10 +168,33 @@ let update_rtprop t (ack : Cc_types.ack_info) ~expired =
 
 let handle_probe_rtt t (ack : Cc_types.ack_info) =
   if Float.is_nan t.probe_rtt_done_stamp then begin
-    if float_of_int ack.inflight_bytes <= min_cwnd t then
-      t.probe_rtt_done_stamp <- ack.f.now +. t.params.probe_rtt_duration
+    if float_of_int ack.inflight_bytes <= probe_rtt_cwnd t then
+      t.probe_rtt_done_stamp <- ack.f.now +. probe_rtt_duration
   end
   else if ack.f.now >= t.probe_rtt_done_stamp then exit_probe_rtt t ~now:ack.f.now
+
+(* V2's per-ACK steps: count the round's delivered bytes, and during a
+   ProbeBW up-phase probe the in-flight bound upward every round with
+   doubling increments (the draft's bbr2_probe_inflight_hi_upward). *)
+let on_ack_v2 t (ack : Cc_types.ack_info) =
+  let v2 = t.v2 in
+  if ack.round > t.round_id then begin
+    t.round_id <- ack.round;
+    v2.round_delivered <- 0.0;
+    v2.round_lost <- 0.0;
+    t.loss_in_round <- false
+  end;
+  v2.round_delivered <- v2.round_delivered +. float_of_int ack.acked_bytes;
+  if
+    ack.round_start && t.mode = ProbeBW && t.pacing_gain > 1.0
+    && v2.inflight_hi < infinity
+  then begin
+    v2.inflight_hi <-
+      Float.min
+        (v2.inflight_hi +. (v2.hi_growth_mss *. t.mss))
+        (2.0 *. Float.max (bdp t) (10.0 *. t.mss));
+    v2.hi_growth_mss <- Float.min (v2.hi_growth_mss *. 2.0) 32.0
+  end
 
 let on_ack t (ack : Cc_types.ack_info) =
   (* Bandwidth filter: app-limited samples only raise the estimate. *)
@@ -134,17 +205,20 @@ let on_ack t (ack : Cc_types.ack_info) =
   then
     Windowed_filter.Max_rounds.update t.btlbw ~round:ack.round
       ack.f.delivery_rate;
+  (* Only an estimate that exists can expire: a flow whose first ACK comes
+     late in a run has nothing to refresh. *)
   let rtprop_expired =
     t.rtprop < infinity
-    && ack.f.now -. t.rtprop_stamp > t.params.rtprop_window
+    && ack.f.now -. t.rtprop_stamp > rtprop_window t.variant
   in
   update_rtprop t ack ~expired:rtprop_expired;
+  (match t.variant with V1 -> () | V2 -> on_ack_v2 t ack);
   (match t.mode with
   | Startup ->
     if ack.round_start then check_full_pipe t;
     if t.filled_pipe then begin
       t.mode <- Drain;
-      t.pacing_gain <- 1.0 /. t.params.high_gain
+      t.pacing_gain <- 1.0 /. high_gain
     end
   | Drain ->
     if float_of_int ack.inflight_bytes <= bdp t then enter_probe_bw t ~now:ack.f.now
@@ -156,31 +230,64 @@ let on_ack t (ack : Cc_types.ack_info) =
   | Startup | Drain | ProbeBW -> if rtprop_expired then enter_probe_rtt t);
   if t.mode = ProbeRTT then handle_probe_rtt t ack
 
-let make ?(params = default_params) ~mss ~rng () =
+(* V1 is loss-agnostic (paper §2.3, assumption 4). V2's loss response
+   (draft, simplified): the in-flight bound is cut only when the loss rate
+   of the current round exceeds 2% while we are actively probing for
+   bandwidth (Startup or a ProbeBW up-phase); cruise losses are tolerated
+   like V1. At most one cut per round. *)
+let on_loss t (loss : Cc_types.loss_info) =
+  match t.variant with
+  | V1 -> ()
+  | V2 ->
+    let v2 = t.v2 in
+    v2.round_lost <- v2.round_lost +. float_of_int loss.lost_bytes;
+    let probing = t.mode = Startup || t.pacing_gain > 1.0 in
+    let total = v2.round_lost +. v2.round_delivered in
+    let loss_rate = if total <= 0.0 then 0.0 else v2.round_lost /. total in
+    if probing && (not t.loss_in_round) && loss_rate > loss_thresh then begin
+      t.loss_in_round <- true;
+      let inflight = float_of_int loss.inflight_bytes in
+      let reference = Float.max inflight (bdp t) in
+      v2.inflight_hi <-
+        Float.max (beta *. Float.min reference v2.inflight_hi) (min_cwnd t);
+      v2.hi_growth_mss <- 1.0;
+      if t.mode = Startup then t.filled_pipe <- true
+    end
+
+let make ?(probe_bw_cwnd_gain = 2.0) ~variant ~mss ~rng () =
   let t =
     {
-      params;
+      variant;
+      probe_bw_cwnd_gain;
       mss = float_of_int mss;
       rng;
-      btlbw = Windowed_filter.Max_rounds.create ~window:params.bw_window_rounds;
+      btlbw = Windowed_filter.Max_rounds.create ~window:bw_window_rounds;
       rtprop = infinity;
       rtprop_stamp = 0.0;
       mode = Startup;
-      pacing_gain = params.high_gain;
-      cwnd_gain = params.high_gain;
+      pacing_gain = high_gain;
+      cwnd_gain = high_gain;
       full_bw = 0.0;
       full_bw_count = 0;
       filled_pipe = false;
       cycle_index = 0;
       cycle_stamp = 0.0;
       probe_rtt_done_stamp = nan;
+      v2 =
+        {
+          inflight_hi = infinity;
+          hi_growth_mss = 1.0;
+          round_delivered = 0.0;
+          round_lost = 0.0;
+        };
+      loss_in_round = false;
+      round_id = 0;
     }
   in
   {
-    Cc_types.name = "bbr";
+    Cc_types.name = (match variant with V1 -> "bbr" | V2 -> "bbr2");
     on_ack = on_ack t;
-    (* BBRv1 is loss-agnostic (paper §2.3, assumption 4). *)
-    on_loss = (fun (_ : Cc_types.loss_info) -> ());
+    on_loss = on_loss t;
     on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
     cwnd_bytes = (fun () -> cwnd_bytes t);
     pacing_rate = (fun () -> pacing_rate t);

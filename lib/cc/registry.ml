@@ -22,8 +22,8 @@ let create name ~mss ~rng =
 let () =
   register "reno" (fun ~mss ~rng:_ -> Reno.make ~mss ());
   register "cubic" (fun ~mss ~rng:_ -> Cubic.make ~mss ());
-  register "bbr" (fun ~mss ~rng -> Bbr.make ~mss ~rng ());
-  register "bbr2" (fun ~mss ~rng -> Bbr2.make ~mss ~rng ());
+  register "bbr" (fun ~mss ~rng -> Bbr.make ~variant:Bbr.V1 ~mss ~rng ());
+  register "bbr2" (fun ~mss ~rng -> Bbr.make ~variant:Bbr.V2 ~mss ~rng ());
   register "copa" (fun ~mss ~rng:_ -> Copa.make ~mss ());
   register "vegas" (fun ~mss ~rng:_ -> Vegas.make ~mss ());
   register "vivace" (fun ~mss ~rng -> Vivace.make ~mss ~rng ())

@@ -55,13 +55,13 @@ let observed_ne ~(ctx : Common.ctx) ~mbps ~rtt_ms ~buffer_bdp ~other ~n =
 (* Each grid point's NE search is adaptive (bisection on the previous
    probe), so the parallelism lives one level up: one worker per grid
    point, each running its probes sequentially. *)
-let points ?(other = "bbr") (ctx : Common.ctx) =
+let points ~other ~settings ~buffers (ctx : Common.ctx) =
   let n = flows_of_mode ctx.mode in
   let grid =
     List.concat_map
       (fun (mbps, rtt_ms) ->
-        List.map (fun buffer_bdp -> (mbps, rtt_ms, buffer_bdp)) (buffers ctx.mode))
-      (settings ctx.mode)
+        List.map (fun buffer_bdp -> (mbps, rtt_ms, buffer_bdp)) buffers)
+      settings
   in
   let point_ctx = Common.sequential ctx in
   Sim_engine.Exec.map_list ~jobs:ctx.jobs
@@ -102,7 +102,10 @@ let in_region ?(slack = 0.15) p =
     p.observed
 
 let run (ctx : Common.ctx) : Common.table =
-  let points = points ctx in
+  let points =
+    points ~other:"bbr" ~settings:(settings ctx.mode)
+      ~buffers:(buffers ctx.mode) ctx
+  in
   let n = flows_of_mode ctx.mode in
   {
     Common.id = "fig09";

@@ -4,16 +4,6 @@
     since the paper observes BBRv2's NE have at least as many CUBIC flows
     for the same buffer. *)
 
-type point = {
-  mbps : float;
-  rtt_ms : float;
-  buffer_bdp : float;
-  n : int;
-  region_sync : float;
-  region_desync : float;
-  observed_bbr2 : int list;  (** # CUBIC at the observed BBRv2 NE(s). *)
-}
-
 let buffers mode =
   match mode with
   | Common.Quick -> [ 2.0; 10.0; 30.0 ]
@@ -26,52 +16,23 @@ let settings mode =
     [ (50.0, 20.0); (50.0, 40.0); (50.0, 80.0);
       (100.0, 20.0); (100.0, 40.0); (100.0, 80.0) ]
 
-(* Same coarse-grained parallelism as fig09: the NE search per grid point
-   is adaptive, so one worker per grid point. *)
-let points (ctx : Common.ctx) =
-  let n = Fig09.flows_of_mode ctx.mode in
-  let grid =
-    List.concat_map
-      (fun (mbps, rtt_ms) ->
-        List.map (fun buffer_bdp -> (mbps, rtt_ms, buffer_bdp)) (buffers ctx.mode))
-      (settings ctx.mode)
-  in
-  let point_ctx = Common.sequential ctx in
-  Sim_engine.Exec.map_list ~jobs:ctx.jobs
-    (fun (mbps, rtt_ms, buffer_bdp) ->
-      let params = Ccmodel.Params.of_paper_units ~mbps ~buffer_bdp ~rtt_ms in
-      let region = Ccmodel.Ne.nash_region params ~n in
-      let observed =
-        List.map
-          (fun k -> n - k)
-          (Fig09.observed_ne ~ctx:point_ctx ~mbps ~rtt_ms ~buffer_bdp
-             ~other:"bbr2" ~n)
-      in
-      {
-        mbps;
-        rtt_ms;
-        buffer_bdp;
-        n;
-        region_sync = region.cubic_at_ne_sync;
-        region_desync = region.cubic_at_ne_desync;
-        observed_bbr2 = observed;
-      })
-    grid
-
 let run (ctx : Common.ctx) : Common.table =
-  let points = points ctx in
+  let points =
+    Fig09.points ~other:"bbr2" ~settings:(settings ctx.mode)
+      ~buffers:(buffers ctx.mode) ctx
+  in
   let n = Fig09.flows_of_mode ctx.mode in
   (* The paper's comparison: BBRv2's NE should not have fewer CUBIC flows
      than the BBR region's lower bound. *)
   let at_least_as_cubic =
     List.filter
-      (fun p ->
+      (fun (p : Fig09.point) ->
         List.exists
           (fun k ->
             float_of_int k
-            >= Float.min p.region_sync p.region_desync
+            >= Float.min p.predicted_sync p.predicted_desync
                -. (0.15 *. float_of_int p.n))
-          p.observed_bbr2)
+          p.observed)
       points
   in
   {
@@ -82,14 +43,14 @@ let run (ctx : Common.ctx) : Common.table =
         "bbr_region_desynch"; "bbr2_observed(#cubic)" ];
     rows =
       List.map
-        (fun p ->
+        (fun (p : Fig09.point) ->
           [
             Common.cell p.mbps;
             Common.cell p.rtt_ms;
             Common.cell p.buffer_bdp;
-            Common.cell p.region_sync;
-            Common.cell p.region_desync;
-            Fig09.string_of_observed p.observed_bbr2;
+            Common.cell p.predicted_sync;
+            Common.cell p.predicted_desync;
+            Fig09.string_of_observed p.observed;
           ])
         points;
     notes =

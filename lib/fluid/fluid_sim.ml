@@ -4,8 +4,6 @@ type flow_spec = { kind : kind; rtt : Sim_engine.Units.seconds }
 
 type sync_mode = Synchronized | Desynchronized | Stochastic of float
 
-type stepper = Rounds | Heun
-
 type config = {
   capacity_bps : Sim_engine.Units.rate_bps;
   buffer_bytes : Sim_engine.Units.byte_count;
@@ -16,7 +14,6 @@ type config = {
   dt : Sim_engine.Units.seconds;
   seed : int;
   trace_period : Sim_engine.Units.seconds;  (* 0. = no trace *)
-  stepper : stepper;
 }
 
 let mss = float_of_int Sim_engine.Units.mss
@@ -37,7 +34,6 @@ let default_config =
     dt = Sim_engine.Units.ms 2.0;
     seed = 1;
     trace_period = Sim_engine.Units.seconds 0.0;
-    stepper = Rounds;
   }
 
 (* --- CCA-name mapping (the one place registry names meet fluid kinds) --- *)
@@ -121,7 +117,6 @@ type arena = {
   warmup : float;
   window : float;  (* duration - warmup *)
   nsteps : int;
-  heun : bool;
   sync : sync_mode;
   uniform : bool;  (* all flow RTTs equal: closed-form queue solve *)
   all_cubic : bool;  (* no BBR flows: skip the estimator pass *)
@@ -158,8 +153,6 @@ type arena = {
   (* accounting *)
   delivered : float array;  (* bytes in measurement window *)
   rate : float array;  (* this step's per-flow throughput, bytes/s *)
-  w_save : float array;  (* Heun predictor snapshots of w / w_cur *)
-  w_cur_save : float array;
 }
 
 let make_arena (c : config) =
@@ -219,7 +212,6 @@ let make_arena (c : config) =
     warmup;
     window = duration -. warmup;
     nsteps = int_of_float (Float.round (duration /. dt));
-    heun = (match c.stepper with Heun -> true | Rounds -> false);
     sync = c.sync;
     uniform = !uniform;
     all_cubic = !all_cubic;
@@ -259,8 +251,6 @@ let make_arena (c : config) =
     last_backoff = flows neg_infinity;
     delivered = flows 0.0;
     rate = flows 0.0;
-    w_save = flows 0.0;
-    w_cur_save = flows 0.0;
   }
 
 let[@inline] cubic_window (st : arena) i ~now =
@@ -379,16 +369,12 @@ let apply_losses (st : arena) ~step =
 
 (* The fused integrator: advances the run through steps [from, until) of
    its time grid. Every per-spec invariant (capacity, dt, flow count,
-   uniformity, Heun flag) and accumulator lives in a local across all
-   steps instead of being re-read per step. Each step runs two passes over
-   the flows: windows (with the queue fixed point solved between passes —
+   uniformity) and accumulator lives in a local across all steps instead
+   of being re-read per step. Each step runs two passes over the flows:
+   windows (with the queue fixed point solved between passes —
    closed-form for the uniform-RTT shape, warm-started Newton otherwise)
    and fused rates/accounting; all-CUBIC specs skip the estimator
    machinery entirely.
-
-   With the Heun stepper the predictor's stage is discarded and re-taken
-   under the midpoint of the old and predicted delays, damping the
-   dt-sized lag of the explicit round step.
 
    Zero-alloc: registered under the A1 verifier in hotpaths.sexp; traced
    runs are driven in per-step segments by [run] so the sample consing
@@ -401,7 +387,6 @@ let run_spec (st : arena) ~from ~until =
   let buffer = st.buffer in
   let swarmup = st.warmup in
   let fair = st.fair in
-  let heun = st.heun in
   let uniform = st.uniform in
   let all_cubic = st.all_cubic in
   let cap_rtt0 = st.cap_rtt0 in
@@ -412,7 +397,6 @@ let run_spec (st : arena) ~from ~until =
   let slow_start = st.slow_start in
   let delivered = st.delivered in
   let rate_a = st.rate in
-  let nstages = if heun then 2 else 1 in
   let prev_qdelay = ref acc.prev_qdelay in
   let q_prev = ref acc.q_prev in
   let queue_integral = ref acc.queue_integral in
@@ -421,58 +405,41 @@ let run_spec (st : arena) ~from ~until =
     let now = float_of_int step *. dt in
     (* 1. Desired in-flight per flow from the effective queuing delay,
        and the queue fixed point at those windows. *)
-    if heun then begin
-      Array.blit w 0 st.w_save 0 n;
-      Array.blit st.w_cur 0 st.w_cur_save 0 n
-    end;
-    let q_star = ref 0.0 in
-    for stage = 1 to nstages do
-      let qdelay =
-        if stage = 1 then !prev_qdelay
+    let qdelay = !prev_qdelay in
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      (match kinds.(i) with
+      | Cubic ->
+        if slow_start.(i) then
+          (* Doubling per (inflated) RTT until the first loss. *)
+          w.(i) <- w.(i) *. Float.exp2 (dt /. (rtt.(i) +. qdelay))
+        else w.(i) <- cubic_window st i ~now
+      | Bbr | Bbr2 ->
+        if now < st.probing_until.(i) then w.(i) <- 4.0 *. mss
         else begin
-          (* Heun corrector: rewind and re-take the step under the
-             midpoint of the old and predicted delays. *)
-          Array.blit st.w_save 0 w 0 n;
-          Array.blit st.w_cur_save 0 st.w_cur 0 n;
-          0.5 *. (!prev_qdelay +. (fmin !q_star buffer *. inv_capacity))
-        end
-      in
-      let sum = ref 0.0 in
-      for i = 0 to n - 1 do
-        (match kinds.(i) with
-        | Cubic ->
-          if slow_start.(i) then
-            (* Doubling per (inflated) RTT until the first loss. *)
-            w.(i) <- w.(i) *. Float.exp2 (dt /. (rtt.(i) +. qdelay))
-          else w.(i) <- cubic_window st i ~now
-        | Bbr | Bbr2 ->
-          if now < st.probing_until.(i) then w.(i) <- 4.0 *. mss
-          else begin
-            let btlbw = st.btlbw.(i) in
-            let cap = 2.0 *. btlbw *. st.rtprop.(i) in
-            let cap =
-              match kinds.(i) with
-              | Bbr2 -> fmin cap st.inflight_hi.(i)
-              | Cubic | Bbr -> cap
-            in
-            (* The in-flight cap applies immediately (it is a cwnd
-               bound); growth toward a raised cap is limited by the
-               pacing surplus of the ProbeBW up-phases (~0.25·btlbw). *)
-            let wc = st.w_cur.(i) in
-            let wc =
-              if wc > cap then cap
-              else fmin cap (wc +. (0.25 *. btlbw *. dt))
-            in
-            st.w_cur.(i) <- wc;
-            w.(i) <- fmax (4.0 *. mss) wc
-          end);
-        sum := !sum +. w.(i)
-      done;
-      q_star :=
-        (if uniform then fmax 0.0 (!sum -. cap_rtt0)
-         else Queue_fixpoint.solve ~capacity ~w ~rtt ~n ~init:!q_prev)
+          let btlbw = st.btlbw.(i) in
+          let cap = 2.0 *. btlbw *. st.rtprop.(i) in
+          let cap =
+            match kinds.(i) with
+            | Bbr2 -> fmin cap st.inflight_hi.(i)
+            | Cubic | Bbr -> cap
+          in
+          (* The in-flight cap applies immediately (it is a cwnd bound);
+             growth toward a raised cap is limited by the pacing surplus
+             of the ProbeBW up-phases (~0.25·btlbw). *)
+          let wc = st.w_cur.(i) in
+          let wc =
+            if wc > cap then cap else fmin cap (wc +. (0.25 *. btlbw *. dt))
+          in
+          st.w_cur.(i) <- wc;
+          w.(i) <- fmax (4.0 *. mss) wc
+        end);
+      sum := !sum +. w.(i)
     done;
-    let q_star = !q_star in
+    let q_star =
+      if uniform then fmax 0.0 (!sum -. cap_rtt0)
+      else Queue_fixpoint.solve ~capacity ~w ~rtt ~n ~init:!q_prev
+    in
     q_prev := q_star;
     let overflowing = q_star > buffer in
     let q = if overflowing then buffer else q_star in

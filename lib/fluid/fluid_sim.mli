@@ -39,17 +39,6 @@ type sync_mode =
   | Desynchronized
   | Stochastic of float  (** Per-flow back-off probability on overflow. *)
 
-type stepper =
-  | Rounds
-      (** The event-driven round stepping: one explicit step per [dt], loss
-          rounds applied at buffer overflow. The historical path — golden
-          CSVs and the differential grid are blessed against it. *)
-  | Heun
-      (** A fixed-step two-stage (predictor/corrector) integrator of the
-          same dynamics: each step is re-taken under the midpoint queuing
-          delay, damping the one-[dt] feedback lag of {!Rounds} at coarse
-          [dt]. Loss rounds are still discrete. *)
-
 type config = {
   capacity_bps : Sim_engine.Units.rate_bps;
   buffer_bytes : Sim_engine.Units.byte_count;
@@ -61,12 +50,11 @@ type config = {
   seed : int;
   trace_period : Sim_engine.Units.seconds;
       (** Record a {!trace_sample} this often; 0 = off. *)
-  stepper : stepper;
 }
 
 val default_config : config
 (** 100 Mbps, 10 BDP at 40 ms, 1 CUBIC vs 1 BBR, synchronized, 60 s with
-    20 s warm-up, dt 2 ms, seed 1, {!Rounds} stepping. *)
+    20 s warm-up, dt 2 ms, seed 1. *)
 
 (** {1 Registry-name mapping}
 

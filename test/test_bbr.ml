@@ -1,7 +1,7 @@
 let mss = 1500
 
 let make () =
-  Cca.Bbr.make ~mss ~rng:(Sim_engine.Rng.create 1) ()
+  Cca.Bbr.make ~variant:Cca.Bbr.V1 ~mss ~rng:(Sim_engine.Rng.create 1) ()
 
 (* Drive the flow at a steady delivery rate so the state machine advances:
    [rate] bytes/s, [rtt] seconds, rounds advance per call batch. *)

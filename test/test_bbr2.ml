@@ -1,6 +1,7 @@
 let mss = 1500
 
-let make () = Cca.Bbr2.make ~mss ~rng:(Sim_engine.Rng.create 1) ()
+let make () =
+  Cca.Bbr.make ~variant:Cca.Bbr.V2 ~mss ~rng:(Sim_engine.Rng.create 1) ()
 
 let to_probe_bw cc =
   let _ =

@@ -4,7 +4,7 @@
    window finite, positive and above the conventional floor, with a pacing
    rate that is either nan (ACK-clocked) or strictly positive. BBR-family
    algorithms must additionally visit ProbeRTT once their RTprop estimate
-   ages out. *)
+   ages out, and their trajectories through these scripts are pinned. *)
 
 open Cca.Cc_types
 
@@ -29,8 +29,7 @@ let check_sane name (cc : t) ~context =
     Alcotest.failf "%s: pacing rate %g not positive %s" name pacing context
 
 (* Grow for a while, hit a burst of losses, then recover. *)
-let scenario_loss_burst name =
-  let cc = make name in
+let scenario_loss_burst name cc =
   let now, round =
     Cca_driver.feed_rounds cc ~rounds:20 ~per_round:10 ~rtt:0.04 ~rate:2e6
       ~start_now:0.0 ~start_round:0
@@ -63,8 +62,7 @@ let scenario_loss_burst name =
 
 (* A sudden 5x RTT increase (path change / bufferbloat) must not produce
    NaN or a collapse below the floor. *)
-let scenario_rtt_step name =
-  let cc = make name in
+let scenario_rtt_step name cc =
   let now, round =
     Cca_driver.feed_rounds cc ~rounds:20 ~per_round:10 ~rtt:0.04 ~rate:2e6
       ~start_now:0.0 ~start_round:0
@@ -78,8 +76,7 @@ let scenario_rtt_step name =
 
 (* App-limited idling: tiny ACK volume, rate samples flagged app-limited.
    The window must stay sane and the flags must not poison rate state. *)
-let scenario_app_limited_idle name =
-  let cc = make name in
+let scenario_app_limited_idle name cc =
   let now, _ =
     Cca_driver.feed_rounds cc ~rounds:10 ~per_round:10 ~rtt:0.04 ~rate:2e6
       ~start_now:0.0 ~start_round:0
@@ -98,34 +95,101 @@ let test_matrix () =
     (fun name ->
       Alcotest.(check bool) (name ^ " registered") true
         (List.mem name (Cca.Registry.names ()));
-      scenario_loss_burst name;
-      scenario_rtt_step name;
-      scenario_app_limited_idle name)
+      scenario_loss_burst name (make name);
+      scenario_rtt_step name (make name);
+      scenario_app_limited_idle name (make name))
     conformance_names
 
 (* BBR-family: RTprop expires after ~10 s of samples above the minimum, so
-   a long steady drive must pass through ProbeRTT at least once. *)
+   a long steady drive must pass through ProbeRTT at least once. Returns
+   whether it did. *)
+let drive_probe_rtt cc =
+  let now, round =
+    Cca_driver.feed_rounds cc ~rounds:10 ~per_round:10 ~rtt:0.04 ~rate:2e6
+      ~start_now:0.0 ~start_round:0
+  in
+  let seen = ref false in
+  let now = ref now and round = ref round in
+  for _ = 1 to 300 do
+    incr round;
+    now := !now +. 0.05;
+    for i = 0 to 9 do
+      cc.on_ack
+        (Cca_driver.ack ~now:!now ~rtt:0.05 ~rate:2e6 ~round:!round
+           ~round_start:(i = 0) ~inflight:(10 * mss) ())
+    done;
+    if String.equal (cc.state ()) "ProbeRTT" then seen := true
+  done;
+  !seen
+
 let test_probe_rtt_entered () =
   List.iter
     (fun name ->
+      Alcotest.(check bool) (name ^ " visited ProbeRTT") true
+        (drive_probe_rtt (make name)))
+    [ "bbr"; "bbr2" ]
+
+(* [cc] with every ACK and loss followed by a line of the state it leaves
+   behind: mode, cwnd and pacing rate, the floats in hex so every bit
+   counts. *)
+let recording buf cc =
+  let record () =
+    Printf.bprintf buf "%s %h %h\n" (cc.state ()) (cc.cwnd_bytes ())
+      (cc.pacing_rate ())
+  in
+  {
+    cc with
+    on_ack =
+      (fun a ->
+        cc.on_ack a;
+        record ());
+    on_loss =
+      (fun l ->
+        cc.on_loss l;
+        record ());
+  }
+
+(* MD5 of the recorded trajectory of [name] through the four scripts
+   above, each on a fresh instance. *)
+let trajectory_digest name =
+  let buf = Buffer.create 65536 in
+  let fresh () = recording buf (make name) in
+  scenario_loss_burst name (fresh ());
+  scenario_rtt_step name (fresh ());
+  scenario_app_limited_idle name (fresh ());
+  ignore (drive_probe_rtt (fresh ()) : bool);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Every state, window and pacing rate of the BBR family through the
+   scripts, pinned bit for bit. The scripts send their first ACK at
+   0.04 s, before any RTprop could expire. *)
+let pinned_trajectories =
+  [
+    ("bbr", "7f22ff62876f0fd2cea0d455677b067c");
+    ("bbr2", "af096f33ce8831e03f3f8b38501f710c");
+  ]
+
+let test_pinned_trajectories () =
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) (name ^ " trajectory") digest
+        (trajectory_digest name))
+    pinned_trajectories
+
+(* A first ACK long after construction, as for a flow that joins a run
+   late, finds no RTprop estimate yet: nothing has expired, so the flow
+   stays in Startup. *)
+let test_late_first_ack_stays_in_startup () =
+  List.iter
+    (fun name ->
       let cc = make name in
-      let now, round =
-        Cca_driver.feed_rounds cc ~rounds:10 ~per_round:10 ~rtt:0.04 ~rate:2e6
-          ~start_now:0.0 ~start_round:0
-      in
-      let seen = ref false in
-      let now = ref now and round = ref round in
-      for _ = 1 to 300 do
-        incr round;
-        now := !now +. 0.05;
-        for i = 0 to 9 do
-          cc.on_ack
-            (Cca_driver.ack ~now:!now ~rtt:0.05 ~rate:2e6 ~round:!round
-               ~round_start:(i = 0) ~inflight:(10 * mss) ())
-        done;
-        if String.equal (cc.state ()) "ProbeRTT" then seen := true
-      done;
-      Alcotest.(check bool) (name ^ " visited ProbeRTT") true !seen)
+      cc.on_ack
+        (Cca_driver.ack ~now:6.0 ~rtt:0.04 ~rate:1e6 ~round:1 ~round_start:true
+           ());
+      Alcotest.(check string)
+        (Printf.sprintf "%s after a first ACK at 6 s (cwnd %g)" name
+           (cc.cwnd_bytes ()))
+        "Startup" (cc.state ()))
     [ "bbr"; "bbr2" ]
 
 let tests =
@@ -133,4 +197,8 @@ let tests =
     Alcotest.test_case "conformance matrix" `Quick test_matrix;
     Alcotest.test_case "bbr family enters ProbeRTT" `Quick
       test_probe_rtt_entered;
+    Alcotest.test_case "bbr family trajectories pinned" `Quick
+      test_pinned_trajectories;
+    Alcotest.test_case "bbr family late first ACK stays in Startup" `Quick
+      test_late_first_ack_stays_in_startup;
   ]

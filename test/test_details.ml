@@ -6,7 +6,9 @@ let mss = 1500
 (* --- BBR gain cycling --- *)
 
 let test_bbr_gain_cycle_phases () =
-  let cc = Cca.Bbr.make ~mss ~rng:(Sim_engine.Rng.create 3) () in
+  let cc =
+    Cca.Bbr.make ~variant:Cca.Bbr.V1 ~mss ~rng:(Sim_engine.Rng.create 3) ()
+  in
   let _ =
     Cca_driver.feed_rounds cc ~rounds:10 ~per_round:10 ~rtt:0.04 ~rate:1e6
       ~start_now:0.0 ~start_round:0
@@ -34,7 +36,9 @@ let test_bbr_gain_cycle_phases () =
   Alcotest.(check bool) "cruise seen" true (Hashtbl.mem gains 100.0)
 
 let test_bbr_drain_gain_below_one () =
-  let cc = Cca.Bbr.make ~mss ~rng:(Sim_engine.Rng.create 3) () in
+  let cc =
+    Cca.Bbr.make ~variant:Cca.Bbr.V1 ~mss ~rng:(Sim_engine.Rng.create 3) ()
+  in
   (* Reach the bandwidth plateau with in-flight well above one BDP
      (40 kB at 1e6 B/s x 40 ms) so Drain cannot exit immediately. *)
   let _ =

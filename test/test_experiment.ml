@@ -91,6 +91,32 @@ let test_deterministic () =
         b.E.throughput_bps)
     r1.E.per_flow r2.E.per_flow
 
+(* A BBRv2 flow that joins at 8 s holds no RTprop estimate until its first
+   ACK, so that ACK must not read as an expired estimate: the flow may not
+   enter ProbeRTT within its first second. *)
+let test_late_bbr2_no_early_probe_rtt () =
+  let rate_bps = Units.mbps 20.0 and rtt = Units.ms 40.0 in
+  let config =
+    E.config ~seed:3 ~rate_bps
+      ~buffer_bytes:(E.buffer_bytes_of_bdp ~rate_bps ~rtt ~bdp:2.0)
+      ~duration:(Units.seconds 9.0)
+      [
+        E.flow_config ~base_rtt:rtt "cubic";
+        E.flow_config ~base_rtt:rtt ~start_time:(Units.seconds 8.0) "bbr2";
+      ]
+  in
+  let hub = Sim_engine.Trace.create () in
+  let early = ref [] in
+  Sim_engine.Trace.subscribe hub (fun r ->
+      match r.Sim_engine.Trace.event with
+      | Sim_engine.Trace.Cc_state_change { from_state; to_state = "ProbeRTT" }
+        when r.flow = 1 && r.time < 9.0 ->
+        early :=
+          Printf.sprintf "%s->ProbeRTT at %.3f s" from_state r.time :: !early
+      | _ -> ());
+  ignore (E.run ~trace:hub config : E.result);
+  Alcotest.(check (list string)) "no ProbeRTT before 9 s" [] (List.rev !early)
+
 let tests =
   [
     Alcotest.test_case "utilization" `Quick test_utilization_high;
@@ -104,4 +130,6 @@ let tests =
     Alcotest.test_case "flow metadata" `Quick test_flow_result_metadata;
     Alcotest.test_case "multi-rtt" `Quick test_multi_rtt_flows;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
+    Alcotest.test_case "late bbr2 skips early ProbeRTT" `Quick
+      test_late_bbr2_no_early_probe_rtt;
   ]
