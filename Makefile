@@ -33,6 +33,8 @@ lint: build
 # twice from one cache and both copies must match the golden one: the cold
 # run must simulate all 22 analytic specs and the warm run none, which
 # smoke-tests the analytic-backend cache path as fig03 does the packet one.
+# The ext-2flow and ext-utility goldens pin the equilibrium check on the
+# 2-flow and the symmetric n-flow game.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
 CHECK_TRACE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-trace
 CHECK_OUT := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-out
@@ -65,6 +67,10 @@ check: build test lint
 	cmp test/golden/evolve_quick.csv "$(CHECK_OUT)/evolve.csv"
 	dune exec bin/repro.exe -- run ext-short --jobs 2 --out "$(CHECK_OUT)"
 	cmp test/golden/ext_short_quick.csv "$(CHECK_OUT)/ext-short.csv"
+	dune exec bin/repro.exe -- run ext-2flow --jobs 2 --out "$(CHECK_OUT)"
+	cmp test/golden/ext_2flow_quick.csv "$(CHECK_OUT)/ext-2flow.csv"
+	dune exec bin/repro.exe -- run ext-utility --jobs 2 --out "$(CHECK_OUT)"
+	cmp test/golden/ext_utility_quick.csv "$(CHECK_OUT)/ext-utility.csv"
 	dune exec bin/repro.exe -- run workload --jobs 1 --out "$(CHECK_OUT)"
 	cmp test/golden/workload_quick.csv "$(CHECK_OUT)/workload.csv"
 	dune exec bin/repro.exe -- run workload --jobs 4 --out "$(CHECK_OUT)"

@@ -1,15 +1,21 @@
 (* Benchmark harness.
 
-   Three sections, all run by default:
+   Six sections, all run by default:
 
-   1. [figures] — regenerates every paper table/figure (quick mode), i.e.
-      the same rows the paper reports. Full paper-scale grids:
-      `dune exec bin/repro.exe -- all --full`.
-   2. [micro] — one Bechamel Test.make per table/figure benchmarking that
+   1. [micro] — one Bechamel Test.make per table/figure benchmarking that
       figure's computational kernel, plus core-substrate kernels.
-   3. [ablations] — the design-choice experiments called out in DESIGN.md:
+   2. [fluid] — the analytic backends: the SoA fluid kernel and the ODE
+      model's 2-flow competition cell.
+   3. [evolve] — the adoption-dynamics step kernel and a full trajectory.
+   4. [workload] — schedule generation and an open-loop churn run.
+   5. [scaling] — wall clock of a fixed simulation batch under growing
+      `--jobs`.
+   6. [ablations] — the design-choice experiments called out in DESIGN.md:
       BBR's 2xBDP in-flight cap, CUBIC's TCP-friendly region, and the fluid
       simulator's CUBIC synchronization modes.
+
+   The paper's tables and figures themselves come from
+   `dune exec bin/repro.exe -- all` (quick) or `all --full`.
 
    Set REPRO_BENCH_SECTIONS to a comma-separated subset (e.g. "micro") to
    run less.
@@ -724,21 +730,12 @@ let scaling_jobs () =
 let sections () =
   match Sys.getenv_opt "REPRO_BENCH_SECTIONS" with
   | None | Some "" ->
-    [ "figures"; "micro"; "fluid"; "evolve"; "workload"; "scaling";
-      "ablations" ]
+    [ "micro"; "fluid"; "evolve"; "workload"; "scaling"; "ablations" ]
   | Some s -> String.split_on_char ',' s
 
 let () =
   let sections = sections () in
   let t0 = Unix.gettimeofday () in (* simlint: allow R1 *)
-  if List.mem "figures" sections then begin
-    Printf.printf "==== Paper tables & figures (quick mode) ====\n\n%!";
-    List.iter
-      (fun entry ->
-        let table = entry.Experiments.Catalog.run Experiments.Common.quick in
-        Experiments.Common.print_table Format.std_formatter table)
-      Experiments.Catalog.all
-  end;
   if List.mem "micro" sections then begin
     Printf.printf "==== Bechamel micro-benchmarks ====\n%!";
     run_bechamel ~baseline:micro_baseline ~section:"micro"

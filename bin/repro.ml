@@ -283,8 +283,14 @@ let backend_arg =
   in
   Arg.(
     value
-    & opt (some backend_conv) None
+    & opt backend_conv Sim_backend.packet
     & info [ "backend" ] ~docv:"NAME" ~doc)
+
+(* The suffix naming an analytic backend in fuzz output; the packet
+   backend is the default and goes unnamed. *)
+let analytic_suffix ~fmt backend =
+  if Sim_check.Fuzz.audited backend then ""
+  else Printf.sprintf fmt (Sim_backend.name backend)
 
 let fuzz_cmd =
   let doc =
@@ -341,32 +347,19 @@ let fuzz_cmd =
           ~doc:"Where to save the (shrunk) failing scenario.")
   in
   let run count seed jobs shrink replay_out fault backend =
-    let analytic =
-      match backend with
-      | Some b when not (String.equal (Sim_backend.name b) "packet") -> Some b
-      | Some _ | None -> None
-    in
-    (match (analytic, fault) with
-    | Some b, Some _ ->
+    if Option.is_some fault && not (Sim_check.Fuzz.audited backend) then begin
       Format.eprintf
         "fuzz: --fault applies to the packet event stream; backend %s has \
          none@."
-        (Sim_backend.name b);
+        (Sim_backend.name backend);
       exit 2
-    | _ -> ());
+    end;
     Format.printf "fuzz: %d scenarios, seed %d, %d jobs%s%s@." count seed jobs
       (match fault with
       | Some f -> Printf.sprintf ", fault=%s" f.Sim_check.Fuzz.fault_name
       | None -> "")
-      (match analytic with
-      | Some b -> Printf.sprintf ", backend=%s" (Sim_backend.name b)
-      | None -> "");
-    let c =
-      match analytic with
-      | Some backend ->
-        Sim_check.Fuzz.backend_campaign ~backend ~jobs ~count ~seed ()
-      | None -> Sim_check.Fuzz.campaign ?fault ~jobs ~count ~seed ()
-    in
+      (analytic_suffix ~fmt:", backend=%s" backend);
+    let c = Sim_check.Fuzz.campaign ?fault ~backend ~jobs ~count ~seed () in
     Format.printf "fuzz: %d/%d passed@." c.passed c.total;
     match c.failures with
     | [] -> ()
@@ -381,10 +374,7 @@ let fuzz_cmd =
         if shrink then begin
           Format.printf "shrinking case %d...@." first.case_index;
           let s =
-            match analytic with
-            | Some backend ->
-              Sim_check.Fuzz.shrink_backend ~backend first.case_scenario
-            | None -> Sim_check.Fuzz.shrink ?fault first.case_scenario
+            Sim_check.Fuzz.shrink ?fault ~backend first.case_scenario
           in
           Format.printf "shrunk to: %s@." (Sim_check.Scenario.describe s);
           s
@@ -392,24 +382,16 @@ let fuzz_cmd =
         else first.case_scenario
       in
       Sim_check.Scenario.save ~path:replay_out scenario;
-      (let outcome =
-         match analytic with
-         | Some backend ->
-           Sim_check.Fuzz.run_scenario_backend ~backend scenario
-         | None -> Sim_check.Fuzz.run_scenario ?fault scenario
-       in
-       match outcome with
-       | Pass -> () (* can't happen: shrink preserves failure *)
-       | outcome ->
-         Format.printf "%s@." (Sim_check.Fuzz.outcome_to_string outcome));
+      (match Sim_check.Fuzz.run_scenario ?fault ~backend scenario with
+      | Pass -> () (* can't happen: shrink preserves failure *)
+      | outcome ->
+        Format.printf "%s@." (Sim_check.Fuzz.outcome_to_string outcome));
       Format.printf "replay saved to %s (repro replay %s%s%s)@." replay_out
         replay_out
         (match fault with
         | Some f -> Printf.sprintf " --fault %s" f.Sim_check.Fuzz.fault_name
         | None -> "")
-        (match analytic with
-        | Some b -> Printf.sprintf " --backend %s" (Sim_backend.name b)
-        | None -> "");
+        (analytic_suffix ~fmt:" --backend %s" backend);
       exit 1
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
@@ -425,17 +407,11 @@ let replay_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
   in
   let run path fault backend =
-    let result =
-      match backend with
-      | Some b when not (String.equal (Sim_backend.name b) "packet") ->
-        if Option.is_some fault then begin
-          Format.eprintf "replay: --fault needs the packet backend@.";
-          exit 2
-        end;
-        Sim_check.Fuzz.replay_backend ~backend:b path
-      | Some _ | None -> Sim_check.Fuzz.replay ?fault path
-    in
-    match result with
+    if Option.is_some fault && not (Sim_check.Fuzz.audited backend) then begin
+      Format.eprintf "replay: --fault needs the packet backend@.";
+      exit 2
+    end;
+    match Sim_check.Fuzz.replay ?fault ~backend path with
     | Error msg ->
       Format.eprintf "replay: %s@." msg;
       exit 2

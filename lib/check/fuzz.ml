@@ -76,7 +76,8 @@ let fault_named name =
    8 Tbps pacing) is absurd for any scenario this generator produces. *)
 let ceilings (_cfg : E.config) = (1e12, 1e12)
 
-let run_scenario ?fault scenario =
+(* The packet backend: the full event stream under the auditor. *)
+let run_audited ?fault scenario =
   let cfg = Scenario.to_config scenario in
   let hub = Tr.create ~ring_capacity:256 () in
   let cwnd_ceiling_bytes, pacing_ceiling_bps = ceilings cfg in
@@ -256,7 +257,7 @@ let check_outcome ~backend scenario (o : Sim_backend.outcome) =
     end
   end
 
-let run_scenario_backend ~backend scenario =
+let run_outcome_checked ~backend scenario =
   let spec = Scenario.to_spec scenario in
   match Sim_backend.run backend spec with
   | exception e -> Crash (Printexc.to_string e)
@@ -266,44 +267,36 @@ let run_scenario_backend ~backend scenario =
     | Some v -> Violation v
     | None -> Pass)
 
-let backend_ccas backend =
-  List.filter
-    (Sim_backend.supports backend)
-    (Cca.Registry.names ())
+let audited backend =
+  String.equal (Sim_backend.name backend) (Sim_backend.name Sim_backend.packet)
 
-let fails_backend ~backend scenario =
-  match run_scenario_backend ~backend scenario with
+let run_scenario ?fault ~backend scenario =
+  if audited backend then run_audited ?fault scenario
+  else if Option.is_some fault then
+    invalid_arg "Fuzz.run_scenario: a fault needs the packet backend"
+  else run_outcome_checked ~backend scenario
+
+let backend_ccas backend =
+  List.filter (Sim_backend.supports backend) (Cca.Registry.names ())
+
+let fails ?fault ~backend scenario =
+  match run_scenario ?fault ~backend scenario with
   | Pass -> false
   | Violation _ | Crash _ -> true
 
-let shrink_backend ~backend scenario =
+let shrink ?fault ~backend scenario =
   let ccas = backend_ccas backend in
   let rec go s budget =
     if budget = 0 then s
     else
       match
-        List.find_opt (fails_backend ~backend)
+        List.find_opt (fails ?fault ~backend)
           (Scenario.shrink_candidates ~ccas s)
       with
       | None -> s
       | Some simpler -> go simpler (budget - 1)
   in
-  if fails_backend ~backend scenario then go scenario 64 else scenario
-
-let fails ?fault scenario =
-  match run_scenario ?fault scenario with
-  | Pass -> false
-  | Violation _ | Crash _ -> true
-
-let shrink ?fault scenario =
-  let rec go s budget =
-    if budget = 0 then s
-    else
-      match List.find_opt (fails ?fault) (Scenario.shrink_candidates s) with
-      | None -> s
-      | Some simpler -> go simpler (budget - 1)
-  in
-  if fails ?fault scenario then go scenario 64 else scenario
+  if fails ?fault ~backend scenario then go scenario 64 else scenario
 
 type case = {
   case_index : int;
@@ -317,35 +310,14 @@ type campaign = {
   failures : case list;
 }
 
-let campaign ?fault ?(jobs = 1) ~count ~seed () =
+let campaign ?fault ~backend ?(jobs = 1) ~count ~seed () =
   if count <= 0 then invalid_arg "Fuzz.campaign: count";
-  let scenarios = Array.of_list (Scenario.generate_batch ~seed ~count ()) in
-  let outcomes = Sim_engine.Exec.map ~jobs (run_scenario ?fault) scenarios in
-  let failures = ref [] in
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Pass -> ()
-      | Violation _ | Crash _ ->
-        failures :=
-          { case_index = i; case_scenario = scenarios.(i); case_outcome = outcome }
-          :: !failures)
-    outcomes;
-  let failures = List.rev !failures in
-  {
-    total = count;
-    passed = count - List.length failures;
-    failures;
-  }
-
-let backend_campaign ~backend ?(jobs = 1) ~count ~seed () =
-  if count <= 0 then invalid_arg "Fuzz.backend_campaign: count";
-  let ccas = backend_ccas backend in
   let scenarios =
-    Array.of_list (Scenario.generate_batch ~ccas ~seed ~count ())
+    Array.of_list
+      (Scenario.generate_batch ~ccas:(backend_ccas backend) ~seed ~count ())
   in
   let outcomes =
-    Sim_engine.Exec.map ~jobs (run_scenario_backend ~backend) scenarios
+    Sim_engine.Exec.map ~jobs (run_scenario ?fault ~backend) scenarios
   in
   let failures = ref [] in
   Array.iteri
@@ -364,12 +336,7 @@ let backend_campaign ~backend ?(jobs = 1) ~count ~seed () =
   let failures = List.rev !failures in
   { total = count; passed = count - List.length failures; failures }
 
-let replay ?fault path =
+let replay ?fault ~backend path =
   match Scenario.load ~path with
   | Error _ as e -> e
-  | Ok scenario -> Ok (scenario, run_scenario ?fault scenario)
-
-let replay_backend ~backend path =
-  match Scenario.load ~path with
-  | Error _ as e -> e
-  | Ok scenario -> Ok (scenario, run_scenario_backend ~backend scenario)
+  | Ok scenario -> Ok (scenario, run_scenario ?fault ~backend scenario)

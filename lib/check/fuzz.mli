@@ -1,12 +1,13 @@
 (** The scenario fuzzer: generate → simulate under the invariant auditor →
     shrink failures to minimal scenarios → save byte-for-byte replays.
 
-    Every simulated case runs fully traced with an {!Audit} attached, a
-    periodic probe calling {!Tcpflow.Sender.check_inflight_invariant} on
-    every sender, and an end-of-run {!Audit.finalize} against the live
-    queue/link counters. Cases are pure functions of their scenario, so
-    campaigns fan out over {!Sim_engine.Exec} worker domains without
-    changing any verdict. *)
+    On the packet backend every case runs fully traced with an {!Audit}
+    attached, a periodic probe calling
+    {!Tcpflow.Sender.check_inflight_invariant} on every sender, and an
+    end-of-run {!Audit.finalize} against the live queue/link counters; the
+    analytic backends are checked on their outcomes (see {!run_scenario}).
+    Cases are pure functions of their scenario, so campaigns fan out over
+    {!Sim_engine.Exec} worker domains without changing any verdict. *)
 
 type outcome =
   | Pass
@@ -31,14 +32,38 @@ val faults : fault list
 
 val fault_named : string -> fault option
 
-val run_scenario : ?fault:fault -> Scenario.t -> outcome
-(** Run one scenario under full instrumentation and return its verdict.
-    Deterministic: equal scenarios (and fault) yield equal outcomes. *)
+(** {1 Backends}
 
-val shrink : ?fault:fault -> Scenario.t -> Scenario.t
+    Every entry point takes the backend to fuzz as a value.
+    {!Sim_backend.packet} runs the audited path above: the case runs fully
+    traced under the {!Audit}, and a [fault] corrupts its event stream.
+    The fluid and ODE backends have no event stream to audit, so their
+    cases check outcome-level invariants instead: every reported field
+    finite, per-flow goodput non-negative and summing to at most capacity
+    (1% headroom), the mean queue within the buffer, the outcome exactly
+    reproducible on a re-run, and — for single-flow scenarios — fluid/ODE
+    parity: both backends re-run with a half-horizon warm-up (excluding
+    their differently-modelled startups) must agree on goodput within 10%
+    of capacity. Violations are reported as {!Audit.violation}s under the
+    [backend-*] invariant ids. A [fault] with an analytic backend raises
+    [Invalid_argument]. *)
+
+val audited : Sim_backend.t -> bool
+(** Whether the backend runs the audited event-stream path (the packet
+    backend), the only one a [fault] applies to. *)
+
+val run_scenario :
+  ?fault:fault -> backend:Sim_backend.t -> Scenario.t -> outcome
+(** Run one scenario on [backend] and return its verdict. An analytic
+    backend runs {!Scenario.to_spec}; its rejection (an unsupported CCA in
+    a hand-written scenario) is a [Crash]. Deterministic: equal scenarios
+    (and fault) yield equal outcomes. *)
+
+val shrink : ?fault:fault -> backend:Sim_backend.t -> Scenario.t -> Scenario.t
 (** Greedily minimize a failing scenario: repeatedly adopt the first
     {!Scenario.shrink_candidates} variant that still fails (any violation
     or crash counts), until none does or the step budget (64) runs out.
+    The simplest-CCA collapse stays within the backend's supported names.
     Returns the input unchanged if it does not fail. *)
 
 type case = {
@@ -54,45 +79,22 @@ type campaign = {
 }
 
 val campaign :
-  ?fault:fault -> ?jobs:int -> count:int -> seed:int -> unit -> campaign
-(** Generate [count] scenarios from [seed] and run them on [jobs] worker
-    domains (default 1). Verdicts are independent of [jobs]. *)
-
-val replay : ?fault:fault -> string -> (Scenario.t * outcome, string) result
-(** [replay path] loads a replay file and re-runs it. *)
-
-(** {1 Analytic-backend fuzzing}
-
-    The fluid and ODE backends have no event stream to audit, so their
-    campaigns check outcome-level invariants instead: every reported field
-    finite, per-flow goodput non-negative and summing to at most capacity
-    (1% headroom), the mean queue within the buffer, the outcome exactly
-    reproducible on a re-run, and — for single-flow scenarios — fluid/ODE
-    parity: both backends re-run with a half-horizon warm-up (excluding
-    their differently-modelled startups) must agree on goodput within 10%
-    of capacity. Violations are reported as {!Audit.violation}s under the
-    [backend-*] invariant ids. *)
-
-val run_scenario_backend : backend:Sim_backend.t -> Scenario.t -> outcome
-(** Run one scenario's {!Scenario.to_spec} on the backend and check the
-    outcome invariants above. A backend rejection (unsupported CCA in a
-    hand-written scenario) is a [Crash]. Deterministic. *)
-
-val shrink_backend : backend:Sim_backend.t -> Scenario.t -> Scenario.t
-(** {!shrink} for backend failures; candidate CCA collapse is restricted
-    to the backend's supported names. *)
-
-val backend_campaign :
+  ?fault:fault ->
   backend:Sim_backend.t ->
   ?jobs:int ->
   count:int ->
   seed:int ->
   unit ->
   campaign
-(** {!campaign} against an analytic backend. Scenario generation is
-    restricted to the backend's supported CCAs, so the same seed draws
-    different (but still deterministic) batches than the packet
-    campaign. *)
+(** Generate [count] scenarios from [seed] over the backend's supported
+    CCAs and run them on [jobs] worker domains (default 1). Verdicts are
+    independent of [jobs]. The packet backend supports every registered
+    CCA; the analytic ones a subset, so the same seed draws different (but
+    still deterministic) batches there. *)
 
-val replay_backend :
-  backend:Sim_backend.t -> string -> (Scenario.t * outcome, string) result
+val replay :
+  ?fault:fault ->
+  backend:Sim_backend.t ->
+  string ->
+  (Scenario.t * outcome, string) result
+(** [replay ~backend path] loads a replay file and re-runs it. *)

@@ -133,7 +133,7 @@ let json_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-(* The event's payload as an ordered field list; shared by both writers. *)
+(* The event's payload as an ordered field list. *)
 let fields = function
   | Send { seq; size; retransmit } ->
     [ ("seq", string_of_int seq); ("size", string_of_int size);
@@ -189,18 +189,8 @@ let to_jsonl r =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let csv_header = "time,flow,event,detail"
-
-let to_csv_row r =
-  Printf.sprintf "%s,%d,%s,%s" (fl r.time) r.flow (event_name r.event)
-    (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) (fields r.event)))
-
 let jsonl_sink oc r =
   output_string oc (to_jsonl r);
-  output_char oc '\n'
-
-let csv_sink oc r =
-  output_string oc (to_csv_row r);
   output_char oc '\n'
 
 (* ---------- rollups ---------- *)

@@ -1,11 +1,11 @@
 (** Structured simulation telemetry: a low-overhead event stream.
 
-    Components (the sender, the bottleneck queue, flow tracers) emit typed
-    {!event}s into a {!t} hub, each stamped with the simulated time and a
-    flow id. A hub retains the most recent events in a bounded ring buffer
-    (for tests and post-mortems) and fans every event out to any number of
-    subscribed sinks (in-memory consumers, or the {!jsonl_sink}/{!csv_sink}
-    file writers used by [repro run --trace]).
+    Components (the sender, the bottleneck queue, congestion-state
+    samplers) emit typed {!event}s into a {!t} hub, each stamped with the
+    simulated time and a flow id. A hub retains the most recent events in a
+    bounded ring buffer (for tests and post-mortems) and fans every event
+    out to any number of subscribed sinks (in-memory consumers, or the
+    {!jsonl_sink} file writer used by [repro run --trace]).
 
     Overhead contract: instrumented components hold a [t option] and guard
     every emission site with a [match] on it, so a run with no trace
@@ -44,7 +44,9 @@ type event =
       pacing_rate : float option;
       delivered_bytes : float;
       cc_state : string;
-    }  (** A periodic congestion-state sample (emitted by [Flow_trace]). *)
+    }
+      (** A periodic congestion-state sample (built by
+          [Tcpflow.Flow_trace.cc_sample]). *)
   | Queue_sample of { queue_bytes : int; queue_packets : int }
       (** Bottleneck occupancy observed at a packet arrival. *)
   | Flow_start of { size_limit_bytes : int }
@@ -100,26 +102,19 @@ val overwritten : t -> int
 (** Records evicted from the ring ([emitted - overwritten] are retained,
     once the ring has wrapped). *)
 
-(** {1 Serialization sinks}
+(** {1 Serialization}
 
-    Both writers are deterministic byte-for-byte: fixed field order, fixed
-    float format — a seeded run traces identically across invocations and
-    worker counts. *)
+    The JSONL writer is deterministic byte-for-byte: fixed field order,
+    fixed float format — a seeded run traces identically across
+    invocations and worker counts. *)
 
 val event_name : event -> string
 
 val to_jsonl : record -> string
 (** One JSON object, no trailing newline. *)
 
-val csv_header : string
-
-val to_csv_row : record -> string
-(** [time,flow,event,detail] where [detail] packs the event's fields as
-    [k=v] pairs joined with [';']. *)
-
 val jsonl_sink : out_channel -> record -> unit
-val csv_sink : out_channel -> record -> unit
-(** [csv_sink] does not write {!csv_header}; the caller does, once. *)
+(** Writes {!to_jsonl} and a newline. *)
 
 (** {1 Rollups} *)
 

@@ -4,8 +4,8 @@
     Two players each choose CUBIC or BBR; payoffs are the measured goodputs
     of the four resulting profiles. The paper's §6 recalls that a NE exists
     in all such 2-flow games; we regenerate the payoff matrix and enumerate
-    the pure equilibria with {!Ccgame.Normal_form} at several buffer
-    depths. *)
+    the pure equilibria with {!Ccgame.Grouped_game} (one group of size 1 per
+    player) at several buffer depths. *)
 
 let mbps = 50.0
 let rtt_ms = 40.0
@@ -29,19 +29,23 @@ let config ~mode ~buffer_bdp profile =
   in
   Runs.config ~mode ~mbps ~rtt_ms ~buffer_bdp ~flows ~seed:2 ()
 
+(* Each player is a group of one whose BBR count (0 or 1) is its strategy
+   index, so a count array is a profile and either CCA's payoff is the
+   player's entry of that profile's row. *)
 let point ~buffer_bdp payoff_of_profile =
-  let payoff profile player =
-    let u0, u1 = payoff_of_profile profile in
-    if player = 0 then u0 else u1
+  let payoff ~group ~counts =
+    let u0, u1 = payoff_of_profile counts in
+    if group = 0 then u0 else u1
   in
-  let game = Ccgame.Normal_form.create ~n_players:2 ~n_strategies:2 ~payoff in
-  let equilibria = Ccgame.Normal_form.pure_equilibria game in
+  let equilibria =
+    Ccgame.Grouped_game.equilibria ~sizes:[| 1; 1 |]
+      { Ccgame.Grouped_game.u_cubic = payoff; u_bbr = payoff }
+  in
   let payoffs =
     List.map
       (fun profile ->
-        ( profile,
-          Common.mbps (Ccgame.Normal_form.payoff game profile 0),
-          Common.mbps (Ccgame.Normal_form.payoff game profile 1) ))
+        let u0, u1 = payoff_of_profile profile in
+        (profile, Common.mbps u0, Common.mbps u1))
       profiles
   in
   { buffer_bdp; payoffs; equilibria }

@@ -59,18 +59,23 @@ let points (ctx : Common.ctx) =
       in
       let game =
         {
-          Ccgame.Symmetric_game.u_cubic =
-            (fun k ->
-              let u, _, _ = sample k in
-              u -. penalty k);
+          Ccgame.Grouped_game.u_cubic =
+            (fun ~group:_ ~counts ->
+              let u, _, _ = sample counts.(0) in
+              u -. penalty counts.(0));
           u_bbr =
-            (fun k ->
-              let _, u, _ = sample k in
-              u -. penalty k);
+            (fun ~group:_ ~counts ->
+              let _, u, _ = sample counts.(0) in
+              u -. penalty counts.(0));
         }
       in
+      let sizes = [| n |] in
+      (* Equilibria come in increasing BBR count, so reversing while
+         counting CUBIC flows yields increasing CUBIC counts. *)
       let ne_cubic =
-        Ccgame.Symmetric_game.equilibria_cubic_counts ~epsilon:0.02 ~n game
+        List.rev_map
+          (Ccgame.Grouped_game.total_cubic ~sizes)
+          (Ccgame.Grouped_game.equilibria ~epsilon:0.02 ~sizes game)
       in
       { weight; ne_cubic })
     weights

@@ -35,9 +35,17 @@ let observed_equilibria ?epsilon ~n ~fair_bps ~payoff ~window () =
            (fun k -> k >= 0 && k <= n)
            (List.init ((2 * window) + 1) (fun i -> crossing - window + i)))
   in
-  let game = { Ccgame.Symmetric_game.u_cubic; u_bbr } in
+  let game =
+    {
+      Ccgame.Grouped_game.u_cubic =
+        (fun ~group:_ ~counts -> u_cubic counts.(0));
+      u_bbr = (fun ~group:_ ~counts -> u_bbr counts.(0));
+    }
+  in
   match
-    List.filter (Ccgame.Symmetric_game.is_equilibrium ?epsilon ~n game)
+    List.filter
+      (fun k ->
+        Ccgame.Grouped_game.is_equilibrium ?epsilon ~sizes:[| n |] game [| k |])
       candidates
   with
   | [] ->
@@ -45,25 +53,6 @@ let observed_equilibria ?epsilon ~n ~fair_bps ~payoff ~window () =
        crossing is where the paper's Eq. (25) places the NE; report it. *)
     [ crossing ]
   | ne -> ne
-
-let backend_payoff ?ctx ~backend ~spec ~other ~rtt ~n () =
-  memoize (fun k ->
-      if k < 0 || k > n then invalid_arg "backend_payoff: k out of range";
-      let flows =
-        List.init (n - k) (fun _ -> { Sim_backend.cca = "cubic"; rtt })
-        @ List.init k (fun _ -> { Sim_backend.cca = other; rtt })
-      in
-      let spec = { spec with Sim_backend.flows } in
-      let outcome =
-        match ctx with
-        | Some ctx -> (
-          match Runs.run_specs ctx backend [ spec ] with
-          | [ o ] -> o
-          | _ -> assert false)
-        | None -> Sim_backend.run_exn backend spec
-      in
-      ( Sim_backend.mean_bps_of_cca outcome "cubic",
-        Sim_backend.mean_bps_of_cca outcome other ))
 
 let packet_payoff ?duration ?warmup ~ctx ~mbps ~rtt_ms ~buffer_bdp ~other ~n
     () =

@@ -2,7 +2,8 @@
     the paper's §4.4 methodology with the §4.1 symmetry reduction: payoffs
     depend only on the BBR-flow count k, the per-flow BBR advantage is
     monotone (decreasing) in k, so the NE neighbourhood can be located by
-    bisection and then verified exactly with {!Ccgame.Symmetric_game}. *)
+    bisection and then verified exactly with {!Ccgame.Grouped_game} as a
+    one-group game. *)
 
 type payoff_fn = int -> float * float
 (** [k ↦ (per-flow CUBIC utility, per-flow BBR utility)] for k BBR flows out
@@ -26,23 +27,6 @@ val observed_equilibria :
     relative no-gain tolerance [epsilon]. When noise leaves no candidate
     passing the check, the fair-share crossing itself is reported (the
     paper's Eq. 25 locator). *)
-
-val backend_payoff :
-  ?ctx:Common.ctx ->
-  backend:Sim_backend.t ->
-  spec:Sim_backend.spec ->
-  other:string ->
-  rtt:Sim_engine.Units.seconds ->
-  n:int ->
-  unit ->
-  payoff_fn
-(** Payoffs measured by any {!Sim_backend}: k flows of [other] vs n−k
-    CUBIC flows, all at [rtt], on [spec]'s bottleneck (its [flows] field
-    is replaced each probe). With [ctx], runs go through
-    {!Runs.run_specs} and hit the ctx's on-disk cache. Memoized.
-    Supersedes the old fluid-only [fluid_payoff]: pass
-    [backend:Sim_backend.fluid] for the historical behavior, or the ODE
-    backend for a deterministic search. *)
 
 val packet_payoff :
   ?duration:Sim_engine.Units.seconds ->

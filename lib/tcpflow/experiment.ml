@@ -120,7 +120,7 @@ type live = {
   net : Netsim.Dumbbell.t;
   senders : Sender.t array;
   sampler : Netsim.Sampler.t;
-  flow_tracers : Flow_trace.t array;
+  stop_sampling : unit -> unit;
   delivered_at_warmup : float array;
   flow_classes : (string * (int -> bool)) list;
   churn : Churn.t option;
@@ -182,18 +182,28 @@ let setup ?trace config =
         Sender.create ~net ~flow:i ~cc ~start_time:f.start_time ?trace ())
       flows
   in
-  (* When traced, every sender also gets a Flow_trace on the shared hub so
-     the event stream carries the same Cc_sample records the ad-hoc tracer
-     would have collected. Untraced runs skip this entirely. *)
-  let flow_tracers =
+  (* When traced, one periodic tick emits a Cc_sample for every static
+     sender, in flow order, from now on. The hub's sinks see each sample and
+     nothing here keeps a copy. Untraced runs skip this entirely. *)
+  let stop_sampling =
     match trace with
-    | None -> [||]
+    | None -> ignore
     | Some hub ->
-      Array.map
-        (fun sender ->
-          Flow_trace.attach ~trace:hub ~sim ~sender
-            ~period:(config.sample_period :> float) ())
-        senders
+      let sampling = ref true in
+      let period = (config.sample_period :> float) in
+      let rec tick () =
+        if !sampling then begin
+          let time = Sim.now sim in
+          Array.iter
+            (fun sender ->
+              Sim_engine.Trace.emit hub ~time ~flow:(Sender.flow sender)
+                (Flow_trace.cc_sample sender))
+            senders;
+          ignore (Sim.schedule sim ~delay:period tick)
+        end
+      in
+      tick ();
+      fun () -> sampling := false
   in
   (* Snapshot delivered bytes at the start of the measurement window. *)
   let delivered_at_warmup = Array.make (Array.length senders) 0.0 in
@@ -221,7 +231,7 @@ let setup ?trace config =
     net;
     senders;
     sampler;
-    flow_tracers;
+    stop_sampling;
     delivered_at_warmup;
     flow_classes;
     churn;
@@ -328,7 +338,7 @@ let finish l =
     }
   in
   Netsim.Sampler.stop sampler;
-  Array.iter Flow_trace.stop l.flow_tracers;
+  l.stop_sampling ();
   result
 
 let run ?trace config = finish (setup ?trace config)

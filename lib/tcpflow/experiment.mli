@@ -118,10 +118,12 @@ type result = {
 }
 
 val run : ?trace:Sim_engine.Trace.t -> config -> result
-(** When [trace] is given, the dumbbell, every sender, and a per-flow
-    {!Flow_trace} all emit into it, so a sink subscribed before [run] sees
-    the full event stream. [trace] deliberately does not participate in
-    {!digest}: tracing must not perturb cache keys or results.
+(** When [trace] is given, the dumbbell and every sender emit into it, and
+    one periodic tick emits a {!Flow_trace.cc_sample} per static flow every
+    [sample_period] from time 0, so a sink subscribed before [run] sees the
+    full event stream. Nothing is retained beyond the hub's own ring. [trace]
+    deliberately does not participate in {!digest}: tracing must not
+    perturb cache keys or results.
 
     Equivalent to [finish (setup ?trace config)]. *)
 
@@ -133,8 +135,9 @@ type live
 
 val setup : ?trace:Sim_engine.Trace.t -> config -> live
 (** Build the simulator, bottleneck, senders, samplers and (when traced)
-    flow tracers for [config] without advancing the clock. Raises
-    [Invalid_argument] when [config.warmup >= config.duration]. *)
+    the congestion-state sampling tick for [config] without advancing the
+    clock. Raises [Invalid_argument] when
+    [config.warmup >= config.duration]. *)
 
 val live_sim : live -> Sim_engine.Sim.t
 val live_net : live -> Netsim.Dumbbell.t
@@ -147,7 +150,7 @@ val live_churn : live -> Churn.t option
 val finish : live -> result
 (** Run the simulation to [config.duration] (a no-op if a caller already
     advanced the clock there via {!live_sim}) and compute the {!result},
-    stopping the samplers and tracers. Call at most once. *)
+    stopping the samplers and the sampling tick. Call at most once. *)
 
 val throughput_of_cca : result -> string -> float list
 (** Per-flow goodputs (bits/s) of all flows running the named CCA. *)

@@ -22,26 +22,28 @@ type t = {
          afresh every period. *)
 }
 
+let cc_sample sender =
+  let cc = Sender.cc sender in
+  Tr.Cc_sample
+    {
+      cwnd_bytes = cc.Cca.Cc_types.cwnd_bytes ();
+      inflight_bytes = Sender.inflight_bytes sender;
+      pacing_rate =
+        (* The CCA API is nan-sentinel (hot path); the trace schema keeps
+           the option. *)
+        (let r = cc.Cca.Cc_types.pacing_rate () in
+         if Float.is_nan r then None else Some r);
+      delivered_bytes = Sender.delivered_bytes sender;
+      cc_state = cc.Cca.Cc_types.state ();
+    }
+
 (* The tick only *emits* a [Cc_sample] event; the tracer's own sample list
    and cwnd series fill in through its hub subscription, so the event
    stream is the single data path and any other sink on the hub (JSONL
    writer, metrics rollup) sees exactly what the tracer records. *)
 let sample t =
-  let now = Sim_engine.Sim.now t.sim in
-  let cc = Sender.cc t.sender in
-  Tr.emit t.trace ~time:now ~flow:(Sender.flow t.sender)
-    (Tr.Cc_sample
-       {
-         cwnd_bytes = cc.Cca.Cc_types.cwnd_bytes ();
-         inflight_bytes = Sender.inflight_bytes t.sender;
-         pacing_rate =
-           (* The CCA API is nan-sentinel (hot path); the trace schema keeps
-              the option. *)
-           (let r = cc.Cca.Cc_types.pacing_rate () in
-            if Float.is_nan r then None else Some r);
-         delivered_bytes = Sender.delivered_bytes t.sender;
-         cc_state = cc.Cca.Cc_types.state ();
-       })
+  Tr.emit t.trace ~time:(Sim_engine.Sim.now t.sim) ~flow:(Sender.flow t.sender)
+    (cc_sample t.sender)
 
 let tick t =
   if t.running then begin

@@ -22,6 +22,11 @@ type sample = {
   cc_state : string;
 }
 
+val cc_sample : Sender.t -> Sim_engine.Trace.event
+(** The [Cc_sample] event for the sender's congestion state right now. The
+    one place that record is built: a tracer's tick emits it, and so does
+    the sampling tick of a traced {!Experiment}. *)
+
 val attach :
   ?trace:Sim_engine.Trace.t ->
   sim:Sim_engine.Sim.t ->

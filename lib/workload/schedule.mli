@@ -1,7 +1,7 @@
 (** Typed flow schedules: the output of an arrival process x size
-    distribution x traffic pattern, and the shared representation consumed by
-    the lifecycle layer ([Tcpflow.Churn]), the fuzzer and the workload
-    experiments.
+    distribution, one transfer per arrival, and the shared representation
+    consumed by the lifecycle layer ([Tcpflow.Churn]), the fuzzer and the
+    workload experiments.
 
     Generation is deterministic: the same parameters and the same RNG state
     produce a byte-identical schedule ({!to_string}), independently of
@@ -10,17 +10,7 @@
 type item = { arrival_s : float; size_bytes : int }
 type t = item array
 
-type pattern =
-  | Single  (** one transfer per arrival *)
-  | Request_response of { request_bytes : int; think_s : float }
-      (** a fixed-size request at the arrival instant, then a size-drawn
-          response [think_s] later *)
-  | Dash of { segments : int; gap_s : float }
-      (** a DASH-style session: [segments] size-drawn transfers spaced
-          [gap_s] apart *)
-
 val generate :
-  ?pattern:pattern ->
   arrival:Arrival.t ->
   sizes:Dist.t ->
   horizon_s:float ->
@@ -30,10 +20,10 @@ val generate :
 (** Seed-split mode (the default for experiments): two independent
     sub-streams are split off [rng], one for arrival gaps and one for sizes,
     so changing the size distribution cannot move an arrival instant and vice
-    versa. Transfers starting at or after [horizon_s] are dropped. *)
+    versa. Transfers come in arrival order; those starting at or after
+    [horizon_s] are dropped. *)
 
 val generate_seeded :
-  ?pattern:pattern ->
   arrival:Arrival.t ->
   sizes:Dist.t ->
   horizon_s:float ->

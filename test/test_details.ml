@@ -116,16 +116,6 @@ let test_multi_flow_one_cubic_bounds_coincide () =
   Alcotest.(check (float 1e-6)) "equals 2-flow model" two
     iv.lower_bbr_per_flow_bps
 
-(* --- Best-response tie-breaking --- *)
-
-let test_best_response_tie_smallest_index () =
-  let game =
-    Ccgame.Normal_form.create ~n_players:2 ~n_strategies:2
-      ~payoff:(fun _ _ -> 1.0)
-  in
-  Alcotest.(check int) "ties pick 0" 0
-    (Ccgame.Normal_form.best_response game [| 1; 1 |] ~player:0)
-
 (* --- Sender: Vegas and Copa through the full stack under RED --- *)
 
 let test_delay_based_ccas_under_red () =
@@ -203,8 +193,6 @@ let tests =
       test_ne_all_bbr_when_buffer_tiny;
     Alcotest.test_case "multi-flow degenerate" `Quick
       test_multi_flow_one_cubic_bounds_coincide;
-    Alcotest.test_case "best-response ties" `Quick
-      test_best_response_tie_smallest_index;
     Alcotest.test_case "delay CCAs under RED" `Quick
       test_delay_based_ccas_under_red;
     Alcotest.test_case "fluid trace bbr fields" `Quick

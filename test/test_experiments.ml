@@ -139,33 +139,6 @@ let test_observed_equilibria_all_cubic () =
   in
   Alcotest.(check bool) "contains all-cubic" true (List.mem 0 ne)
 
-let test_backend_payoff () =
-  let rtt = Sim_engine.Units.ms 40.0 in
-  let capacity_bps = Sim_engine.Units.mbps 50.0 in
-  let spec =
-    Sim_backend.spec ~rate_bps:capacity_bps
-      ~buffer_bytes:
-        (Sim_engine.Units.scale 5.0
-           (Sim_engine.Units.bdp_bytes ~rate_bps:capacity_bps ~rtt))
-      ~duration:(Sim_engine.Units.seconds 20.0)
-      ~warmup:(Sim_engine.Units.seconds 5.0)
-      [ { Sim_backend.cca = "cubic"; rtt } ]
-  in
-  List.iter
-    (fun backend ->
-      let payoff =
-        Ne_search.backend_payoff ~backend ~spec ~other:"bbr" ~rtt ~n:4 ()
-      in
-      let u_cubic, u_bbr = payoff 2 in
-      let label s = Sim_backend.name backend ^ " " ^ s in
-      Alcotest.(check bool)
-        (label "both positive") true
-        (u_cubic > 0.0 && u_bbr > 0.0);
-      Alcotest.(check bool)
-        (label "bounded by capacity") true
-        (u_cubic < (capacity_bps :> float) && u_bbr < (capacity_bps :> float)))
-    [ Sim_backend.fluid; Sim_backend.ode ]
-
 (* --- Model-only figure drivers (fast) --- *)
 
 let test_table1_driver () =
@@ -464,7 +437,6 @@ let tests =
       test_observed_equilibria_all_bbr;
     Alcotest.test_case "NE search all-cubic" `Quick
       test_observed_equilibria_all_cubic;
-    Alcotest.test_case "backend payoff" `Quick test_backend_payoff;
     Alcotest.test_case "table1 driver" `Quick test_table1_driver;
     Alcotest.test_case "fig06 driver" `Quick test_fig06_driver;
     Alcotest.test_case "fig06 monotone" `Quick test_fig06_points_monotone;

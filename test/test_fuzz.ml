@@ -6,6 +6,8 @@
 module Scenario = Sim_check.Scenario
 module Fuzz = Sim_check.Fuzz
 
+let packet = Sim_backend.packet
+
 let scenario_eq = Alcotest.testable (Fmt.of_to_string Scenario.to_string) ( = )
 
 let small_scenario =
@@ -95,7 +97,7 @@ let test_shrink_candidates_simpler () =
     candidates
 
 let test_clean_run_passes () =
-  match Fuzz.run_scenario small_scenario with
+  match Fuzz.run_scenario ~backend:packet small_scenario with
   | Fuzz.Pass -> ()
   | o -> Alcotest.failf "clean scenario failed: %s" (Fuzz.outcome_to_string o)
 
@@ -103,7 +105,7 @@ let test_clean_run_passes () =
    attach/detach, completion events) under the auditor's lifecycle checks —
    a clean pass means every invariant held on a real open-loop stream. *)
 let test_clean_churn_run_passes () =
-  match Fuzz.run_scenario churn_scenario with
+  match Fuzz.run_scenario ~backend:packet churn_scenario with
   | Fuzz.Pass -> ()
   | o -> Alcotest.failf "churn scenario failed: %s" (Fuzz.outcome_to_string o)
 
@@ -126,8 +128,8 @@ let test_workload_roundtrip_and_shrink () =
 
 let test_run_deterministic () =
   let fault = Option.get (Fuzz.fault_named "inflight") in
-  let a = Fuzz.run_scenario ~fault small_scenario in
-  let b = Fuzz.run_scenario ~fault small_scenario in
+  let a = Fuzz.run_scenario ~fault ~backend:packet small_scenario in
+  let b = Fuzz.run_scenario ~fault ~backend:packet small_scenario in
   Alcotest.(check string) "same verdict" (Fuzz.outcome_to_string a)
     (Fuzz.outcome_to_string b)
 
@@ -136,7 +138,7 @@ let test_run_deterministic () =
    violation. *)
 let test_fault_caught_shrunk_replayed () =
   let fault = Option.get (Fuzz.fault_named "inflight") in
-  let c = Fuzz.campaign ~fault ~count:3 ~seed:7 () in
+  let c = Fuzz.campaign ~fault ~backend:packet ~count:3 ~seed:7 () in
   Alcotest.(check int) "every case caught" 3 (List.length c.Fuzz.failures);
   let first = List.hd c.Fuzz.failures in
   (match first.Fuzz.case_outcome with
@@ -144,7 +146,7 @@ let test_fault_caught_shrunk_replayed () =
     Alcotest.(check string) "the right invariant" "inflight-mismatch"
       v.Sim_check.Audit.invariant
   | o -> Alcotest.failf "expected a violation, got %s" (Fuzz.outcome_to_string o));
-  let shrunk = Fuzz.shrink ~fault first.Fuzz.case_scenario in
+  let shrunk = Fuzz.shrink ~fault ~backend:packet first.Fuzz.case_scenario in
   Alcotest.(check bool) "shrinks to <= 2 flows" true
     (List.length shrunk.Scenario.flows <= 2);
   let path = Filename.temp_file "fuzz_replay" ".scenario" in
@@ -152,7 +154,10 @@ let test_fault_caught_shrunk_replayed () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Scenario.save ~path shrunk;
-      match (Fuzz.replay ~fault path, Fuzz.run_scenario ~fault shrunk) with
+      match
+        ( Fuzz.replay ~fault ~backend:packet path,
+          Fuzz.run_scenario ~fault ~backend:packet shrunk )
+      with
       | Ok (loaded, replayed), direct ->
         Alcotest.(check scenario_eq) "file preserves scenario" shrunk loaded;
         Alcotest.(check string) "replay = direct run"
@@ -165,15 +170,17 @@ let test_fault_caught_shrunk_replayed () =
       | Error e, _ -> Alcotest.failf "replay failed to load: %s" e)
 
 let test_clean_campaign () =
-  let c = Fuzz.campaign ~count:4 ~seed:3 () in
+  let c = Fuzz.campaign ~backend:packet ~count:4 ~seed:3 () in
   Alcotest.(check int) "total" 4 c.Fuzz.total;
   Alcotest.(check int) "all passed" 4 c.Fuzz.passed;
   Alcotest.(check (list Alcotest.reject)) "no failures" [] c.Fuzz.failures
 
 let test_campaign_jobs_invariant () =
   let fault = Option.get (Fuzz.fault_named "delivered-rewind") in
-  let seq = Fuzz.campaign ~fault ~count:4 ~seed:13 () in
-  let par = Fuzz.campaign ~fault ~jobs:4 ~count:4 ~seed:13 () in
+  let seq = Fuzz.campaign ~fault ~backend:packet ~count:4 ~seed:13 () in
+  let par =
+    Fuzz.campaign ~fault ~backend:packet ~jobs:4 ~count:4 ~seed:13 ()
+  in
   Alcotest.(check int) "same verdicts" seq.Fuzz.passed par.Fuzz.passed;
   Alcotest.(check (list int)) "same failing cases"
     (List.map (fun f -> f.Fuzz.case_index) seq.Fuzz.failures)
@@ -196,7 +203,7 @@ let test_backend_clean_campaign () =
   List.iter
     (fun backend ->
       let c =
-        Fuzz.backend_campaign ~backend ~jobs:2 ~count:6 ~seed:3 ()
+        Fuzz.campaign ~backend ~jobs:2 ~count:6 ~seed:3 ()
       in
       Alcotest.(check int) (Sim_backend.name backend ^ " total") 6 c.Fuzz.total;
       List.iter
@@ -213,14 +220,14 @@ let test_backend_run_deterministic () =
       (Scenario.generate_batch ~ccas:[ "cubic"; "bbr"; "bbr2" ] ~seed:5
          ~count:1 ())
   in
-  let a = Fuzz.run_scenario_backend ~backend:Sim_backend.ode s in
-  let b = Fuzz.run_scenario_backend ~backend:Sim_backend.ode s in
+  let a = Fuzz.run_scenario ~backend:Sim_backend.ode s in
+  let b = Fuzz.run_scenario ~backend:Sim_backend.ode s in
   Alcotest.(check string) "same verdict" (Fuzz.outcome_to_string a)
     (Fuzz.outcome_to_string b)
 
 let test_backend_unsupported_cca_is_crash () =
   (* [small_scenario] runs reno, which the analytic backends reject. *)
-  match Fuzz.run_scenario_backend ~backend:Sim_backend.fluid small_scenario with
+  match Fuzz.run_scenario ~backend:Sim_backend.fluid small_scenario with
   | Fuzz.Crash _ -> ()
   | o ->
     Alcotest.failf "expected a crash on reno, got %s"
@@ -233,7 +240,7 @@ let test_backend_shrink_keeps_passing_scenario () =
          ~count:1 ())
   in
   Alcotest.(check scenario_eq) "no shrink on a passing scenario" s
-    (Fuzz.shrink_backend ~backend:Sim_backend.fluid s)
+    (Fuzz.shrink ~backend:Sim_backend.fluid s)
 
 let tests =
   [

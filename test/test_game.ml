@@ -1,126 +1,120 @@
 open Ccgame
 
-(* --- Normal_form --- *)
+(* --- Two-strategy games between distinguishable players --- *)
+
+(* Each player is a group of size 1 whose BBR count (0 or 1) is its
+   strategy, so a count array is a profile and both payoff functions read
+   the same [payoff profile player]. *)
+let of_profile_payoff payoff =
+  let u ~group ~counts = payoff counts group in
+  { Grouped_game.u_cubic = u; u_bbr = u }
 
 (* Prisoner's dilemma: strategies 0=cooperate, 1=defect. Unique NE: both
    defect. *)
 let prisoners_dilemma =
-  let payoff profile player =
-    match (profile.(player), profile.(1 - player)) with
-    | 0, 0 -> 3.0
-    | 0, _ -> 0.0
-    | 1, 0 -> 5.0
-    | _, _ -> 1.0
-  in
-  Normal_form.create ~n_players:2 ~n_strategies:2 ~payoff
+  of_profile_payoff (fun profile player ->
+      match (profile.(player), profile.(1 - player)) with
+      | 0, 0 -> 3.0
+      | 0, _ -> 0.0
+      | 1, 0 -> 5.0
+      | _, _ -> 1.0)
+
+let two_players = [| 1; 1 |]
 
 let test_pd_equilibrium () =
-  let ne = Normal_form.pure_equilibria prisoners_dilemma in
+  let ne = Grouped_game.equilibria ~sizes:two_players prisoners_dilemma in
   Alcotest.(check int) "unique NE" 1 (List.length ne);
   Alcotest.(check (array int)) "both defect" [| 1; 1 |] (List.hd ne)
 
 let test_pd_is_nash () =
   Alcotest.(check bool) "defect-defect" true
-    (Normal_form.is_nash prisoners_dilemma [| 1; 1 |]);
+    (Grouped_game.is_equilibrium ~sizes:two_players prisoners_dilemma
+       [| 1; 1 |]);
   Alcotest.(check bool) "cooperate-cooperate is not" false
-    (Normal_form.is_nash prisoners_dilemma [| 0; 0 |])
-
-let test_pd_best_response () =
-  Alcotest.(check int) "defect vs cooperator" 1
-    (Normal_form.best_response prisoners_dilemma [| 0; 0 |] ~player:0)
+    (Grouped_game.is_equilibrium ~sizes:two_players prisoners_dilemma
+       [| 0; 0 |])
 
 (* Matching pennies has no pure NE. *)
 let matching_pennies =
-  let payoff profile player =
-    let same = profile.(0) = profile.(1) in
-    if (player = 0 && same) || (player = 1 && not same) then 1.0 else -1.0
-  in
-  Normal_form.create ~n_players:2 ~n_strategies:2 ~payoff
+  of_profile_payoff (fun profile player ->
+      let same = profile.(0) = profile.(1) in
+      if (player = 0 && same) || (player = 1 && not same) then 1.0 else -1.0)
 
 let test_matching_pennies_no_pure_ne () =
   Alcotest.(check int) "no pure NE" 0
-    (List.length (Normal_form.pure_equilibria matching_pennies))
+    (List.length (Grouped_game.equilibria ~sizes:two_players matching_pennies))
 
 let test_coordination_two_ne () =
   (* Pure coordination: payoff 1 when matching, 0 otherwise -> 2 pure NE. *)
   let game =
-    Normal_form.create ~n_players:2 ~n_strategies:2 ~payoff:(fun profile _ ->
+    of_profile_payoff (fun profile _ ->
         if profile.(0) = profile.(1) then 1.0 else 0.0)
   in
-  Alcotest.(check int) "two NE" 2 (List.length (Normal_form.pure_equilibria game))
+  Alcotest.(check (list (array int))) "both matching profiles"
+    [ [| 0; 0 |]; [| 1; 1 |] ]
+    (Grouped_game.equilibria ~sizes:two_players game)
 
 let test_three_player_game () =
   (* Everyone prefers strategy 1 regardless (dominant): unique NE all-1. *)
-  let game =
-    Normal_form.create ~n_players:3 ~n_strategies:2 ~payoff:(fun profile p ->
-        float_of_int profile.(p))
-  in
-  let ne = Normal_form.pure_equilibria game in
+  let game = of_profile_payoff (fun profile p -> float_of_int profile.(p)) in
+  let ne = Grouped_game.equilibria ~sizes:[| 1; 1; 1 |] game in
   Alcotest.(check int) "unique" 1 (List.length ne);
   Alcotest.(check (array int)) "all defect" [| 1; 1; 1 |] (List.hd ne)
 
-let test_memoization_consistent () =
-  let calls = ref 0 in
-  let game =
-    Normal_form.create ~n_players:2 ~n_strategies:2 ~payoff:(fun _ _ ->
-        incr calls;
-        1.0)
-  in
-  ignore (Normal_form.payoff game [| 0; 0 |] 0);
-  ignore (Normal_form.payoff game [| 0; 0 |] 1);
-  ignore (Normal_form.payoff game [| 0; 0 |] 0);
-  Alcotest.(check int) "profile evaluated once (both players)" 2 !calls
-
-(* --- Symmetric_game --- *)
+(* --- Symmetric n-flow games: one group --- *)
 
 (* The paper's shape: u_bbr decreasing in k crossing the fair share, u_cubic
    increasing. Fair share 10; crossing at k*=4. *)
 let paper_like =
   {
-    Symmetric_game.u_cubic = (fun k -> 6.0 +. float_of_int k);
-    u_bbr = (fun k -> 18.0 -. (2.0 *. float_of_int k));
+    Grouped_game.u_cubic =
+      (fun ~group:_ ~counts -> 6.0 +. float_of_int counts.(0));
+    u_bbr = (fun ~group:_ ~counts -> 18.0 -. (2.0 *. float_of_int counts.(0)));
   }
 
+let ten = [| 10 |]
+
+(* One-group equilibria as plain BBR counts. *)
+let bbr_counts ?epsilon ~sizes game =
+  List.map
+    (fun counts -> counts.(0))
+    (Grouped_game.equilibria ?epsilon ~sizes game)
+
 let test_symmetric_ne () =
-  let ne = Symmetric_game.equilibria ~n:10 paper_like in
+  let ne = bbr_counts ~sizes:ten paper_like in
   (* k=4: u_bbr 4 = 10 >= u_cubic 3 = 9; u_cubic 4 = 10 >= u_bbr 5 = 8 ✓ *)
   Alcotest.(check bool) "4 is NE" true (List.mem 4 ne);
   Alcotest.(check bool) "0 is not NE (switching pays)" false (List.mem 0 ne);
   Alcotest.(check bool) "10 is not NE" false (List.mem 10 ne)
 
 let test_symmetric_cubic_counts () =
-  let cubic = Symmetric_game.equilibria_cubic_counts ~n:10 paper_like in
+  let cubic =
+    List.map
+      (Grouped_game.total_cubic ~sizes:ten)
+      (Grouped_game.equilibria ~sizes:ten paper_like)
+  in
   Alcotest.(check bool) "6 cubic at NE" true (List.mem 6 cubic)
 
 let test_symmetric_all_bbr_ne () =
   (* BBR dominates at every mix: the unique NE is all-BBR (paper case 1). *)
   let game =
     {
-      Symmetric_game.u_cubic = (fun _ -> 1.0);
-      u_bbr = (fun _ -> 5.0);
+      Grouped_game.u_cubic = (fun ~group:_ ~counts:_ -> 1.0);
+      u_bbr = (fun ~group:_ ~counts:_ -> 5.0);
     }
   in
-  Alcotest.(check (list int)) "all-BBR" [ 10 ]
-    (Symmetric_game.equilibria ~n:10 game)
+  Alcotest.(check (list int)) "all-BBR" [ 10 ] (bbr_counts ~sizes:ten game)
 
 let test_symmetric_epsilon_widens () =
-  let strict = Symmetric_game.equilibria ~n:10 paper_like in
-  let loose = Symmetric_game.equilibria ~epsilon:0.2 ~n:10 paper_like in
+  let strict = bbr_counts ~sizes:ten paper_like in
+  let loose = bbr_counts ~epsilon:0.2 ~sizes:ten paper_like in
   Alcotest.(check bool) "epsilon adds neighbours" true
     (List.length loose >= List.length strict)
 
 let test_symmetric_validation () =
-  match Symmetric_game.is_equilibrium ~n:10 paper_like 11 with
+  match Grouped_game.is_equilibrium ~sizes:ten paper_like [| 11 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out of range should raise"
-
-let test_of_samples () =
-  let u_cubic = [| 1.0; 2.0; 3.0 |] and u_bbr = [| nan; 5.0; 1.0 |] in
-  let game = Symmetric_game.of_samples ~u_cubic ~u_bbr in
-  Alcotest.(check (float 0.0)) "lookup" 5.0 (game.Symmetric_game.u_bbr 1);
-  match Symmetric_game.of_samples ~u_cubic ~u_bbr:[| 1.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "length mismatch should raise"
 
 (* --- Tolerance --- *)
 
@@ -178,20 +172,18 @@ let test_tolerance_validation () =
   | _ -> Alcotest.fail "negative epsilon should raise"
 
 let test_cubic_counts_ordering () =
-  (* Contract locked by the rev_map simplification: increasing CUBIC
-     counts, one per equilibrium. Widen epsilon so several NE exist and
-     the ordering claim is non-trivial. *)
-  let counts =
-    Symmetric_game.equilibria_cubic_counts ~epsilon:0.3 ~n:10 paper_like
-  in
-  Alcotest.(check bool) "several NE" true (List.length counts > 1);
-  Alcotest.(check (list int)) "increasing order" (List.sort compare counts)
-    counts;
-  Alcotest.(check (list int)) "complements of the BBR counts"
-    (List.sort compare
-       (List.map (fun k -> 10 - k)
-          (Symmetric_game.equilibria ~epsilon:0.3 ~n:10 paper_like)))
-    counts
+  (* One-group equilibria come in increasing BBR count, so reading them
+     back to front gives increasing CUBIC counts (the ext-utility column).
+     Widen epsilon so several NE exist and the ordering claim is
+     non-trivial. *)
+  let ne = Grouped_game.equilibria ~epsilon:0.3 ~sizes:ten paper_like in
+  let bbr = List.map (fun counts -> counts.(0)) ne in
+  Alcotest.(check bool) "several NE" true (List.length ne > 1);
+  Alcotest.(check (list int)) "increasing BBR counts" (List.sort compare bbr)
+    bbr;
+  Alcotest.(check (list int)) "reversed: increasing CUBIC counts"
+    (List.sort compare (List.map (fun k -> 10 - k) bbr))
+    (List.rev_map (Grouped_game.total_cubic ~sizes:ten) ne)
 
 (* --- Grouped_game --- *)
 
@@ -235,28 +227,28 @@ let prop_symmetric_ne_exists_for_monotone =
     (fun (start, slope) ->
       let game =
         {
-          Symmetric_game.u_cubic = (fun k -> 1.0 +. (0.3 *. float_of_int k));
-          u_bbr = (fun k -> start -. (slope *. float_of_int k));
+          Grouped_game.u_cubic =
+            (fun ~group:_ ~counts -> 1.0 +. (0.3 *. float_of_int counts.(0)));
+          u_bbr =
+            (fun ~group:_ ~counts ->
+              start -. (slope *. float_of_int counts.(0)));
         }
       in
-      Symmetric_game.equilibria ~n:20 game <> [])
+      Grouped_game.equilibria ~sizes:[| 20 |] game <> [])
 
 let tests =
   [
     Alcotest.test_case "PD equilibrium" `Quick test_pd_equilibrium;
     Alcotest.test_case "PD is_nash" `Quick test_pd_is_nash;
-    Alcotest.test_case "PD best response" `Quick test_pd_best_response;
     Alcotest.test_case "matching pennies" `Quick
       test_matching_pennies_no_pure_ne;
     Alcotest.test_case "coordination" `Quick test_coordination_two_ne;
     Alcotest.test_case "three players" `Quick test_three_player_game;
-    Alcotest.test_case "memoization" `Quick test_memoization_consistent;
     Alcotest.test_case "symmetric NE" `Quick test_symmetric_ne;
     Alcotest.test_case "cubic counts" `Quick test_symmetric_cubic_counts;
     Alcotest.test_case "all-BBR NE" `Quick test_symmetric_all_bbr_ne;
     Alcotest.test_case "epsilon widens" `Quick test_symmetric_epsilon_widens;
     Alcotest.test_case "symmetric validation" `Quick test_symmetric_validation;
-    Alcotest.test_case "of_samples" `Quick test_of_samples;
     Alcotest.test_case "tolerance basic" `Quick test_tolerance_basic;
     Alcotest.test_case "tolerance zero target" `Quick
       test_tolerance_zero_target;

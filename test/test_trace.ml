@@ -45,9 +45,6 @@ let test_serialization_deterministic () =
   Alcotest.(check string) "jsonl"
     "{\"t\":1.25,\"flow\":3,\"ev\":\"ack\",\"seq\":7,\"rtt\":0.04,\"delivered\":15000,\"inflight\":3000}"
     (Trace.to_jsonl r);
-  Alcotest.(check string) "csv"
-    "1.25,3,ack,seq=7;rtt=0.04;delivered=15000;inflight=3000"
-    (Trace.to_csv_row r);
   let q = record ~time:0.5 ~flow:Trace.link_scope
       (Trace.Queue_sample { queue_bytes = 4500; queue_packets = 3 })
   in
@@ -173,6 +170,40 @@ let test_metrics_agree_with_flow_trace () =
         summary.Trace.Metrics.state_occupancy)
     tracers
 
+(* A traced experiment emits one Cc_sample per static flow per sample
+   period, from time 0, in flow order at each instant. The count is pinned
+   for a fixed 2-flow run: 2 s at 10 ms gives 200 per flow. *)
+let test_experiment_cc_samples_per_flow () =
+  let rate_bps = Units.mbps 10.0 and rtt = Units.ms 20.0 in
+  let config =
+    E.config ~sample_period:(Units.ms 10.0) ~warmup:(Units.seconds 0.5)
+      ~rate_bps
+      ~buffer_bytes:(E.buffer_bytes_of_bdp ~rate_bps ~rtt ~bdp:2.0)
+      ~duration:(Units.seconds 2.0)
+      [ E.flow_config ~base_rtt:rtt "cubic"; E.flow_config ~base_rtt:rtt "bbr" ]
+  in
+  let hub = Trace.create ~ring_capacity:1 () in
+  let samples = ref [] in
+  Trace.subscribe hub (fun r ->
+      match r.Trace.event with
+      | Trace.Cc_sample _ -> samples := (r.Trace.time, r.Trace.flow) :: !samples
+      | _ -> ());
+  let traced = E.run ~trace:hub config in
+  let samples = List.rev !samples in
+  let of_flow f = List.filter (fun (_, flow) -> flow = f) samples in
+  Alcotest.(check int) "flow 0 samples" 200 (List.length (of_flow 0));
+  Alcotest.(check int) "flow 1 samples" 200 (List.length (of_flow 1));
+  Alcotest.(check (float 0.0)) "first sample at 0" 0.0 (fst (List.hd samples));
+  let rec paired = function
+    | (t0, 0) :: (t1, 1) :: rest -> Float.equal t0 t1 && paired rest
+    | [] -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "flow order at each instant" true (paired samples);
+  Alcotest.(check (list (float 0.0))) "tracing leaves results unchanged"
+    (List.map (fun f -> f.E.throughput_bps) (E.run config).E.per_flow)
+    (List.map (fun f -> f.E.throughput_bps) traced.E.per_flow)
+
 (* Trace files written through Runs.eval must be byte-identical across
    invocations and worker counts: same names, same contents. *)
 let eval_traced ~jobs configs =
@@ -256,6 +287,8 @@ let tests =
     Alcotest.test_case "ring buffer wraps" `Quick test_ring_buffer;
     Alcotest.test_case "sinks see everything" `Quick test_sinks_see_everything;
     Alcotest.test_case "serialization" `Quick test_serialization_deterministic;
+    Alcotest.test_case "experiment cc_samples per flow" `Quick
+      test_experiment_cc_samples_per_flow;
     Alcotest.test_case "events match counters" `Quick
       test_events_match_counters;
     Alcotest.test_case "event times monotone" `Quick test_event_times_monotone;

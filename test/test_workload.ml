@@ -197,33 +197,6 @@ let test_schedule_axes_independent () =
         b.(i).Schedule.arrival_s)
     a
 
-let test_patterns () =
-  let arrival = Arrival.Poisson { rate_per_s = 5.0 } in
-  let sizes = Dist.Fixed 20_000 in
-  let rr =
-    Schedule.generate
-      ~pattern:(Schedule.Request_response { request_bytes = 400; think_s = 0.1 })
-      ~arrival ~sizes ~horizon_s:20.0 ~rng:(Rng.create 9) ()
-  in
-  Alcotest.(check bool) "request-response has requests" true
-    (Array.exists (fun it -> it.Schedule.size_bytes = 400) rr);
-  Alcotest.(check bool) "request-response has responses" true
-    (Array.exists (fun it -> it.Schedule.size_bytes = 20_000) rr);
-  let dash =
-    Schedule.generate
-      ~pattern:(Schedule.Dash { segments = 4; gap_s = 0.5 })
-      ~arrival ~sizes ~horizon_s:20.0 ~rng:(Rng.create 9) ()
-  in
-  (* Every DASH session multiplies the arrival into up to [segments]
-     transfers; with a 20 s horizon most sessions are complete. *)
-  Alcotest.(check bool) "dash expands sessions" true
-    (Schedule.count dash > Schedule.count rr / 2);
-  Array.iteri
-    (fun i it ->
-      if i > 0 && dash.(i - 1).Schedule.arrival_s > it.Schedule.arrival_s then
-        Alcotest.fail "dash arrivals not sorted")
-    dash
-
 let test_offered_load () =
   let s = web_schedule ~seed:5 in
   let rate_bps = 50e6 in
@@ -273,7 +246,6 @@ let tests =
       test_schedule_sorted_within_horizon;
     Alcotest.test_case "arrival/size axes independent" `Quick
       test_schedule_axes_independent;
-    Alcotest.test_case "request-response and dash patterns" `Quick test_patterns;
     Alcotest.test_case "offered load" `Quick test_offered_load;
     QCheck_alcotest.to_alcotest prop_schedule_deterministic;
     QCheck_alcotest.to_alcotest prop_mean_size_tolerance;
