@@ -28,8 +28,10 @@ lint: build
 # end — the quick fig03 CSV must match the committed golden copy
 # byte-for-byte (the simulator is deterministic; any diff is a semantics
 # change and must be reviewed by re-blessing test/golden/fig03_quick.csv),
-# a second cached run of fig03 must re-simulate nothing, and a traced run
-# must leave one .jsonl per simulated config. The fluidgrid CSV is produced
+# a second cached run of fig03 must re-simulate nothing, and a traced run of
+# ext-internals (a few short configs, so a few hundred MB of JSONL rather
+# than fig03's 5 GB) must print its trace summary and leave .jsonl and
+# .metrics files. The fluidgrid CSV is produced
 # twice from one cache and both copies must match the golden one: the cold
 # run must simulate all 22 analytic specs and the warm run none, which
 # smoke-tests the analytic-backend cache path as fig03 does the packet one.
@@ -38,6 +40,10 @@ lint: build
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
 CHECK_TRACE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-trace
 CHECK_OUT := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-out
+# `cmd | $(call expect,REGEX)` copies cmd's output to stderr and fails unless
+# a line matches REGEX. It writes through the inherited descriptor (>&2):
+# `tee /dev/stderr` would reopen stderr and truncate a redirected log.
+expect = awk '{ print; fflush() } /$(1)/ { ok = 1 } END { exit !ok }' >&2
 check: build test lint
 	dune exec bench/main.exe -- --alloc-gate
 	rm -rf "$(CHECK_CACHE)" "$(CHECK_TRACE)" "$(CHECK_OUT)"
@@ -45,9 +51,9 @@ check: build test lint
 	  --out "$(CHECK_OUT)"
 	cmp test/golden/fig03_quick.csv "$(CHECK_OUT)/fig03.csv"
 	dune exec bin/repro.exe -- run fig03 --jobs 2 --cache "$(CHECK_CACHE)" \
-	  | tee /dev/stderr | grep -q "; 0 simulated"
-	dune exec bin/repro.exe -- run fig03 --jobs 2 --trace "$(CHECK_TRACE)" \
-	  | tee /dev/stderr | grep -q "fig03 trace: traces="
+	  | $(call expect,; 0 simulated)
+	dune exec bin/repro.exe -- run ext-internals --jobs 2 \
+	  --trace "$(CHECK_TRACE)" | $(call expect,ext-internals trace: traces=)
 	ls "$(CHECK_TRACE)"/*.jsonl > /dev/null
 	ls "$(CHECK_TRACE)"/*.metrics > /dev/null
 	dune exec bin/repro.exe -- run fig01 --jobs 2 --cache "$(CHECK_CACHE)" \
@@ -57,10 +63,10 @@ check: build test lint
 	  --out "$(CHECK_OUT)"
 	cmp test/golden/fig05_quick.csv "$(CHECK_OUT)/fig05.csv"
 	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --cache "$(CHECK_CACHE)" \
-	  --out "$(CHECK_OUT)" | tee /dev/stderr | grep -q "; 22 simulated"
+	  --out "$(CHECK_OUT)" | $(call expect,; 22 simulated)
 	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
 	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --cache "$(CHECK_CACHE)" \
-	  --out "$(CHECK_OUT)" | tee /dev/stderr | grep -q "; 0 simulated"
+	  --out "$(CHECK_OUT)" | $(call expect,; 0 simulated)
 	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
 	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \
 	  --out "$(CHECK_OUT)"

@@ -402,9 +402,9 @@ let alloc_gates =
     ("engine/event-queue-1k", 50, 13_400.0, event_queue_1k);
     ("cca/windowed-max-filter", 50, 9_100.0, windowed_max_filter);
     ("netsim/droptail-queue", 50, 12_800.0, droptail_queue_1k);
-    ("fig08/short-sim-bbr", 3, 570_000.0, short_sim ~other:"bbr");
-    ("fig11/short-sim-bbr2", 3, 562_000.0, short_sim ~other:"bbr2");
-    ("fig07/short-sim-vivace", 3, 650_000.0, short_sim ~other:"vivace");
+    ("fig08/short-sim-bbr", 3, 425_000.0, short_sim ~other:"bbr");
+    ("fig11/short-sim-bbr2", 3, 416_000.0, short_sim ~other:"bbr2");
+    ("fig07/short-sim-vivace", 3, 493_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 70_000.0, ode_2flow);
@@ -428,7 +428,7 @@ let alloc_gates =
        query and on_send boxes one float, and so does the RTO re-arm. A
        breach means the rebind/ACK path started allocating more per
        packet. *)
-    ("workload/churn-6s-40pct", 3, 227_000.0, churn_run);
+    ("workload/churn-6s-40pct", 3, 155_000.0, churn_run);
   ]
 
 let run_alloc_gates () =

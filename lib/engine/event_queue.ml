@@ -184,7 +184,7 @@ let take_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let add t ~time action =
+let add_seq t ~time ~seq action =
   if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
   if t.length = Array.length t.times then grow_heap t;
   let slot = alloc_slot t in
@@ -192,11 +192,13 @@ let add t ~time action =
   t.states.(slot) <- st_queued;
   let i = t.length in
   t.times.(i) <- time;
-  t.seqs.(i) <- take_seq t;
+  t.seqs.(i) <- seq;
   t.slots.(i) <- slot;
   t.length <- i + 1;
   sift_up t i;
   (t.stamps.(slot) lsl slot_bits) lor slot
+
+let add t ~time action = add_seq t ~time ~seq:(take_seq t) action
 
 let cancel t (h : handle) =
   if h >= 0 then begin

@@ -11,7 +11,7 @@
 
 type t
 
-type handle
+type handle [@@immediate]
 (** Identifies a scheduled event so that it can be cancelled. Handles are
     immediate ints (no allocation) and become inert once the event fires
     or is cancelled; they are only meaningful to the queue that issued
@@ -27,6 +27,11 @@ val is_none : handle -> bool
 val add : t -> time:float -> (unit -> unit) -> handle
 (** [add t ~time f] schedules [f] to fire at [time]. [time] must not be
     NaN. *)
+
+val add_seq : t -> time:float -> seq:int -> (unit -> unit) -> handle
+(** [add_seq t ~time ~seq f] is {!add} with a seq drawn earlier by
+    {!take_seq} instead of a fresh one, so that an event can keep the place
+    in the (time, seq) order that its seq gave it. *)
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)

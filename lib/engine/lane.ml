@@ -48,8 +48,9 @@ let refresh_view t =
 let fire_head t =
   let cap = Array.length t.times in
   let h = t.head in
+  (* The vacated cell keeps its payload until a push overwrites it:
+     clearing it would cost a write barrier per pop. *)
   let x = t.items.(h) in
-  t.items.(h) <- t.dummy;
   t.head <- (if h + 1 = cap then 0 else h + 1);
   t.len <- t.len - 1;
   refresh_view t;

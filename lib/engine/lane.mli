@@ -25,7 +25,9 @@ type view = {
     mutable immediates kept current by [push]/[fire]. *)
 
 val create : dummy:'a -> deliver:('a -> unit) -> 'a t
-(** [dummy] fills empty ring cells so popped payloads don't linger. *)
+(** [dummy] fills the ring's never-used cells. A popped payload stays in its
+    cell until a later push overwrites it, so a lane may keep one ring's
+    worth of delivered payloads reachable. *)
 
 val view : 'a t -> view
 

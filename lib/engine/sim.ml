@@ -45,8 +45,78 @@ let schedule t ~delay f =
   schedule_at t ~time:(t.now.(0) +. delay) f
 
 let cancel t h = Event_queue.cancel t.queue h
-let null_handle = Event_queue.none
-let is_null = Event_queue.is_none
+
+(* A resettable timer keeps at most one heap entry. [set] always draws the
+   expiry's seq, exactly as a cancel-then-[schedule] would, but keeps an
+   entry that is due no later than the new deadline: when that entry comes
+   due it re-inserts itself at the recorded (deadline, seq) instead of
+   running the action. An RTO re-armed on every ACK therefore touches the
+   heap about once per timeout interval, not once per ACK, and the action
+   still runs at the same (time, seq) as under the eager scheme. *)
+module Timer = struct
+  type sim = t
+
+  (* All-float, so stored flat: re-arming writes unboxed doubles. *)
+  type times = { mutable deadline : float; mutable entry_time : float }
+
+  type t = {
+    sim : sim;
+    action : unit -> unit;
+    times : times;
+    mutable seq : int;  (* seq of the pending expiry; -1 when not set *)
+    mutable entry : Event_queue.handle;  (* the heap entry, if any *)
+    mutable entry_seq : int;
+    on_due : unit -> unit;  (* the entry's callback, allocated once *)
+  }
+
+  let insert tm =
+    tm.entry <-
+      Event_queue.add_seq tm.sim.queue ~time:tm.times.deadline ~seq:tm.seq
+        tm.on_due;
+    tm.times.entry_time <- tm.times.deadline;
+    tm.entry_seq <- tm.seq
+
+  let fire tm =
+    tm.entry <- Event_queue.none;
+    if tm.entry_seq = tm.seq then begin
+      tm.seq <- -1;
+      tm.action ()
+    end
+    else insert tm
+
+  let create sim action =
+    let rec tm =
+      {
+        sim;
+        action;
+        times = { deadline = infinity; entry_time = infinity };
+        seq = -1;
+        entry = Event_queue.none;
+        entry_seq = -1;
+        on_due = (fun () -> fire tm);
+      }
+    in
+    tm
+
+  let set tm ~delay =
+    if not (delay >= 0.0) then invalid_arg "Sim.Timer.set: negative delay";
+    tm.times.deadline <- tm.sim.now.(0) +. delay;
+    tm.seq <- Event_queue.take_seq tm.sim.queue;
+    if Event_queue.is_none tm.entry then insert tm
+    else if tm.times.entry_time > tm.times.deadline then begin
+      Event_queue.cancel tm.sim.queue tm.entry;
+      insert tm
+    end
+
+  let stop tm =
+    tm.seq <- -1;
+    if not (Event_queue.is_none tm.entry) then begin
+      Event_queue.cancel tm.sim.queue tm.entry;
+      tm.entry <- Event_queue.none
+    end
+
+  let is_set tm = tm.seq >= 0
+end
 
 let lane t ~dummy ~deliver =
   let l = Lane.create ~dummy ~deliver in

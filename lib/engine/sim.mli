@@ -8,7 +8,7 @@
 
     Two scheduling substrates share one global ordering:
     - the {e heap}, for timers and anything cancellable ({!schedule} /
-      {!schedule_at});
+      {!schedule_at}, and resettable {!Timer}s);
     - {e lanes} ({!lane} / {!schedule_packet}), ring-buffered FIFOs for
       elements that deliver in send order (pipes, links, fixed reverse
       paths). Lane scheduling passes the payload as an immediate argument
@@ -20,7 +20,7 @@
 
 type t
 
-type handle
+type handle [@@immediate]
 (** Identifies a heap-scheduled event so it can be cancelled. Handles are
     immediate ints and become inert once the event fires or is
     cancelled. *)
@@ -48,19 +48,42 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 
-val null_handle : handle
-(** A handle referring to no event; {!cancel} on it is a no-op. Use as the
-    rest state of a [mutable handle] field instead of boxing handles in an
-    option. *)
+(** Resettable one-shot timers, for events that are re-armed far more often
+    than they fire, such as a retransmission timeout pushed back on every
+    ACK. *)
+module Timer : sig
+  type sim := t
+  type t
 
-val is_null : handle -> bool
+  val create : sim -> (unit -> unit) -> t
+  (** [create sim f] makes a timer that is not set and runs [f] when it
+      expires. Make one per purpose and re-arm it with {!set}. *)
+
+  val set : t -> delay:float -> unit
+  (** [set tm ~delay] means exactly: cancel the pending expiry, if any,
+      then schedule [f] at [now +. delay] with {!schedule}. The expiry is
+      ordered among same-time events by the seq this call draws. [delay]
+      must be non-negative (NaN rejected). The timer is no longer set when
+      [f] runs, so [f] may set it again.
+
+      A set that does not move the deadline earlier costs no heap
+      operation: the timer keeps its one heap entry, which re-inserts
+      itself at the recorded (deadline, seq) when it comes due, without
+      running [f]. *)
+
+  val stop : t -> unit
+  (** Cancel the pending expiry. No-op if the timer is not set. *)
+
+  val is_set : t -> bool
+  (** Whether an expiry is pending. *)
+end
 
 val lane : t -> dummy:'a -> deliver:('a -> unit) -> 'a lane
 (** Register a delivery lane. [deliver] is the pre-registered callback
-    every payload on this lane is handed to; [dummy] fills empty ring
-    cells. Registration is O(1) amortized and should happen once per
-    network element and delay, not per packet or per flow: every event
-    costs O({!lane_count}). *)
+    every payload on this lane is handed to; [dummy] fills never-used ring
+    cells (see {!Lane.create}). Registration is O(1) amortized and should
+    happen once per network element and delay, not per packet or per flow:
+    every event costs O({!lane_count}). *)
 
 val schedule_packet : t -> 'a lane -> delay:float -> 'a -> unit
 (** [schedule_packet t lane ~delay p] delivers [p] to the lane's callback

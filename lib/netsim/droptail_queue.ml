@@ -144,8 +144,10 @@ exception Empty
 let dequeue_exn t =
   if t.len = 0 then raise Empty;
   let h = t.head in
+  (* No [Packet.dummy] store into the vacated cell: the next enqueue
+     overwrites it, and the stale reference retains nothing, as the packet
+     is still in flight or back in its sender's pool. *)
   let p = t.ring.(h) in
-  t.ring.(h) <- Packet.dummy;
   t.head <- (h + 1) land (Array.length t.ring - 1);
   t.len <- t.len - 1;
   t.bytes <- t.bytes - p.size;
@@ -160,13 +162,13 @@ let occupancy_of_flow t flow =
   if flow >= 0 && flow < Array.length t.per_flow then t.per_flow.(flow)
   else 0
 
-let occupancy_of_flows t pred =
-  let sum = ref 0 in
-  for flow = 0 to Array.length t.per_flow - 1 do
-    let bytes = t.per_flow.(flow) in
-    if bytes <> 0 && pred flow then sum := !sum + bytes
-  done;
-  !sum
+let occupancy_by_class t ~class_of_flow sums =
+  Array.fill sums 0 (Array.length sums) 0;
+  let n = min (Array.length t.per_flow) (Array.length class_of_flow) in
+  for flow = 0 to n - 1 do
+    let c = class_of_flow.(flow) in
+    if c >= 0 then sums.(c) <- sums.(c) + t.per_flow.(flow)
+  done
 
 let length t = t.len
 let is_empty t = t.len = 0

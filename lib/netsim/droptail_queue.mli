@@ -50,8 +50,12 @@ val occupancy_bytes : t -> int
 val occupancy_of_flow : t -> int -> int
 (** Bytes currently queued belonging to the given flow id. *)
 
-val occupancy_of_flows : t -> (int -> bool) -> int
-(** Total bytes queued over flows whose id satisfies the predicate. *)
+val occupancy_by_class : t -> class_of_flow:int array -> int array -> unit
+(** [occupancy_by_class t ~class_of_flow sums] sets [sums.(c)] to the bytes
+    queued over the flows of class [c], in one pass over the per-flow
+    counts. Flow [id] is in class [class_of_flow.(id)]; a negative entry,
+    or an id at or past the array's length, is in no class. Every entry
+    must be below [Array.length sums]. *)
 
 val length : t -> int
 (** Number of queued packets. *)

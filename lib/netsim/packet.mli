@@ -46,7 +46,7 @@ val make :
   t
 
 val dummy : t
-(** Placeholder packet ([flow = -1]) filling empty calendar-lane ring
+(** Placeholder packet ([flow = -1]) filling never-used ring and pool
     cells; it never enters the network. *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,11 +9,17 @@ val create :
   sim:Sim_engine.Sim.t ->
   queue:Droptail_queue.t ->
   period:float ->
-  ?flow_classes:(string * (int -> bool)) list ->
+  ?classes:string array ->
+  ?class_of_flow:int array ->
   unit ->
   t
 (** Starts sampling immediately and then every [period] seconds. Each sample
-    records total occupancy plus one series per named flow class. *)
+    records total occupancy plus one series per named flow class, all
+    classes summed in one pass over the queue's per-flow bytes (see
+    {!Droptail_queue.occupancy_by_class}). Flow [id] belongs to class
+    [classes.(class_of_flow.(id))]; a negative entry, or an id at or past
+    [class_of_flow]'s length, belongs to none. Raises [Invalid_argument] if
+    an entry is not below [Array.length classes]. *)
 
 val stop : t -> unit
 

@@ -57,10 +57,13 @@ let config ?(aqm = Tail_drop) ?(warmup = Units.seconds 0.0)
 
 (* The key under which Exec.Cache stores a run's result. Marshalling the
    whole record means every field — including seed, aqm and the flow list —
-   participates in the digest. *)
+   participates in the digest. [No_sharing] makes the bytes a function of
+   the value alone: with sharing, two [=]-equal configs whose flows do or
+   do not share one boxed float would get different keys. *)
 let digest config =
-  (* simlint: allow R2 *)
-  Digest.to_hex (Digest.string (Marshal.to_string config []))
+  Digest.to_hex
+    (* simlint: allow R2 *)
+    (Digest.string (Marshal.to_string config [ Marshal.No_sharing ]))
 
 let default_config =
   let rate_bps = Units.mbps 100.0 and rtt = Units.ms 40.0 in
@@ -122,7 +125,7 @@ type live = {
   sampler : Netsim.Sampler.t;
   stop_sampling : unit -> unit;
   delivered_at_warmup : float array;
-  flow_classes : (string * (int -> bool)) list;
+  classes : string list;
   churn : Churn.t option;
 }
 
@@ -159,20 +162,20 @@ let setup ?trace config =
     Netsim.Dumbbell.create ~policy ?trace ~sim ~rate_bps:config.rate_bps
       ~buffer_bytes:config.buffer_bytes ~flows:specs ()
   in
-  let cca_of_flow = Array.map (fun f -> f.cca) flows in
-  let flow_classes =
-    (* The bound guard keeps the predicate total once churn flows (ids at
-       and above the static population) share the queue: class series
-       measure the long-lived flows only. *)
-    List.map
-      (fun name ->
-        ( name,
-          fun id -> id < Array.length cca_of_flow && cca_of_flow.(id) = name ))
-      (distinct_ccas config.flows)
+  (* One class per distinct CCA. Churn flows (ids at and above the static
+     population) are in no class: class series measure the long-lived flows
+     only. *)
+  let classes = distinct_ccas config.flows in
+  let class_names = Array.of_list classes in
+  let class_of_flow =
+    Array.map
+      (fun f -> Option.get (Array.find_index (String.equal f.cca) class_names))
+      flows
   in
   let sampler =
     Netsim.Sampler.create ~sim ~queue:(Netsim.Dumbbell.queue net)
-      ~period:(config.sample_period :> float) ~flow_classes ()
+      ~period:(config.sample_period :> float) ~classes:class_names
+      ~class_of_flow ()
   in
   let senders =
     Array.mapi
@@ -233,7 +236,7 @@ let setup ?trace config =
     sampler;
     stop_sampling;
     delivered_at_warmup;
-    flow_classes;
+    classes;
     churn;
   }
 
@@ -248,7 +251,6 @@ let finish l =
   and net = l.net
   and senders = l.senders
   and sampler = l.sampler
-  and flow_classes = l.flow_classes
   and delivered_at_warmup = l.delivered_at_warmup in
   let flows = Array.of_list config.flows in
   Sim.run ~until:(config.duration :> float) sim;
@@ -279,8 +281,8 @@ let finish l =
   and until = (config.duration :> float) in
   let class_stat f =
     List.map
-      (fun (name, _) -> (name, f (Netsim.Sampler.class_series sampler name)))
-      flow_classes
+      (fun name -> (name, f (Netsim.Sampler.class_series sampler name)))
+      l.classes
   in
   let result =
     {

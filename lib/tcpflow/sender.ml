@@ -53,7 +53,8 @@ type t = {
   retx_queue : int Queue.t;
   (* Free pool of recycled packets (a bounded stack): a packet comes back
      when its ACK has been fully processed, so no queue, lane or trace still
-     references it. Dropped packets simply never return. *)
+     reads it (a vacated ring cell may point at it until overwritten).
+     Dropped packets simply never return. A pop leaves its cell as is. *)
   pk_pool : Packet.t array;
   mutable pk_pool_len : int;
   mutable inflight_bytes : int;
@@ -63,15 +64,12 @@ type t = {
   (* Recovery state. *)
   mutable in_recovery : bool;
   mutable recovery_high : int;
-  (* RTO. [rto_handle] is [Sim.null_handle] when unarmed; [rto_cb] is
-     allocated once in [create] so re-arming schedules without closing over
-     [t] afresh. *)
-  mutable rto_handle : Sim.handle;
+  (* Timers, made once in [create] (their actions close over [t]), so
+     re-arming allocates nothing: the RTO, re-armed on every ACK, and the
+     pacing clock. *)
+  mutable rto : Sim.Timer.t;
   mutable rto_backoff : int;  (* consecutive unanswered RTO firings *)
-  mutable rto_cb : unit -> unit;
-  (* Pacing. Same single-allocation discipline as the RTO callback. *)
-  mutable pacing_handle : Sim.handle;
-  mutable pacer_cb : unit -> unit;
+  mutable pacer : Sim.Timer.t;
   (* One scratch [ack_info], refilled per ACK: the float stores land in the
      flat [ack_floats] sub-record, so notifying the CCA allocates nothing.
      Valid only for the duration of the [on_ack] call. *)
@@ -94,8 +92,7 @@ type t = {
   mutable reverse_delay : float;
   mutable recv_cb : Packet.t -> unit;
   mutable ack_cb : Packet.t -> unit;
-  mutable start_handle : Sim.handle;
-  mutable start_cb : unit -> unit;
+  mutable start : Sim.Timer.t;  (* the first tenant's activation *)
 }
 
 let flow t = t.flow
@@ -343,12 +340,9 @@ let rto_base t =
    60 s; a valid ACK resets the backoff. *)
 let rto_interval t = Float.min 60.0 (Float.ldexp (rto_base t) (min t.rto_backoff 16))
 
-let rec arm_rto t =
-  if not (Sim.is_null t.rto_handle) then Sim.cancel t.sim t.rto_handle;
-  t.rto_handle <- Sim.schedule t.sim ~delay:(rto_interval t) t.rto_cb
+let rec arm_rto t = Sim.Timer.set t.rto ~delay:(rto_interval t)
 
 and on_rto t =
-  t.rto_handle <- Sim.null_handle;
   if t.inflight_bytes > 0 then begin
     (* Declare everything in flight lost and restart. *)
     let fired_interval = rto_interval t in
@@ -422,7 +416,6 @@ and transmit t ~seq ~retransmit =
     if t.pk_pool_len > 0 then begin
       t.pk_pool_len <- t.pk_pool_len - 1;
       let p = t.pk_pool.(t.pk_pool_len) in
-      t.pk_pool.(t.pk_pool_len) <- Packet.dummy;
       (* Restamp the flow id: after [rebind] the pool holds packets
          recycled under the slot's previous tenant (late ACK copies keep
          arriving even after the switch). *)
@@ -442,7 +435,7 @@ and transmit t ~seq ~retransmit =
   trace_send t ~seq ~retransmit;
   (* Drops surface later through RACK/RTO, exactly as on a real path. *)
   ignore (Dumbbell.send t.net packet);
-  if Sim.is_null t.rto_handle then arm_rto t
+  if not (Sim.Timer.is_set t.rto) then arm_rto t
 
 and try_send t =
   let now = Sim.now t.sim in
@@ -488,11 +481,9 @@ and send_one t =
   end
 
 and schedule_pacer t =
-  if Sim.is_null t.pacing_handle then begin
-    let now = Sim.now t.sim in
-    let delay = Float.max 0.0 (t.fs.next_send_time -. now) in
-    t.pacing_handle <- Sim.schedule t.sim ~delay t.pacer_cb
-  end
+  if not (Sim.Timer.is_set t.pacer) then
+    Sim.Timer.set t.pacer
+      ~delay:(Float.max 0.0 (t.fs.next_send_time -. Sim.now t.sim))
 
 (* Process the arrival of the ACK generated by the (unique) reception of
    [trig]. *)
@@ -597,14 +588,8 @@ let on_ack_packet t (trig : Packet.t) =
   end;
   note_cc_state t;
   if completed t then begin
-    if not (Sim.is_null t.rto_handle) then begin
-      Sim.cancel t.sim t.rto_handle;
-      t.rto_handle <- Sim.null_handle
-    end;
-    if not (Sim.is_null t.pacing_handle) then begin
-      Sim.cancel t.sim t.pacing_handle;
-      t.pacing_handle <- Sim.null_handle
-    end;
+    Sim.Timer.stop t.rto;
+    Sim.Timer.stop t.pacer;
     (* Transition to [finished] exactly once: the completion event carries
        the FCT, and the owner's callback may tear the flow down and rebind
        this slot, so it runs after all per-ACK state updates. *)
@@ -640,6 +625,7 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
   let seg_limit, size_limit_bytes =
     limits ~mss ~data_limit_bytes ~who:"Sender.create"
   in
+  let unset = Sim.Timer.create sim ignore in
   let t =
     {
       sim;
@@ -692,11 +678,9 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
           round = 0;
           round_start = false;
         };
-      rto_handle = Sim.null_handle;
+      rto = unset;
       rto_backoff = 0;
-      rto_cb = ignore;
-      pacing_handle = Sim.null_handle;
-      pacer_cb = ignore;
+      pacer = unset;
       last_cc_state = cc.Cc.state ();
       lost_segments = 0;
       retransmitted_segments = 0;
@@ -707,15 +691,11 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
       reverse_delay = 0.0;
       recv_cb = ignore;
       ack_cb = ignore;
-      start_handle = Sim.null_handle;
-      start_cb = ignore;
+      start = unset;
     }
   in
-  t.rto_cb <- (fun () -> on_rto t);
-  t.pacer_cb <-
-    (fun () ->
-      t.pacing_handle <- Sim.null_handle;
-      try_send t);
+  t.rto <- Sim.Timer.create sim (fun () -> on_rto t);
+  t.pacer <- Sim.Timer.create sim (fun () -> try_send t);
   (* Receiver: each arriving data packet generates one ACK, which the
      dumbbell's reverse path (a calendar lane shared by every flow with
      this delay) hands back to [ack_cb] after the flow's reverse delay. *)
@@ -724,31 +704,21 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
   t.ack_cb <- (fun packet -> on_ack_packet t packet);
   Dumbbell.set_receiver net ~flow t.recv_cb;
   Dumbbell.set_ack_handler net ~flow t.ack_cb;
-  t.start_cb <-
-    (fun () ->
-      t.start_handle <- Sim.null_handle;
-      let now = Sim.now sim in
-      t.activation_time <- now;
-      t.fs.delivered_time <- now;
-      trace_flow_start t ~now;
-      try_send t);
-  t.start_handle <- Sim.schedule sim ~delay:(start_time :> float) t.start_cb;
+  t.start <-
+    Sim.Timer.create sim (fun () ->
+        let now = Sim.now sim in
+        t.activation_time <- now;
+        t.fs.delivered_time <- now;
+        trace_flow_start t ~now;
+        try_send t);
+  Sim.Timer.set t.start ~delay:(start_time :> float);
   t
 
 let deactivate t =
   if not t.finished then begin
-    if not (Sim.is_null t.start_handle) then begin
-      Sim.cancel t.sim t.start_handle;
-      t.start_handle <- Sim.null_handle
-    end;
-    if not (Sim.is_null t.rto_handle) then begin
-      Sim.cancel t.sim t.rto_handle;
-      t.rto_handle <- Sim.null_handle
-    end;
-    if not (Sim.is_null t.pacing_handle) then begin
-      Sim.cancel t.sim t.pacing_handle;
-      t.pacing_handle <- Sim.null_handle
-    end;
+    Sim.Timer.stop t.start;
+    Sim.Timer.stop t.rto;
+    Sim.Timer.stop t.pacer;
     t.finished <- true
   end
 

@@ -144,6 +144,35 @@ let test_digest_sensitive_to_every_field () =
     (List.length digests)
     (List.length (List.sort_uniq compare digests))
 
+(* Two [=]-equal configs must get one key however their floats are boxed:
+   both flows of [shared] point at one [base_rtt] box, each flow of
+   [separate] has its own. *)
+let test_digest_ignores_sharing () =
+  (* Each call boxes a fresh 40 ms. The inner [opaque_identity] stops the
+     compiler from folding it into one static constant, the outer one from
+     unboxing the binding and boxing it afresh at every use. *)
+  let rtt () =
+    Sys.opaque_identity (Sim_engine.Units.ms (Sys.opaque_identity 40.0))
+  in
+  let flow cca base_rtt =
+    { E.cca; base_rtt; start_time = Sim_engine.Units.seconds 0.0 }
+  in
+  let config flows =
+    E.config ~rate_bps:(Sim_engine.Units.mbps 10.0) ~buffer_bytes:50_000
+      ~duration:(Sim_engine.Units.seconds 2.0) flows
+  in
+  let one = rtt () in
+  let shared = config [ flow "cubic" one; flow "bbr" one ] in
+  let separate = config [ flow "cubic" (rtt ()); flow "bbr" (rtt ()) ] in
+  let rtts c = List.map (fun f -> (f.E.base_rtt :> float)) c.E.flows in
+  (match (rtts shared, rtts separate) with
+  | [ a; b ], [ c; d ] ->
+    Alcotest.(check bool) "shared flows share one box" true (a == b);
+    Alcotest.(check bool) "separate flows have two boxes" false (c == d)
+  | _ -> Alcotest.fail "expected two flows each");
+  Alcotest.(check bool) "configs are equal" true (shared = separate);
+  Alcotest.(check string) "same digest" (E.digest shared) (E.digest separate)
+
 let test_corrupted_cache_falls_back () =
   let dir = fresh_dir () in
   let ctx = Common.ctx ~cache_dir:dir Common.Quick in
@@ -201,6 +230,8 @@ let tests =
       test_cache_dedups_within_batch;
     Alcotest.test_case "digest changes with any field" `Quick
       test_digest_sensitive_to_every_field;
+    Alcotest.test_case "digest ignores heap sharing" `Quick
+      test_digest_ignores_sharing;
     Alcotest.test_case "corrupted cache falls back to live run" `Quick
       test_corrupted_cache_falls_back;
     Alcotest.test_case "raw cache roundtrip" `Quick test_cache_raw_roundtrip;

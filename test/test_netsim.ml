@@ -39,8 +39,10 @@ let test_occupancy_accounting () =
   Alcotest.(check int) "total" 3500 (Droptail_queue.occupancy_bytes q);
   Alcotest.(check int) "flow 0" 1500 (Droptail_queue.occupancy_of_flow q 0);
   Alcotest.(check int) "flow 1" 2000 (Droptail_queue.occupancy_of_flow q 1);
-  Alcotest.(check int) "class" 1500
-    (Droptail_queue.occupancy_of_flows q (fun f -> f = 0));
+  let sums = Array.make 2 0 in
+  (* Flows 0 and 1 in classes 1 and 0; flow 2 (none queued) in no class. *)
+  Droptail_queue.occupancy_by_class q ~class_of_flow:[| 1; 0; -1 |] sums;
+  Alcotest.(check (array int)) "classes" [| 2000; 1500 |] sums;
   ignore (Droptail_queue.dequeue q);
   Alcotest.(check int) "flow 0 after dequeue" 500
     (Droptail_queue.occupancy_of_flow q 0)
@@ -209,9 +211,8 @@ let test_sampler_series () =
   let sim = Sim.create () in
   let q = Droptail_queue.create ~capacity_bytes:1_000_000 () in
   let sampler =
-    Netsim.Sampler.create ~sim ~queue:q ~period:0.01
-      ~flow_classes:[ ("even", fun f -> f mod 2 = 0) ]
-      ()
+    Netsim.Sampler.create ~sim ~queue:q ~period:0.01 ~classes:[| "even" |]
+      ~class_of_flow:[| 0; -1 |] ()
   in
   ignore (Droptail_queue.enqueue q (mk_packet ~flow:0 ~size:1000 ()));
   ignore (Droptail_queue.enqueue q (mk_packet ~flow:1 ~size:500 ()));

@@ -88,6 +88,47 @@ let test_resume_run () =
   Sim.run ~until:4.0 sim;
   Alcotest.(check int) "both fired after resume" 2 !fired
 
+(* Pushed back on every call and then pulled in once: one expiry, at the
+   last deadline, however many sets came before. *)
+let test_timer_reset () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let tm = Sim.Timer.create sim (fun () -> fired := Sim.now sim :: !fired) in
+  Sim.Timer.set tm ~delay:1.0;
+  for i = 1 to 8 do
+    ignore
+      (Sim.schedule sim ~delay:(0.25 *. float_of_int i) (fun () ->
+           Sim.Timer.set tm ~delay:1.0))
+  done;
+  ignore (Sim.schedule sim ~delay:2.5 (fun () -> Sim.Timer.set tm ~delay:0.25));
+  Sim.run ~until:2.6 sim;
+  Alcotest.(check bool) "set before expiry" true (Sim.Timer.is_set tm);
+  Alcotest.(check int) "one pending expiry" 1 (Sim.pending_events sim);
+  Sim.run sim;
+  Alcotest.(check (list (float 1e-12))) "fires once, at 2.75" [ 2.75 ]
+    (List.rev !fired);
+  Alcotest.(check bool) "not set after expiry" false (Sim.Timer.is_set tm);
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending_events sim)
+
+let test_timer_stop () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let tm = Sim.Timer.create sim (fun () -> fired := Sim.now sim :: !fired) in
+  Sim.Timer.set tm ~delay:1.0;
+  Sim.Timer.set tm ~delay:2.0;
+  Sim.Timer.stop tm;
+  Alcotest.(check bool) "stopped" false (Sim.Timer.is_set tm);
+  Sim.run ~until:3.0 sim;
+  Alcotest.(check (list (float 0.0))) "a stopped timer never fires" []
+    !fired;
+  Sim.Timer.stop tm;
+  Sim.Timer.set tm ~delay:1.0;
+  Sim.run sim;
+  Alcotest.(check (list (float 1e-12))) "re-set after stop" [ 4.0 ] !fired;
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Sim.Timer.set: negative delay") (fun () ->
+      Sim.Timer.set tm ~delay:(-1.0))
+
 let tests =
   [
     Alcotest.test_case "initial time" `Quick test_initial_time;
@@ -101,4 +142,6 @@ let tests =
     Alcotest.test_case "pending events" `Quick test_pending_events;
     Alcotest.test_case "seeded rng" `Quick test_seeded_rng;
     Alcotest.test_case "resume run" `Quick test_resume_run;
+    Alcotest.test_case "timer reset fires once" `Quick test_timer_reset;
+    Alcotest.test_case "timer stop" `Quick test_timer_stop;
   ]
