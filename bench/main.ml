@@ -37,8 +37,9 @@ let params_10bdp =
 let buffer_grid = [ 1.0; 2.0; 5.0; 10.0; 20.0; 50.0 ]
 
 (* A small packet-level simulation used as the unit kernel for the
-   simulation-driven figures: 4 flows, 4 simulated seconds. *)
-let short_sim_config ?(seed = 1) ~other () =
+   simulation-driven figures: 4 flows, two of [base] and two of [other],
+   4 simulated seconds. *)
+let short_sim_config ?(seed = 1) ?(base = "cubic") ~other () =
   let rate_bps = Sim_engine.Units.mbps 20.0 in
   let rtt = Sim_engine.Units.ms 20.0 in
   Tcpflow.Experiment.config
@@ -47,8 +48,8 @@ let short_sim_config ?(seed = 1) ~other () =
     ~buffer_bytes:(Tcpflow.Experiment.buffer_bytes_of_bdp ~rate_bps ~rtt ~bdp:3.0)
     ~duration:(Sim_engine.Units.seconds 4.0)
     [
-      Tcpflow.Experiment.flow_config ~base_rtt:rtt "cubic";
-      Tcpflow.Experiment.flow_config ~base_rtt:rtt "cubic";
+      Tcpflow.Experiment.flow_config ~base_rtt:rtt base;
+      Tcpflow.Experiment.flow_config ~base_rtt:rtt base;
       Tcpflow.Experiment.flow_config ~base_rtt:rtt other;
       Tcpflow.Experiment.flow_config ~base_rtt:rtt other;
     ]
@@ -100,17 +101,25 @@ let windowed_max_filter () =
     ignore (Cca.Windowed_filter.Max_rounds.get f)
   done
 
+(* The bottleneck's share of the packet cycle: take a handle, queue it,
+   dequeue it and release it. The handle table lives as long as a run's
+   dumbbell does, so it is made once here, not per kernel run. *)
+let bench_packets = Netsim.Packet.create_table ()
+
 let droptail_queue_1k () =
-  let q = Netsim.Droptail_queue.create ~capacity_bytes:1_500_000 () in
+  let q =
+    Netsim.Droptail_queue.create ~packets:bench_packets
+      ~capacity_bytes:1_500_000 ()
+  in
   for seq = 0 to 999 do
     ignore
       (Netsim.Droptail_queue.enqueue q
-         (Netsim.Packet.make ~flow:(seq mod 8) ~seq ~size:1500
+         (Netsim.Packet.take bench_packets ~flow:(seq mod 8) ~seq ~size:1500
             ~retransmit:false ~sent_time:0.0 ~delivered:0.0
             ~delivered_time:0.0))
   done;
-  while Option.is_some (Netsim.Droptail_queue.dequeue q) do
-    ()
+  while not (Netsim.Droptail_queue.is_empty q) do
+    Netsim.Packet.release bench_packets (Netsim.Droptail_queue.dequeue_exn q)
   done
 
 (* One Test.make per paper artifact: the figure's computational kernel. *)
@@ -400,11 +409,11 @@ let run_sweep backend () =
 let alloc_gates =
   [
     ("engine/event-queue-1k", 50, 13_400.0, event_queue_1k);
-    ("cca/windowed-max-filter", 50, 9_100.0, windowed_max_filter);
-    ("netsim/droptail-queue", 50, 12_800.0, droptail_queue_1k);
-    ("fig08/short-sim-bbr", 3, 425_000.0, short_sim ~other:"bbr");
-    ("fig11/short-sim-bbr2", 3, 416_000.0, short_sim ~other:"bbr2");
-    ("fig07/short-sim-vivace", 3, 493_000.0, short_sim ~other:"vivace");
+    ("cca/windowed-max-filter", 50, 2_300.0, windowed_max_filter);
+    ("netsim/droptail-queue", 50, 590.0, droptail_queue_1k);
+    ("fig08/short-sim-bbr", 3, 171_000.0, short_sim ~other:"bbr");
+    ("fig11/short-sim-bbr2", 3, 168_000.0, short_sim ~other:"bbr2");
+    ("fig07/short-sim-vivace", 3, 258_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 70_000.0, ode_2flow);
@@ -421,15 +430,39 @@ let alloc_gates =
     ( "evolve/step-1k-logit", 50, 1_000.0,
       evolve_steps ~dyn:(Ccgame.Evolve.Logit 0.1) );
     (* Steady-state churn reuses slots, and a slot reuses its segment
-       ring, packet pool and callbacks, so nothing the packet path
-       allocates outlives a minor GC. The budget is per-run setup (sim +
-       dumbbell + schedule), per-tenant CC state, and short-lived float
-       boxes, which do scale with segments sent: every CCA cwnd/pacing
-       query and on_send boxes one float, and so does the RTO re-arm. A
+       ring and callbacks, so nothing the packet path allocates outlives a
+       minor GC. The budget is per-run setup (sim + dumbbell + schedule),
+       per-tenant CC state, and short-lived float boxes, which do scale
+       with segments sent: every CCA cwnd/pacing query and on_send boxes
+       one float ([Cc_types.t]'s closures return and take them boxed). A
        breach means the rebind/ACK path started allocating more per
        packet. *)
-    ("workload/churn-6s-40pct", 3, 155_000.0, churn_run);
+    ("workload/churn-6s-40pct", 3, 56_000.0, churn_run);
   ]
+
+(* Minor words per packet the bottleneck delivers, from the end of warm-up
+   to the horizon of a short sim whose four flows all run [cca]. The
+   per-run gates above cannot see one 2-word box per packet: that is about
+   13k words of a ~155k-word run. Here it moves the reading by 2. *)
+let words_per_packet cca =
+  let live =
+    Tcpflow.Experiment.setup (short_sim_config ~base:cca ~other:cca ())
+  in
+  let sim = Tcpflow.Experiment.live_sim live in
+  let link = Netsim.Dumbbell.link (Tcpflow.Experiment.live_net live) in
+  Sim_engine.Sim.run ~until:1.0 sim;
+  let packets = Netsim.Link.delivered_packets link in
+  let before = Gc.minor_words () in
+  Sim_engine.Sim.run ~until:4.0 sim;
+  let words = Gc.minor_words () -. before in
+  let packets = Netsim.Link.delivered_packets link - packets in
+  ignore (Tcpflow.Experiment.finish live);
+  words /. float_of_int packets
+
+(* Committed words-per-delivered-packet ceilings: the measured value plus
+   one word. *)
+let packet_gates =
+  [ ("packet/all-cubic", 11.9, "cubic"); ("packet/all-bbr", 19.8, "bbr") ]
 
 let run_alloc_gates () =
   Printf.printf "==== Allocation gates (Gc.minor_words per run) ====\n";
@@ -450,6 +483,18 @@ let run_alloc_gates () =
       Printf.printf "%-28s %14.1f %14.1f  %s\n%!" name words ceiling
         (if ok then "ok" else "FAIL"))
     alloc_gates;
+  Printf.printf "%-28s %14s %14s  %s\n" "kernel" "words/packet" "ceiling"
+    "status";
+  List.iter
+    (fun (name, ceiling, cca) ->
+      (* A warm-up run, as above. *)
+      ignore (words_per_packet cca);
+      let words = words_per_packet cca in
+      let ok = words <= ceiling in
+      if not ok then incr failures;
+      Printf.printf "%-28s %14.2f %14.2f  %s\n%!" name words ceiling
+        (if ok then "ok" else "FAIL"))
+    packet_gates;
   if !failures > 0 then begin
     Printf.printf
       "alloc-gate: %d kernel(s) over budget — a new allocation reached a hot \
@@ -457,7 +502,8 @@ let run_alloc_gates () =
       !failures;
     exit 1
   end;
-  Printf.printf "alloc-gate: OK (%d kernels)\n" (List.length alloc_gates)
+  Printf.printf "alloc-gate: OK (%d kernels)\n"
+    (List.length alloc_gates + List.length packet_gates)
 
 (* --- CLI / env configuration ----------------------------------------- *)
 

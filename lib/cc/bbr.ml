@@ -27,38 +27,47 @@ type v2_floats = {
   mutable round_lost : float;  (* bytes lost this round *)
 }
 
-type t = {
-  variant : variant;
+(* The model's floats, in an all-float record: it is stored flat, so the
+   per-ACK stores write unboxed doubles instead of allocating a box each,
+   as mutable float fields of the mixed [t] below would. *)
+type floats = {
   probe_bw_cwnd_gain : float;
   mss : float;
-  rng : Sim_engine.Rng.t;
-  btlbw : Windowed_filter.Max_rounds.t;  (* bytes/s *)
   mutable rtprop : float;  (* seconds; infinity before first sample *)
   mutable rtprop_stamp : float;
-  mutable mode : mode;
   mutable pacing_gain : float;
   mutable cwnd_gain : float;
   mutable full_bw : float;
-  mutable full_bw_count : int;
-  mutable filled_pipe : bool;
-  mutable cycle_index : int;
   mutable cycle_stamp : float;
   mutable probe_rtt_done_stamp : float;
       (* nan until in-flight reached the ProbeRTT cwnd *)
+}
+
+type t = {
+  variant : variant;
+  rng : Sim_engine.Rng.t;
+  btlbw : Windowed_filter.Max_rounds.t;  (* bytes/s *)
+  f : floats;
+  mutable mode : mode;
+  mutable full_bw_count : int;
+  mutable filled_pipe : bool;
+  mutable cycle_index : int;
   (* V2 only. *)
   v2 : v2_floats;
   mutable loss_in_round : bool;
   mutable round_id : int;
 }
 
-let bdp t =
+(* Inlined, like [min_cwnd] and [probe_rtt_cwnd]: the per-ACK steps use
+   them, and a float returned from a call is boxed. *)
+let[@inline] bdp t =
   let bw = Windowed_filter.Max_rounds.get t.btlbw in
-  if Sim_engine.Stats.is_zero bw || t.rtprop = infinity then 0.0
-  else bw *. t.rtprop
+  if Sim_engine.Stats.is_zero bw || t.f.rtprop = infinity then 0.0
+  else bw *. t.f.rtprop
 
-let min_cwnd t = 4.0 *. t.mss
+let[@inline] min_cwnd t = 4.0 *. t.f.mss
 
-let probe_rtt_cwnd t =
+let[@inline] probe_rtt_cwnd t =
   match t.variant with
   | V1 -> min_cwnd t
   | V2 -> Float.max (probe_rtt_cwnd_gain *. bdp t) (min_cwnd t)
@@ -68,9 +77,9 @@ let cwnd_bytes t =
   | ProbeRTT -> probe_rtt_cwnd t
   | Startup | Drain | ProbeBW -> (
     let bdp = bdp t in
-    if Sim_engine.Stats.is_zero bdp then 10.0 *. t.mss
+    if Sim_engine.Stats.is_zero bdp then 10.0 *. t.f.mss
     else
-      let model_cwnd = Float.max (t.cwnd_gain *. bdp) (min_cwnd t) in
+      let model_cwnd = Float.max (t.f.cwnd_gain *. bdp) (min_cwnd t) in
       match t.variant with
       | V1 -> model_cwnd
       | V2 ->
@@ -78,29 +87,29 @@ let cwnd_bytes t =
            flows; during probes the bound itself is ramped upward (the
            additive growth in [on_ack]), so no overshoot is needed here. *)
         let hi =
-          if t.pacing_gain > 1.0 then t.v2.inflight_hi
+          if t.f.pacing_gain > 1.0 then t.v2.inflight_hi
           else cruise_headroom *. t.v2.inflight_hi
         in
         Float.max (Float.min model_cwnd hi) (min_cwnd t))
 
 let pacing_rate t =
   let bw = Windowed_filter.Max_rounds.get t.btlbw in
-  if Sim_engine.Stats.is_zero bw then nan else t.pacing_gain *. bw
+  if Sim_engine.Stats.is_zero bw then nan else t.f.pacing_gain *. bw
 
 let enter_probe_bw t ~now =
   t.mode <- ProbeBW;
-  t.cwnd_gain <- t.probe_bw_cwnd_gain;
+  t.f.cwnd_gain <- t.f.probe_bw_cwnd_gain;
   (* Random initial phase, excluding the 0.75 drain phase (index 1). *)
   let idx = Sim_engine.Rng.int t.rng (Array.length gain_cycle) in
   t.cycle_index <- (if idx = 1 then 2 else idx);
-  t.pacing_gain <- gain_cycle.(t.cycle_index);
-  t.cycle_stamp <- now
+  t.f.pacing_gain <- gain_cycle.(t.cycle_index);
+  t.f.cycle_stamp <- now
 
 let check_full_pipe t =
   if not t.filled_pipe then begin
     let bw = Windowed_filter.Max_rounds.get t.btlbw in
-    if bw >= t.full_bw *. 1.25 then begin
-      t.full_bw <- bw;
+    if bw >= t.f.full_bw *. 1.25 then begin
+      t.f.full_bw <- bw;
       t.full_bw_count <- 0
     end
     else begin
@@ -110,17 +119,17 @@ let check_full_pipe t =
   end
 
 let advance_cycle t (ack : Cc_types.ack_info) =
-  let elapsed = ack.f.now -. t.cycle_stamp in
+  let elapsed = ack.f.now -. t.f.cycle_stamp in
   let inflight = float_of_int ack.inflight_bytes in
   let should_advance =
-    if Sim_engine.Stats.approx_eq t.pacing_gain 1.0 then elapsed > t.rtprop
-    else if t.pacing_gain > 1.0 then
+    if Sim_engine.Stats.approx_eq t.f.pacing_gain 1.0 then elapsed > t.f.rtprop
+    else if t.f.pacing_gain > 1.0 then
       (* Stay in the up-probe until we have actually filled the pipe to the
          probing target (or a full RTprop elapsed). *)
-      elapsed > t.rtprop && inflight >= t.pacing_gain *. bdp t
+      elapsed > t.f.rtprop && inflight >= t.f.pacing_gain *. bdp t
     else
       (* Leave the 0.75 drain phase as soon as the excess is drained. *)
-      elapsed > t.rtprop || inflight <= bdp t
+      elapsed > t.f.rtprop || inflight <= bdp t
   in
   if should_advance then begin
     (* V2, leaving a loss-free up-probe: the path has headroom, so raise
@@ -129,49 +138,50 @@ let advance_cycle t (ack : Cc_types.ack_info) =
     (match t.variant with
     | V1 -> ()
     | V2 ->
-      if t.pacing_gain > 1.0 && not t.loss_in_round then
+      if t.f.pacing_gain > 1.0 && not t.loss_in_round then
         t.v2.inflight_hi <-
           Float.min
             (Float.min
                (Float.max t.v2.inflight_hi inflight)
                (t.v2.inflight_hi *. headroom_growth))
-            (2.0 *. Float.max (bdp t) t.mss));
+            (2.0 *. Float.max (bdp t) t.f.mss));
     t.cycle_index <- (t.cycle_index + 1) mod Array.length gain_cycle;
-    t.pacing_gain <- gain_cycle.(t.cycle_index);
-    t.cycle_stamp <- ack.f.now;
+    t.f.pacing_gain <- gain_cycle.(t.cycle_index);
+    t.f.cycle_stamp <- ack.f.now;
     (* V2: each up-probe restarts the inflight_hi growth ramp. *)
     match t.variant with
     | V1 -> ()
-    | V2 -> if t.pacing_gain > 1.0 then t.v2.hi_growth_mss <- 1.0
+    | V2 -> if t.f.pacing_gain > 1.0 then t.v2.hi_growth_mss <- 1.0
   end
 
 let enter_probe_rtt t =
   t.mode <- ProbeRTT;
-  t.probe_rtt_done_stamp <- nan
+  t.f.probe_rtt_done_stamp <- nan
 
 let exit_probe_rtt t ~now =
-  t.rtprop_stamp <- now;
+  t.f.rtprop_stamp <- now;
   if t.filled_pipe then enter_probe_bw t ~now
   else begin
     t.mode <- Startup;
-    t.pacing_gain <- high_gain;
-    t.cwnd_gain <- high_gain
+    t.f.pacing_gain <- high_gain;
+    t.f.cwnd_gain <- high_gain
   end
 
 (* The Linux rule: a smaller sample always wins; an expired estimate adopts
    the next sample unconditionally (and, below, triggers ProbeRTT). *)
 let update_rtprop t (ack : Cc_types.ack_info) ~expired =
-  if ack.f.rtt_sample < t.rtprop || expired then begin
-    t.rtprop <- ack.f.rtt_sample;
-    t.rtprop_stamp <- ack.f.now
+  if ack.f.rtt_sample < t.f.rtprop || expired then begin
+    t.f.rtprop <- ack.f.rtt_sample;
+    t.f.rtprop_stamp <- ack.f.now
   end
 
 let handle_probe_rtt t (ack : Cc_types.ack_info) =
-  if Float.is_nan t.probe_rtt_done_stamp then begin
+  if Float.is_nan t.f.probe_rtt_done_stamp then begin
     if float_of_int ack.inflight_bytes <= probe_rtt_cwnd t then
-      t.probe_rtt_done_stamp <- ack.f.now +. probe_rtt_duration
+      t.f.probe_rtt_done_stamp <- ack.f.now +. probe_rtt_duration
   end
-  else if ack.f.now >= t.probe_rtt_done_stamp then exit_probe_rtt t ~now:ack.f.now
+  else if ack.f.now >= t.f.probe_rtt_done_stamp then
+    exit_probe_rtt t ~now:ack.f.now
 
 (* V2's per-ACK steps: count the round's delivered bytes, and during a
    ProbeBW up-phase probe the in-flight bound upward every round with
@@ -186,13 +196,13 @@ let on_ack_v2 t (ack : Cc_types.ack_info) =
   end;
   v2.round_delivered <- v2.round_delivered +. float_of_int ack.acked_bytes;
   if
-    ack.round_start && t.mode = ProbeBW && t.pacing_gain > 1.0
+    ack.round_start && t.mode = ProbeBW && t.f.pacing_gain > 1.0
     && v2.inflight_hi < infinity
   then begin
     v2.inflight_hi <-
       Float.min
-        (v2.inflight_hi +. (v2.hi_growth_mss *. t.mss))
-        (2.0 *. Float.max (bdp t) (10.0 *. t.mss));
+        (v2.inflight_hi +. (v2.hi_growth_mss *. t.f.mss))
+        (2.0 *. Float.max (bdp t) (10.0 *. t.f.mss));
     v2.hi_growth_mss <- Float.min (v2.hi_growth_mss *. 2.0) 32.0
   end
 
@@ -208,8 +218,8 @@ let on_ack t (ack : Cc_types.ack_info) =
   (* Only an estimate that exists can expire: a flow whose first ACK comes
      late in a run has nothing to refresh. *)
   let rtprop_expired =
-    t.rtprop < infinity
-    && ack.f.now -. t.rtprop_stamp > rtprop_window t.variant
+    t.f.rtprop < infinity
+    && ack.f.now -. t.f.rtprop_stamp > rtprop_window t.variant
   in
   update_rtprop t ack ~expired:rtprop_expired;
   (match t.variant with V1 -> () | V2 -> on_ack_v2 t ack);
@@ -218,7 +228,7 @@ let on_ack t (ack : Cc_types.ack_info) =
     if ack.round_start then check_full_pipe t;
     if t.filled_pipe then begin
       t.mode <- Drain;
-      t.pacing_gain <- 1.0 /. high_gain
+      t.f.pacing_gain <- 1.0 /. high_gain
     end
   | Drain ->
     if float_of_int ack.inflight_bytes <= bdp t then enter_probe_bw t ~now:ack.f.now
@@ -241,7 +251,7 @@ let on_loss t (loss : Cc_types.loss_info) =
   | V2 ->
     let v2 = t.v2 in
     v2.round_lost <- v2.round_lost +. float_of_int loss.lost_bytes;
-    let probing = t.mode = Startup || t.pacing_gain > 1.0 in
+    let probing = t.mode = Startup || t.f.pacing_gain > 1.0 in
     let total = v2.round_lost +. v2.round_delivered in
     let loss_rate = if total <= 0.0 then 0.0 else v2.round_lost /. total in
     if probing && (not t.loss_in_round) && loss_rate > loss_thresh then begin
@@ -258,21 +268,24 @@ let make ?(probe_bw_cwnd_gain = 2.0) ~variant ~mss ~rng () =
   let t =
     {
       variant;
-      probe_bw_cwnd_gain;
-      mss = float_of_int mss;
       rng;
       btlbw = Windowed_filter.Max_rounds.create ~window:bw_window_rounds;
-      rtprop = infinity;
-      rtprop_stamp = 0.0;
+      f =
+        {
+          probe_bw_cwnd_gain;
+          mss = float_of_int mss;
+          rtprop = infinity;
+          rtprop_stamp = 0.0;
+          pacing_gain = high_gain;
+          cwnd_gain = high_gain;
+          full_bw = 0.0;
+          cycle_stamp = 0.0;
+          probe_rtt_done_stamp = nan;
+        };
       mode = Startup;
-      pacing_gain = high_gain;
-      cwnd_gain = high_gain;
-      full_bw = 0.0;
       full_bw_count = 0;
       filled_pipe = false;
       cycle_index = 0;
-      cycle_stamp = 0.0;
-      probe_rtt_done_stamp = nan;
       v2 =
         {
           inflight_hi = infinity;

@@ -10,8 +10,9 @@ let default_params =
 
 let multiplicative_decrease p = 1.0 -. p.beta
 
+(* All floats, so the record is stored flat and the per-ACK stores write
+   unboxed doubles; [params] is passed alongside. *)
 type t = {
-  params : params;
   mss : float;
   mutable cwnd : float;  (* bytes *)
   mutable ssthresh : float;  (* bytes *)
@@ -24,14 +25,14 @@ type t = {
   mutable acked_since_loss : float;  (* bytes *)
 }
 
-let cwnd_mss t = t.cwnd /. t.mss
+let[@inline] cwnd_mss t = t.cwnd /. t.mss
 
 (* Eq. (1) of the paper: the cubic window at [elapsed] seconds after the last
    back-off, in MSS units. *)
-let cubic_window t ~elapsed =
-  (t.params.c *. ((elapsed -. t.k) ** 3.0)) +. t.w_max
+let[@inline] cubic_window p t ~elapsed =
+  (p.c *. ((elapsed -. t.k) ** 3.0)) +. t.w_max
 
-let on_ack t (ack : Cc_types.ack_info) =
+let on_ack p t (ack : Cc_types.ack_info) =
   let acked = float_of_int ack.acked_bytes in
   t.srtt <-
     (if Float.is_nan t.srtt then ack.f.rtt_sample
@@ -47,7 +48,7 @@ let on_ack t (ack : Cc_types.ack_info) =
       t.w_est <- cwnd_mss t
     end;
     let elapsed = ack.f.now -. t.epoch_start +. t.srtt in
-    let target = cubic_window t ~elapsed in
+    let target = cubic_window p t ~elapsed in
     let w = cwnd_mss t in
     let increment_mss =
       if target > w then (target -. w) /. w *. (acked /. t.mss)
@@ -55,24 +56,22 @@ let on_ack t (ack : Cc_types.ack_info) =
       (* minimal growth when at/above target, as in the kernel's max_cnt *)
     in
     t.cwnd <- t.cwnd +. (increment_mss *. t.mss);
-    if t.params.tcp_friendly then begin
+    if p.tcp_friendly then begin
       (* Reno-equivalent window estimate (RFC 8312 §4.2). *)
       t.acked_since_loss <- t.acked_since_loss +. acked;
-      let alpha =
-        3.0 *. t.params.beta /. (2.0 -. t.params.beta)
-      in
+      let alpha = 3.0 *. p.beta /. (2.0 -. p.beta) in
       t.w_est <-
         t.w_est +. (alpha *. (acked /. t.mss) /. Float.max 1.0 t.w_est);
       if t.w_est > cwnd_mss t then t.cwnd <- t.w_est *. t.mss
     end
   end
 
-let on_loss t (loss : Cc_types.loss_info) =
+let on_loss p t (loss : Cc_types.loss_info) =
   let w = cwnd_mss t in
   t.epoch_start <- loss.now;
   t.w_max <- w;
-  t.k <- Float.cbrt (t.w_max *. t.params.beta /. t.params.c);
-  let decreased = t.cwnd *. multiplicative_decrease t.params in
+  t.k <- Float.cbrt (t.w_max *. p.beta /. p.c);
+  let decreased = t.cwnd *. multiplicative_decrease p in
   let floor_ = Cc_types.min_cwnd_bytes ~mss:(int_of_float t.mss) in
   t.cwnd <- Float.max decreased floor_;
   t.ssthresh <- t.cwnd;
@@ -83,7 +82,6 @@ let on_loss t (loss : Cc_types.loss_info) =
 let make ?(params = default_params) ~mss () =
   let t =
     {
-      params;
       mss = float_of_int mss;
       cwnd = float_of_int (params.initial_cwnd_mss * mss);
       ssthresh = infinity;
@@ -97,8 +95,8 @@ let make ?(params = default_params) ~mss () =
   in
   {
     Cc_types.name = "cubic";
-    on_ack = on_ack t;
-    on_loss = on_loss t;
+    on_ack = on_ack params t;
+    on_loss = on_loss params t;
     on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
     cwnd_bytes = (fun () -> Float.max t.cwnd (Cc_types.min_cwnd_bytes ~mss));
     pacing_rate = (fun () -> nan);

@@ -45,7 +45,9 @@ let[@simlint.alloc_ok "amortized geometric growth; arrays never shrink"] grow
   d.value <- value;
   d.head <- 0
 
-let deque_update d ~pos value =
+(* Inlined, like [get]: a float argument or result crossing a call boxes,
+   and BBR updates and reads its bandwidth filter on every ACK. *)
+let[@inline] deque_update d ~pos value =
   let mask = Array.length d.pos - 1 in
   (* Drop dominated entries from the back. *)
   while
@@ -67,7 +69,8 @@ let deque_update d ~pos value =
     d.len <- d.len - 1
   done
 
-let front_value d ~default = if d.len = 0 then default else d.value.(d.head)
+let[@inline] front_value d ~default =
+  if d.len = 0 then default else d.value.(d.head)
 let front_pos d = d.pos.(d.head)
 
 module Max_rounds = struct
@@ -78,13 +81,13 @@ module Max_rounds = struct
     { d = make_deque ~window:(float_of_int window) ~is_max:true;
       last_round = min_int }
 
-  let update t ~round value =
+  let[@inline] update t ~round value =
     if round < t.last_round then
       invalid_arg "Max_rounds.update: decreasing round";
     t.last_round <- round;
     deque_update t.d ~pos:(float_of_int round) value
 
-  let get t = front_value t.d ~default:0.0
+  let[@inline] get t = front_value t.d ~default:0.0
 end
 
 module Min_time = struct

@@ -4,80 +4,62 @@
    serializing link, a fixed reverse path) deliver in send order, so their
    events don't need a heap at all: the lane keeps them in a ring and the
    simulator merges only the lane *head* with the heap. This shrinks the
-   heap from O(packets in flight) to O(lanes + timers), and a push/pop
-   cycle allocates nothing — the payload is stored in the ring, not
-   captured in a closure.
+   heap from O(packets in flight) to O(lanes + timers). Payloads are ints,
+   so a push/pop cycle allocates nothing and stores no heap pointer.
 
    Every entry still carries the global (time, seq) pair, so the merged
    schedule is bit-for-bit the order a single heap would have produced. *)
 
-type view = {
-  head_time : float array;
-      (* Singleton cell (a float array write does not box); [infinity]
-         when the lane is empty. *)
-  mutable head_seq : int;
-  mutable queued : int;
-  mutable fire : unit -> unit;
-}
+type heads = { mutable head_time : float array; mutable head_seq : int array }
 
-type 'a t = {
-  deliver : 'a -> unit;
-  dummy : 'a;
+type t = {
+  id : int;
+  heads : heads;
+  deliver : int -> unit;
   mutable times : float array;
   mutable seqs : int array;
-  mutable items : 'a array;
+  mutable items : int array;
   mutable head : int;
   mutable len : int;
-  view : view;
 }
 
 let initial = 16
 
-let refresh_view t =
-  let v = t.view in
-  v.queued <- t.len;
-  if t.len = 0 then begin
-    v.head_time.(0) <- infinity;
-    v.head_seq <- max_int
-  end
-  else begin
-    v.head_time.(0) <- t.times.(t.head);
-    v.head_seq <- t.seqs.(t.head)
-  end
+let mark_empty t =
+  t.heads.head_time.(t.id) <- infinity;
+  t.heads.head_seq.(t.id) <- max_int
 
 let fire_head t =
   let cap = Array.length t.times in
   let h = t.head in
-  (* The vacated cell keeps its payload until a push overwrites it:
-     clearing it would cost a write barrier per pop. *)
   let x = t.items.(h) in
-  t.head <- (if h + 1 = cap then 0 else h + 1);
+  let h = if h + 1 = cap then 0 else h + 1 in
+  t.head <- h;
   t.len <- t.len - 1;
-  refresh_view t;
+  if t.len = 0 then mark_empty t
+  else begin
+    t.heads.head_time.(t.id) <- t.times.(h);
+    t.heads.head_seq.(t.id) <- t.seqs.(h)
+  end;
   (* Deliver after the pop so the callback can push new entries. *)
   t.deliver x
 
-let create ~dummy ~deliver =
-  let view =
-    { head_time = [| infinity |]; head_seq = max_int; queued = 0;
-      fire = ignore }
-  in
+let create ~heads ~id ~deliver =
   let t =
     {
+      id;
+      heads;
       deliver;
-      dummy;
       times = Array.make initial infinity;
       seqs = Array.make initial 0;
-      items = Array.make initial dummy;
+      items = Array.make initial 0;
       head = 0;
       len = 0;
-      view;
     }
   in
-  view.fire <- (fun () -> fire_head t);
+  mark_empty t;
   t
 
-let view t = t.view
 let length t = t.len
 
 let[@simlint.alloc_ok "amortized geometric growth; lanes never shrink"]
@@ -86,7 +68,7 @@ let[@simlint.alloc_ok "amortized geometric growth; lanes never shrink"]
   let cap' = 2 * cap in
   let times = Array.make cap' infinity in
   let seqs = Array.make cap' 0 in
-  let items = Array.make cap' t.dummy in
+  let items = Array.make cap' 0 in
   for i = 0 to t.len - 1 do
     let j = (t.head + i) mod cap in
     times.(i) <- t.times.(j);
@@ -98,14 +80,15 @@ let[@simlint.alloc_ok "amortized geometric growth; lanes never shrink"]
   t.items <- items;
   t.head <- 0
 
-let tail_time t =
+(* Inlined, like [can_accept] and [push]: a float crossing a call boxes. *)
+let[@inline] tail_time t =
   let cap = Array.length t.times in
   let last = t.head + t.len - 1 in
   t.times.(if last >= cap then last - cap else last)
 
-let can_accept t ~time = t.len = 0 || time >= tail_time t
+let[@inline] can_accept t ~time = t.len = 0 || time >= tail_time t
 
-let push t ~time ~seq x =
+let[@inline] push t ~time ~seq x =
   if Float.is_nan time then invalid_arg "Lane.push: NaN time";
   if t.len > 0 && time < tail_time t then
     invalid_arg "Lane.push: time before lane tail (FIFO violation)";
@@ -117,11 +100,9 @@ let push t ~time ~seq x =
   t.seqs.(tail) <- seq;
   t.items.(tail) <- x;
   t.len <- t.len + 1;
-  let v = t.view in
-  v.queued <- t.len;
   if t.len = 1 then begin
-    v.head_time.(0) <- time;
-    v.head_seq <- seq
+    t.heads.head_time.(t.id) <- time;
+    t.heads.head_seq.(t.id) <- seq
   end
 
 let apply t x = t.deliver x

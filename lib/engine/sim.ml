@@ -5,8 +5,11 @@ type t = {
          record. *)
   queue : Event_queue.t;
   root_rng : Rng.t;
-  mutable lanes : Lane.view array;
+  mutable lanes : Lane.t array;
   mutable n_lanes : int;
+  (* Every lane's head (time, seq), as flat arrays indexed by lane id: the
+     merge loop scans these, and each lane keeps its own cells current. *)
+  heads : Lane.heads;
   (* Merge-loop scratch, hoisted here so the loop allocates nothing.
      [best_time] is a singleton float array: float-array writes don't
      box, unlike writes to a mutable float field of a mixed record. *)
@@ -16,7 +19,7 @@ type t = {
 }
 
 type handle = Event_queue.handle
-type 'a lane = 'a Lane.t
+type lane = Lane.t
 
 let create ?(seed = 42) () =
   {
@@ -25,6 +28,7 @@ let create ?(seed = 42) () =
     root_rng = Rng.create seed;
     lanes = [||];
     n_lanes = 0;
+    heads = { Lane.head_time = [||]; head_seq = [||] };
     best_time = [| infinity |];
     best_seq = max_int;
     best_lane = -1;
@@ -98,7 +102,7 @@ module Timer = struct
     in
     tm
 
-  let set tm ~delay =
+  let[@inline] set tm ~delay =
     if not (delay >= 0.0) then invalid_arg "Sim.Timer.set: negative delay";
     tm.times.deadline <- tm.sim.now.(0) +. delay;
     tm.seq <- Event_queue.take_seq tm.sim.queue;
@@ -118,35 +122,40 @@ module Timer = struct
   let is_set tm = tm.seq >= 0
 end
 
-let lane t ~dummy ~deliver =
-  let l = Lane.create ~dummy ~deliver in
-  let v = Lane.view l in
-  if t.n_lanes = Array.length t.lanes then begin
-    let cap = max 4 (2 * Array.length t.lanes) in
-    let lanes = Array.make cap v in
-    Array.blit t.lanes 0 lanes 0 t.n_lanes;
-    t.lanes <- lanes
+let lane t ~deliver =
+  let n = t.n_lanes in
+  if n = Array.length t.heads.Lane.head_time then begin
+    let extend a fill = Array.append a (Array.make (max 4 n) fill) in
+    t.heads.Lane.head_time <- extend t.heads.Lane.head_time infinity;
+    t.heads.Lane.head_seq <- extend t.heads.Lane.head_seq max_int
   end;
-  t.lanes.(t.n_lanes) <- v;
-  t.n_lanes <- t.n_lanes + 1;
+  let l = Lane.create ~heads:t.heads ~id:n ~deliver in
+  if n = Array.length t.lanes then
+    t.lanes <- Array.append t.lanes (Array.make (max 4 n) l);
+  t.lanes.(n) <- l;
+  t.n_lanes <- n + 1;
   l
 
-let schedule_packet t l ~delay x =
+(* Out-of-FIFO delivery (e.g. a delay function that varies per packet):
+   the heap carries it instead, in a closure. Ordering stays global
+   (time, seq) either way; only the allocation profile differs. Kept out
+   of line so that [schedule_packet]'s fast path holds no closure and
+   inlines. *)
+let schedule_off_lane t l ~time x =
+  ignore
+    (Event_queue.add t.queue ~time
+       ((fun () -> Lane.apply l x)
+       [@simlint.alloc_ok
+         "heap fallback for out-of-FIFO delivery; the lane fast path builds \
+          no closure"]))
+
+let[@inline] schedule_packet t l ~delay x =
   if not (delay >= 0.0) then
     invalid_arg "Sim.schedule_packet: negative delay";
   let time = t.now.(0) +. delay in
   if Lane.can_accept l ~time then
     Lane.push l ~time ~seq:(Event_queue.take_seq t.queue) x
-  else
-    (* Out-of-FIFO delivery (e.g. a delay function that varies per
-       packet): fall back to the heap. Ordering stays global (time, seq)
-       either way; only the allocation profile differs. *)
-    ignore
-      (Event_queue.add t.queue ~time
-         ((fun () -> Lane.apply l x)
-         [@simlint.alloc_ok
-           "heap fallback for out-of-FIFO delivery; the lane fast path \
-            builds no closure"]))
+  else schedule_off_lane t l ~time x
 
 (* One N-way merge step: find the earliest (time, seq) among the heap head
    and every lane head, leaving the choice in [best_time]/[best_seq]/
@@ -163,15 +172,13 @@ let select t =
     t.best_seq <- Event_queue.head_seq_unsafe q
   end;
   t.best_lane <- -1;
+  let times = t.heads.Lane.head_time and seqs = t.heads.Lane.head_seq in
   for i = 0 to t.n_lanes - 1 do
-    let v = t.lanes.(i) in
-    let vt = v.Lane.head_time.(0) in
-    if
-      vt < t.best_time.(0)
-      || (vt = t.best_time.(0) && v.Lane.head_seq < t.best_seq)
+    let vt = times.(i) in
+    if vt < t.best_time.(0) || (vt = t.best_time.(0) && seqs.(i) < t.best_seq)
     then begin
       t.best_time.(0) <- vt;
-      t.best_seq <- v.Lane.head_seq;
+      t.best_seq <- seqs.(i);
       t.best_lane <- i
     end
   done
@@ -189,7 +196,7 @@ let run ?until t =
     end
     else begin
       t.now.(0) <- time;
-      if t.best_lane >= 0 then t.lanes.(t.best_lane).Lane.fire ()
+      if t.best_lane >= 0 then Lane.fire_head t.lanes.(t.best_lane)
       else (Event_queue.take_head t.queue) ()
     end
   done;
@@ -200,7 +207,7 @@ let run ?until t =
 let pending_events t =
   let n = ref (Event_queue.size t.queue) in
   for i = 0 to t.n_lanes - 1 do
-    n := !n + t.lanes.(i).Lane.queued
+    n := !n + Lane.length t.lanes.(i)
   done;
   !n
 

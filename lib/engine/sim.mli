@@ -11,9 +11,9 @@
       {!schedule_at}, and resettable {!Timer}s);
     - {e lanes} ({!lane} / {!schedule_packet}), ring-buffered FIFOs for
       elements that deliver in send order (pipes, links, fixed reverse
-      paths). Lane scheduling passes the payload as an immediate argument
-      to a callback registered once at lane creation, so the steady-state
-      packet path allocates nothing.
+      paths). A lane carries int payloads (packet handles) to a callback
+      registered once at lane creation, so the steady-state packet path
+      allocates nothing and stores no heap pointer.
 
     Event times must be finite; an event scheduled at [infinity] never
     fires. *)
@@ -25,8 +25,8 @@ type handle [@@immediate]
     immediate ints and become inert once the event fires or is
     cancelled. *)
 
-type 'a lane
-(** A FIFO delivery lane carrying payloads of type ['a]. *)
+type lane
+(** A FIFO delivery lane carrying int payloads. *)
 
 val create : ?seed:int -> unit -> t
 (** [create ?seed ()] makes a simulator whose root RNG is seeded with [seed]
@@ -69,7 +69,7 @@ module Timer : sig
       A set that does not move the deadline earlier costs no heap
       operation: the timer keeps its one heap entry, which re-inserts
       itself at the recorded (deadline, seq) when it comes due, without
-      running [f]. *)
+      running [f]. [set] is inlined, so [delay] never boxes. *)
 
   val stop : t -> unit
   (** Cancel the pending expiry. No-op if the timer is not set. *)
@@ -78,19 +78,19 @@ module Timer : sig
   (** Whether an expiry is pending. *)
 end
 
-val lane : t -> dummy:'a -> deliver:('a -> unit) -> 'a lane
+val lane : t -> deliver:(int -> unit) -> lane
 (** Register a delivery lane. [deliver] is the pre-registered callback
-    every payload on this lane is handed to; [dummy] fills never-used ring
-    cells (see {!Lane.create}). Registration is O(1) amortized and should
-    happen once per network element and delay, not per packet or per flow:
-    every event costs O({!lane_count}). *)
+    every payload on this lane is handed to. Registration is O(1) amortized
+    and should happen once per network element and delay, not per packet
+    or per flow: every event costs O({!lane_count}). *)
 
-val schedule_packet : t -> 'a lane -> delay:float -> 'a -> unit
+val schedule_packet : t -> lane -> delay:float -> int -> unit
 (** [schedule_packet t lane ~delay p] delivers [p] to the lane's callback
-    at [now t +. delay], allocation-free. Deliveries on a lane must be
-    FIFO: if [delay] would put this delivery before an already-queued one,
-    the event transparently falls back to the heap (allocating a closure)
-    — global (time, seq) ordering is preserved either way. *)
+    at [now t +. delay], allocation-free: it is inlined, so [delay] never
+    boxes. Deliveries on a lane must be FIFO: if [delay] would put this
+    delivery before an already-queued one, the event transparently falls
+    back to the heap (allocating a closure) — global (time, seq) ordering
+    is preserved either way. *)
 
 val run : ?until:float -> t -> unit
 (** Execute events in order until the queue is empty, or until the first

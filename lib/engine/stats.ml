@@ -52,8 +52,13 @@ let confidence_interval95 xs =
     let half = 1.96 *. stddev t /. sqrt (float_of_int (count t)) in
     (mean t -. half, mean t +. half)
 
-let approx_eq ?(eps = 0.0) a b = Float.abs (a -. b) <= eps
-let is_zero ?eps x = approx_eq ?eps x 0.0
+(* Inlined, and with no [?(eps = ...)] default: a default splits the
+   function into a wrapper and an out-of-line inner function that takes its
+   floats boxed, and BBR runs these on every ACK. *)
+let[@inline] approx_eq ?eps a b =
+  Float.abs (a -. b) <= match eps with None -> 0.0 | Some e -> e
+
+let[@inline] is_zero ?eps x = approx_eq ?eps x 0.0
 
 let relative_error ~predicted ~actual =
   if is_zero actual then if is_zero predicted then 0.0 else infinity

@@ -13,8 +13,9 @@ type policy =
 type t = {
   capacity_bytes : int;
   policy : policy;
-  (* Packet FIFO as a ring buffer: push/pop allocate nothing, unlike
-     [Queue.t] (a cons cell per push, an option per [take_opt]). *)
+  packets : Packet.table;  (* issues every handle this queue sees *)
+  (* Packet FIFO as a ring buffer of handles: push/pop allocate nothing,
+     and storing an int takes no write barrier. *)
   mutable ring : Packet.t array;
   mutable head : int;
   mutable len : int;
@@ -43,7 +44,7 @@ let red_defaults ~rng ~capacity_bytes =
       rng;
     }
 
-let create ?(policy = Tail_drop) ~capacity_bytes () =
+let create ?(policy = Tail_drop) ~packets ~capacity_bytes () =
   if capacity_bytes <= 0 then invalid_arg "Droptail_queue.create: capacity";
   (match policy with
   | Tail_drop -> ()
@@ -57,7 +58,8 @@ let create ?(policy = Tail_drop) ~capacity_bytes () =
   {
     capacity_bytes;
     policy;
-    ring = Array.make 16 Packet.dummy;
+    packets;
+    ring = Array.make 16 0;
     head = 0;
     len = 0;
     bytes = 0;
@@ -72,6 +74,7 @@ let create ?(policy = Tail_drop) ~capacity_bytes () =
   }
 
 let capacity_bytes t = t.capacity_bytes
+let packets t = t.packets
 
 let[@simlint.alloc_ok "amortized geometric growth to the largest flow id"]
     grow_flows t flow =
@@ -86,7 +89,7 @@ let adjust_flow t flow delta =
 let[@simlint.alloc_ok "amortized geometric growth; the ring never shrinks"]
     grow t =
   let cap = Array.length t.ring in
-  let ring = Array.make (2 * cap) Packet.dummy in
+  let ring = Array.make (2 * cap) 0 in
   for i = 0 to t.len - 1 do
     ring.(i) <- t.ring.((t.head + i) land (cap - 1))
   done;
@@ -118,24 +121,28 @@ let red_early_drop t =
       Sim_engine.Rng.float rng 1.0 < p
     end
 
-let record_drop t (p : Packet.t) ~early =
+(* A dropped packet ends here: the hook reads it, then its handle is
+   released. *)
+let record_drop t p ~size ~early =
   t.drops <- t.drops + 1;
   if early then t.early_drops <- t.early_drops + 1;
-  t.dropped_bytes <- t.dropped_bytes + p.size;
+  t.dropped_bytes <- t.dropped_bytes + size;
   t.drop_hook ~early p;
+  Packet.release t.packets p;
   Dropped
 
-let enqueue t (p : Packet.t) =
-  if t.bytes + p.size > t.capacity_bytes then record_drop t p ~early:false
-  else if red_early_drop t then record_drop t p ~early:true
+let enqueue t p =
+  let size = Packet.size t.packets p in
+  if t.bytes + size > t.capacity_bytes then record_drop t p ~size ~early:false
+  else if red_early_drop t then record_drop t p ~size ~early:true
   else begin
     if t.len = Array.length t.ring then grow t;
     t.ring.((t.head + t.len) land (Array.length t.ring - 1)) <- p;
     t.len <- t.len + 1;
-    t.bytes <- t.bytes + p.size;
+    t.bytes <- t.bytes + size;
     t.enqueued_packets <- t.enqueued_packets + 1;
-    t.enqueued_bytes <- t.enqueued_bytes + p.size;
-    adjust_flow t p.flow p.size;
+    t.enqueued_bytes <- t.enqueued_bytes + size;
+    adjust_flow t (Packet.flow t.packets p) size;
     Enqueued
   end
 
@@ -144,17 +151,13 @@ exception Empty
 let dequeue_exn t =
   if t.len = 0 then raise Empty;
   let h = t.head in
-  (* No [Packet.dummy] store into the vacated cell: the next enqueue
-     overwrites it, and the stale reference retains nothing, as the packet
-     is still in flight or back in its sender's pool. *)
   let p = t.ring.(h) in
   t.head <- (h + 1) land (Array.length t.ring - 1);
   t.len <- t.len - 1;
-  t.bytes <- t.bytes - p.size;
-  adjust_flow t p.flow (-p.size);
+  let size = Packet.size t.packets p in
+  t.bytes <- t.bytes - size;
+  adjust_flow t (Packet.flow t.packets p) (-size);
   p
-
-let dequeue t = if t.len = 0 then None else Some (dequeue_exn t)
 
 let occupancy_bytes t = t.bytes
 

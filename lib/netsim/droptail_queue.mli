@@ -10,7 +10,11 @@
     Per-flow byte occupancy is tracked so experiments can measure the model
     quantities [b_c], [b_b], [b_cmin], and [b_cmax] directly. It is kept in
     an array indexed by flow id, so packets must carry non-negative flow
-    ids. *)
+    ids.
+
+    The queue stores packet handles ({!Packet.t}) issued by the table it
+    was created with. A dropped packet ends at the queue: its handle is
+    released right after the drop hook has run. *)
 
 type t
 
@@ -30,19 +34,23 @@ val red_defaults : rng:Sim_engine.Rng.t -> capacity_bytes:int -> policy
 (** Classic RED parameterization: min = B/4, max = 3B/4, max_p = 0.1,
     weight = 0.002. *)
 
-val create : ?policy:policy -> capacity_bytes:int -> unit -> t
+val create :
+  ?policy:policy -> packets:Packet.table -> capacity_bytes:int -> unit -> t
+(** [packets] is the table that issues every handle this queue will see. *)
 
 val capacity_bytes : t -> int
 
-val enqueue : t -> Packet.t -> verdict
+val packets : t -> Packet.table
 
-val dequeue : t -> Packet.t option
+val enqueue : t -> Packet.t -> verdict
+(** Queue the packet, or drop it: on [Dropped] the drop hook has run and
+    the handle is released. *)
 
 exception Empty
 
 val dequeue_exn : t -> Packet.t
-(** Like {!dequeue} but raises {!Empty} instead of allocating an option —
-    for the link's transmit loop, which checks {!is_empty} first. *)
+(** Remove and return the head packet. Raises {!Empty} on an empty queue;
+    the link's transmit loop checks {!is_empty} first. *)
 
 val occupancy_bytes : t -> int
 (** Total bytes currently queued. *)
@@ -87,7 +95,8 @@ val enqueued_bytes : t -> int
 
 val set_drop_hook : t -> (early:bool -> Packet.t -> unit) -> unit
 (** Invoked synchronously on every drop (after counters update); [early] is
-    true for RED's probabilistic drops, false for tail drops. *)
+    true for RED's probabilistic drops, false for tail drops. The handle is
+    live during the call and released after it: a hook must not keep it. *)
 
 val drop_hook : t -> early:bool -> Packet.t -> unit
 (** The currently installed hook — lets instrumentation chain onto an

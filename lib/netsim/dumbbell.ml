@@ -3,6 +3,7 @@ type flow_spec = { flow : int; base_rtt : Sim_engine.Units.seconds }
 type t = {
   sim : Sim_engine.Sim.t;
   rate_bps : Sim_engine.Units.rate_bps;
+  packets : Packet.table;  (* every handle of this run *)
   queue : Droptail_queue.t;
   link : Link.t;
   pipe : Pipe.t;  (* forward: bottleneck to receivers *)
@@ -20,17 +21,24 @@ type t = {
 (* Fill for per-flow callback slots nobody registered. *)
 let unset (_ : Packet.t) = ()
 
-let deliver_to_receiver t (p : Packet.t) =
-  let flow = p.flow in
+(* A packet of a flow without a receiver (an orphan) ends here. *)
+let deliver_to_receiver t p =
+  let flow = Packet.flow t.packets p in
   let receive =
     if flow >= 0 && flow < Array.length t.receivers then t.receivers.(flow)
     else unset
   in
-  if receive == unset then t.orphaned <- t.orphaned + 1
+  if receive == unset then begin
+    t.orphaned <- t.orphaned + 1;
+    Packet.release t.packets p
+  end
   else receive p
 
-(* Reverse-path delivery: hand the ACK to its flow's registered handler. *)
-let dispatch_ack t (p : Packet.t) = t.ack_handlers.(p.flow) p
+(* Reverse-path delivery: hand the ACK to its flow's registered handler,
+   which releases it; with no handler registered it ends here. *)
+let dispatch_ack t p =
+  let handler = t.ack_handlers.(Packet.flow t.packets p) in
+  if handler == unset then Packet.release t.packets p else handler p
 
 let[@simlint.alloc_ok "amortized geometric growth to the largest flow id"]
     extend a n fill =
@@ -58,7 +66,10 @@ let add_flow t ~flow ~base_rtt =
   Pipe.attach t.acks ~flow ~delay
 
 let create ?policy ?trace ~sim ~rate_bps ~buffer_bytes ~flows () =
-  let queue = Droptail_queue.create ?policy ~capacity_bytes:buffer_bytes () in
+  let packets = Packet.create_table () in
+  let queue =
+    Droptail_queue.create ?policy ~packets ~capacity_bytes:buffer_bytes ()
+  in
   (* Drops surface on the telemetry stream through the queue's drop hook
      (chained onto whatever hook a later [set_drop_hook] caller installs
      would replace — instrumentation is installed first, at creation). *)
@@ -66,23 +77,24 @@ let create ?policy ?trace ~sim ~rate_bps ~buffer_bytes ~flows () =
   | None -> ()
   | Some tr ->
     let inner = Droptail_queue.drop_hook queue in
-    Droptail_queue.set_drop_hook queue (fun ~early (p : Packet.t) ->
-        Sim_engine.Trace.emit tr ~time:(Sim_engine.Sim.now sim) ~flow:p.flow
+    Droptail_queue.set_drop_hook queue (fun ~early p ->
+        Sim_engine.Trace.emit tr ~time:(Sim_engine.Sim.now sim)
+          ~flow:(Packet.flow packets p)
           (Sim_engine.Trace.Drop
              {
-               seq = p.seq;
-               size = p.size;
+               seq = Packet.seq packets p;
+               size = Packet.size packets p;
                early;
                queue_bytes = Droptail_queue.occupancy_bytes queue;
              });
         inner ~early p));
   let t_ref = ref None in
   let pipe =
-    Pipe.create ~sim ~deliver:(fun p ->
+    Pipe.create ~sim ~packets ~deliver:(fun p ->
         match !t_ref with None -> () | Some t -> deliver_to_receiver t p)
   in
   let acks =
-    Pipe.create ~sim ~deliver:(fun p ->
+    Pipe.create ~sim ~packets ~deliver:(fun p ->
         match !t_ref with None -> () | Some t -> dispatch_ack t p)
   in
   let link = Link.create ~sim ~rate_bps ~queue ~deliver:(Pipe.send pipe) in
@@ -90,6 +102,7 @@ let create ?policy ?trace ~sim ~rate_bps ~buffer_bytes ~flows () =
     {
       sim;
       rate_bps;
+      packets;
       queue;
       link;
       pipe;
@@ -106,6 +119,7 @@ let create ?policy ?trace ~sim ~rate_bps ~buffer_bytes ~flows () =
   t
 
 let sim t = t.sim
+let packets t = t.packets
 let queue t = t.queue
 let link t = t.link
 let rate_bps t = t.rate_bps
@@ -134,7 +148,7 @@ let set_ack_handler t ~flow handler =
 let send_ack t p = Pipe.send t.acks p
 
 (* The reverse path and ACK handler stay: a late ACK of a finished tenant
-   must still reach its slot, whose [finished] guard discards it. *)
+   must still reach its slot, whose guard discards (and releases) it. *)
 let remove_flow t ~flow =
   if flow >= 0 && flow < Array.length t.rtts then begin
     t.rtts.(flow) <- nan;
@@ -166,3 +180,4 @@ let send t p =
 
 let reverse_delay t ~flow = Sim_engine.Units.scale 0.5 (base_rtt_of t flow)
 let orphaned t = t.orphaned
+let in_flight t = Pipe.in_flight t.pipe + Pipe.in_flight t.acks

@@ -11,7 +11,13 @@
     not by flow, so a run whose flows share an RTT has three lanes (link,
     forward, reverse) however many flows attach over its lifetime. Per-flow
     state lives in arrays indexed by flow id; flow ids must be
-    non-negative. *)
+    non-negative.
+
+    Packets are handles into the dumbbell's one {!packets} table; build
+    every packet injected with {!send} or {!send_ack} there. The
+    dumbbell releases a packet that reaches a flow without a receiver (an
+    orphan) or an ACK that reaches a flow without an ACK handler; the
+    queue releases a dropped one. *)
 
 type t
 
@@ -32,6 +38,10 @@ val create :
     a link-scoped [Trace.Queue_sample] of the resulting occupancy. *)
 
 val sim : t -> Sim_engine.Sim.t
+
+val packets : t -> Packet.table
+(** The table that issues every packet handle of this run. *)
+
 val queue : t -> Droptail_queue.t
 val link : t -> Link.t
 val rate_bps : t -> Sim_engine.Units.rate_bps
@@ -41,8 +51,9 @@ val base_rtt_of : t -> int -> Sim_engine.Units.seconds
 
 val set_receiver : t -> flow:int -> (Packet.t -> unit) -> unit
 (** Install the receive callback for a flow. Packets of flows without a
-    receiver are counted in {!orphaned} and discarded. A transport's
-    receiver typically answers each packet with {!send_ack}. *)
+    receiver are counted in {!orphaned} and released. The callback owns the
+    packet it is handed: a transport's receiver answers it with
+    {!send_ack}; one that sends no ACK must {!Packet.release} it. *)
 
 val receiver : t -> flow:int -> (Packet.t -> unit) option
 (** The currently installed receive callback (tests use this to detach a
@@ -50,8 +61,8 @@ val receiver : t -> flow:int -> (Packet.t -> unit) option
 
 val set_ack_handler : t -> flow:int -> (Packet.t -> unit) -> unit
 (** Install the sender-side callback that receives the flow's ACKs (each
-    ACK is the acknowledged data packet itself) when they come off the
-    reverse path. *)
+    ACK is the acknowledged data packet's handle) when they come off the
+    reverse path. The callback owns the handle and must release it. *)
 
 val send_ack : t -> Packet.t -> unit
 (** [send_ack t p] returns the ACK for [p] over the reverse path: it
@@ -67,9 +78,10 @@ val add_flow : t -> flow:int -> base_rtt:Sim_engine.Units.seconds -> unit
 val remove_flow : t -> flow:int -> unit
 (** Tear a flow down: forget its RTT and receiver. Packets of the flow
     still inside the queue or pipe are counted in {!orphaned} on arrival
-    and discarded — the lifecycle analogue of a closed port. The ACK
+    and released — the lifecycle analogue of a closed port. The ACK
     handler stays installed, so an ACK already on the reverse path still
-    reaches the flow's sender (whose own lifecycle guard discards it). *)
+    reaches the flow's sender slot, whose own guard discards it even after
+    the slot has been rebound to another flow. *)
 
 val known_flow : t -> flow:int -> bool
 (** Whether the flow id currently has a registered path. *)
@@ -84,3 +96,8 @@ val reverse_delay : t -> flow:int -> Sim_engine.Units.seconds
 (** One-way delay of the flow's ACK path. *)
 
 val orphaned : t -> int
+
+val in_flight : t -> int
+(** Packets on the forward and reverse pipes. At every event boundary the
+    live handles of {!packets} are exactly these, plus the packets queued
+    at the bottleneck, plus the one the link is serializing. *)

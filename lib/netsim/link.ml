@@ -13,7 +13,7 @@ type t = {
          write does not box. *)
   (* Transmission completions are strictly FIFO (one packet serializes at
      a time), so they ride a calendar lane instead of the heap. *)
-  mutable lane : Packet.t Sim.lane option;
+  mutable lane : Sim.lane option;
 }
 
 let start_next t =
@@ -22,7 +22,8 @@ let start_next t =
     let p = Droptail_queue.dequeue_exn t.queue in
     t.busy <- true;
     let tx =
-      (Sim_engine.Units.transmission_time ~rate_bps:t.rate_bps ~bytes:p.size
+      (Sim_engine.Units.transmission_time ~rate_bps:t.rate_bps
+         ~bytes:(Packet.size (Droptail_queue.packets t.queue) p)
         :> float)
     in
     t.busy_time.(0) <- t.busy_time.(0) +. tx;
@@ -48,9 +49,10 @@ let create ~sim ~(rate_bps : Sim_engine.Units.rate_bps) ~queue ~deliver =
   in
   t.lane <-
     Some
-      (Sim.lane sim ~dummy:Packet.dummy ~deliver:(fun p ->
+      (Sim.lane sim ~deliver:(fun p ->
            t.delivered_packets <- t.delivered_packets + 1;
-           t.delivered_bytes <- t.delivered_bytes + p.Packet.size;
+           t.delivered_bytes <-
+             t.delivered_bytes + Packet.size (Droptail_queue.packets queue) p;
            t.deliver p;
            start_next t));
   t

@@ -3,7 +3,8 @@
     The link serializes one packet at a time at [rate_bps]; when a
     transmission completes, the packet is handed to [deliver] and the next
     packet (if any) starts. Senders must call {!kick} after enqueuing so an
-    idle link wakes up. *)
+    idle link wakes up. Packet sizes are read from the queue's packet
+    table. *)
 
 type t
 
@@ -21,6 +22,7 @@ val kick : t -> unit
     any time. *)
 
 val busy : t -> bool
+(** Whether a packet is in service (being serialized). *)
 
 val delivered_packets : t -> int
 val delivered_bytes : t -> int

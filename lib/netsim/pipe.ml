@@ -2,12 +2,13 @@ module Sim = Sim_engine.Sim
 
 type t = {
   sim : Sim.t;
+  packets : Packet.table;
   deliver : Packet.t -> unit;
   mutable in_flight : int;
   (* One calendar lane per distinct one-way delay; [delays.(i)] is the
      delay of [lanes.(i)]. A run sees a handful of delays at most. *)
   mutable delays : float array;
-  mutable lanes : Packet.t Sim.lane array;
+  mutable lanes : Sim.lane array;
   (* Each flow's lane index, resolved when the flow attaches so the
      per-packet lookup is one array load; -1 = not attached. *)
   mutable flow_lane : int array;
@@ -17,8 +18,8 @@ let arrive t p =
   t.in_flight <- t.in_flight - 1;
   t.deliver p
 
-let create ~sim ~deliver =
-  { sim; deliver; in_flight = 0; delays = [||]; lanes = [||];
+let create ~sim ~packets ~deliver =
+  { sim; packets; deliver; in_flight = 0; delays = [||]; lanes = [||];
     flow_lane = Array.make 16 (-1) }
 
 let lane_index t delay =
@@ -27,7 +28,7 @@ let lane_index t delay =
       t.delays <- Array.append t.delays [| delay |];
       t.lanes <-
         Array.append t.lanes
-          [| Sim.lane t.sim ~dummy:Packet.dummy ~deliver:(arrive t) |];
+          [| Sim.lane t.sim ~deliver:(arrive t) |];
       i
     end
     else if Float.equal t.delays.(i) delay then i
@@ -49,8 +50,8 @@ let detach t ~flow =
   if flow >= 0 && flow < Array.length t.flow_lane then
     t.flow_lane.(flow) <- -1
 
-let send t (p : Packet.t) =
-  let flow = p.flow in
+let send t p =
+  let flow = Packet.flow t.packets p in
   let i =
     if flow >= 0 && flow < Array.length t.flow_lane then t.flow_lane.(flow)
     else -1

@@ -10,7 +10,13 @@
 
 type t
 
-val create : sim:Sim_engine.Sim.t -> deliver:(Packet.t -> unit) -> t
+val create :
+  sim:Sim_engine.Sim.t ->
+  packets:Packet.table ->
+  deliver:(Packet.t -> unit) ->
+  t
+(** [packets] is the table that issues the handles this pipe carries; the
+    pipe reads each packet's flow from it. *)
 
 val attach : t -> flow:int -> delay:float -> unit
 (** Route [flow]'s packets through the lane for [delay], registering that

@@ -20,6 +20,7 @@ type float_state = {
 type t = {
   sim : Sim.t;
   net : Dumbbell.t;
+  packets : Packet.table;  (* the dumbbell's: issues this slot's packets *)
   mutable flow : int;
   mss : int;
   mutable cc : Cc.t;
@@ -51,12 +52,6 @@ type t = {
   mutable o_head : int;
   mutable o_len : int;
   retx_queue : int Queue.t;
-  (* Free pool of recycled packets (a bounded stack): a packet comes back
-     when its ACK has been fully processed, so no queue, lane or trace still
-     reads it (a vacated ring cell may point at it until overwritten).
-     Dropped packets simply never return. A pop leaves its cell as is. *)
-  pk_pool : Packet.t array;
-  mutable pk_pool_len : int;
   mutable inflight_bytes : int;
   (* Delivery accounting (BBR-style), RTT estimation and pacing clock. *)
   fs : float_state;
@@ -80,8 +75,9 @@ type t = {
   mutable lost_segments : int;
   mutable retransmitted_segments : int;
   (* Lifecycle. A sender slot is created once and can host a succession of
-     flows ([rebind]): [finished] gates ACK processing after completion so a
-     late retransmitted copy cannot touch the slot's next tenant. Every
+     flows ([rebind]): ACK processing is gated on [finished] and on the
+     ACK's flow being the current tenant's, so a late copy of a finished
+     tenant's segment can touch neither the slot nor its next tenant. Every
      tenant of one slot shares [reverse_delay] (see [rebind]). The receiver
      and ACK-handler closures are allocated once and registered for each
      tenant's flow id. *)
@@ -232,7 +228,7 @@ let[@simlint.alloc_ok
 
 let[@simlint.alloc_ok
      "trace event: built only with a sink attached; the record is the \
-      product"] trace_ack t (trig : Packet.t) =
+      product"] trace_ack t trig =
   match t.trace with
   | None -> ()
   | Some tr ->
@@ -240,8 +236,8 @@ let[@simlint.alloc_ok
     Tr.emit tr ~time:now ~flow:t.flow
       (Tr.Ack
          {
-           seq = trig.seq;
-           rtt_sample = now -. trig.ts.sent_time;
+           seq = Packet.seq t.packets trig;
+           rtt_sample = now -. Packet.sent_time t.packets trig;
            delivered_bytes = t.fs.delivered;
            inflight_bytes = t.inflight_bytes;
          })
@@ -296,7 +292,7 @@ let advance_cum_ack t =
    transmission and still unacked is lost. Returns the count of segments
    newly marked lost. Toplevel (rather than a local [let rec]) so the
    per-ACK path builds no closure. *)
-let rec reap_lost t (trig : Packet.t) acc =
+let rec reap_lost t trig acc =
   if t.o_len = 0 then acc
   else begin
     let e_seq = t.o_seqs.(t.o_head) in
@@ -306,7 +302,7 @@ let rec reap_lost t (trig : Packet.t) acc =
       order_pop t;
       reap_lost t trig acc
     end
-    else if e_sent_time < trig.ts.sent_time then begin
+    else if e_sent_time < Packet.sent_time t.packets trig then begin
       order_pop t;
       let i = slot t e_seq in
       let acc =
@@ -332,13 +328,20 @@ let rec reap_lost t (trig : Packet.t) acc =
     else acc
   end
 
-let rto_base t =
+(* Both inlined: the RTO is re-armed on every ACK, and a float returned
+   from a call is boxed. *)
+let[@inline] rto_base t =
   if Float.is_nan t.fs.srtt then 1.0
   else Float.max 0.2 (t.fs.srtt +. (4.0 *. t.fs.rttvar))
 
 (* Exponential backoff: each unanswered RTO doubles the interval, capped at
-   60 s; a valid ACK resets the backoff. *)
-let rto_interval t = Float.min 60.0 (Float.ldexp (rto_base t) (min t.rto_backoff 16))
+   60 s; a valid ACK resets the backoff. [ldexp x 0 = x], so the common
+   unbacked-off case skips the call. *)
+let[@inline] rto_interval t =
+  let base = rto_base t in
+  Float.min 60.0
+    (if t.rto_backoff = 0 then base
+     else Float.ldexp base (min t.rto_backoff 16))
 
 let rec arm_rto t = Sim.Timer.set t.rto ~delay:(rto_interval t)
 
@@ -413,23 +416,9 @@ and transmit t ~seq ~retransmit =
   t.sg_counted.(i) <- t.sg_counted.(i) + t.mss;
   t.inflight_bytes <- t.inflight_bytes + t.mss;
   let packet =
-    if t.pk_pool_len > 0 then begin
-      t.pk_pool_len <- t.pk_pool_len - 1;
-      let p = t.pk_pool.(t.pk_pool_len) in
-      (* Restamp the flow id: after [rebind] the pool holds packets
-         recycled under the slot's previous tenant (late ACK copies keep
-         arriving even after the switch). *)
-      p.Packet.flow <- t.flow;
-      p.Packet.seq <- seq;
-      p.Packet.retransmit <- retransmit;
-      p.Packet.ts.Packet.sent_time <- now;
-      p.Packet.ts.Packet.delivered <- t.fs.delivered;
-      p.Packet.ts.Packet.delivered_time <- t.fs.delivered_time;
-      p
-    end
-    else
-      Packet.make ~flow:t.flow ~seq ~size:t.mss ~retransmit ~sent_time:now
-        ~delivered:t.fs.delivered ~delivered_time:t.fs.delivered_time
+    Packet.take t.packets ~flow:t.flow ~seq ~size:t.mss ~retransmit
+      ~sent_time:now ~delivered:t.fs.delivered
+      ~delivered_time:t.fs.delivered_time
   in
   t.cc.Cc.on_send ~now ~inflight_bytes:t.inflight_bytes;
   trace_send t ~seq ~retransmit;
@@ -486,21 +475,18 @@ and schedule_pacer t =
       ~delay:(Float.max 0.0 (t.fs.next_send_time -. Sim.now t.sim))
 
 (* Process the arrival of the ACK generated by the (unique) reception of
-   [trig]. *)
-let on_ack_packet t (trig : Packet.t) =
-  if t.finished then begin
-    (* A late copy of an already-delivered segment arriving after the flow
-       completed (or was deactivated): the slot may already host another
-       flow, so nothing here may be touched — just recycle the packet. *)
-    if t.pk_pool_len < Array.length t.pk_pool then begin
-      t.pk_pool.(t.pk_pool_len) <- trig;
-      t.pk_pool_len <- t.pk_pool_len + 1
-    end
-  end
+   [trig], then release [trig]: the ACK is the packet's last stop. *)
+let on_ack_packet t trig =
+  if t.finished || Packet.flow t.packets trig <> t.flow then
+    (* A late copy of an already-delivered segment arriving after its flow
+       completed (or was deactivated): the slot may be idle or host another
+       flow by now, so nothing here may be touched. *)
+    Packet.release t.packets trig
   else begin
   let now = Sim.now t.sim in
-  let live = in_window t trig.seq in
-  let i = slot t trig.seq in
+  let trig_seq = Packet.seq t.packets trig in
+  let live = in_window t trig_seq in
+  let i = slot t trig_seq in
   (* Any ACK for an unacked segment means the receiver holds the data,
      whichever transmission got through — and that the path delivers, so
      the RTO backoff resets. *)
@@ -522,7 +508,7 @@ let on_ack_packet t (trig : Packet.t) =
   (* RACK: every segment sent before [trig] and still unacked is lost. *)
   let newly_lost = reap_lost t trig 0 in
   (* RTT estimators (Karn's rule: skip retransmitted segments). *)
-  let rtt_sample = now -. trig.ts.sent_time in
+  let rtt_sample = now -. Packet.sent_time t.packets trig in
   if rtt_valid then begin
     if Float.is_nan t.fs.srtt then begin
       t.fs.srtt <- rtt_sample;
@@ -560,14 +546,15 @@ let on_ack_packet t (trig : Packet.t) =
   end;
   (* Round accounting and CC ACK notification for first-time deliveries. *)
   if first_delivery then begin
-    let round_start = trig.ts.delivered >= t.fs.next_round_delivered in
+    let trig_delivered = Packet.delivered t.packets trig in
+    let round_start = trig_delivered >= t.fs.next_round_delivered in
     if round_start then begin
       t.round <- t.round + 1;
       t.fs.next_round_delivered <- t.fs.delivered
     end;
-    let interval = now -. trig.ts.delivered_time in
+    let interval = now -. Packet.delivered_time t.packets trig in
     let delivery_rate =
-      if interval > 0.0 then (t.fs.delivered -. trig.ts.delivered) /. interval
+      if interval > 0.0 then (t.fs.delivered -. trig_delivered) /. interval
       else 0.0
     in
     let rtt_for_cc =
@@ -602,12 +589,7 @@ let on_ack_packet t (trig : Packet.t) =
     arm_rto t;
     try_send t
   end;
-  (* [trig] has left the network (its delivery popped it from the reverse
-     lane) and every use above copied values out, so it can be recycled. *)
-  if t.pk_pool_len < Array.length t.pk_pool then begin
-    t.pk_pool.(t.pk_pool_len) <- trig;
-    t.pk_pool_len <- t.pk_pool_len + 1
-  end
+  Packet.release t.packets trig
   end
 
 let[@simlint.alloc_ok "one bounds tuple per slot (re)activation"] limits
@@ -630,6 +612,7 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
     {
       sim;
       net;
+      packets = Dumbbell.packets net;
       flow;
       mss;
       cc;
@@ -647,8 +630,6 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
       o_head = 0;
       o_len = 0;
       retx_queue = Queue.create ();
-      pk_pool = Array.make 512 Packet.dummy;
-      pk_pool_len = 0;
       inflight_bytes = 0;
       fs =
         {
@@ -723,8 +704,8 @@ let deactivate t =
   end
 
 (* Reset every piece of per-flow state while keeping the allocated
-   containers (segment ring, order ring, retransmit queue, packet pool,
-   scratch records, timer and ACK callbacks): in steady-state churn the
+   containers (segment ring, order ring, retransmit queue, scratch
+   records, timer and ACK callbacks): in steady-state churn the
    arrival path allocates only the tenant's CC instance, never the slot
    machinery. *)
 let rebind t ~flow ~cc ?data_limit_bytes () =

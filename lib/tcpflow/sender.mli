@@ -20,13 +20,20 @@
     A [t] is a {e slot}, not just a flow: after its tenant completes,
     {!rebind} resets the per-flow state and activates a new flow in place,
     reusing every allocated container (segment and send-order rings,
-    packet pool, timer and ACK callbacks) so open-loop churn stays
-    allocation-free in steady state. ACKs come back over the dumbbell's
-    reverse lane for the flow's delay ({!Netsim.Dumbbell.send_ack}), which
-    hands them to the ACK handler [create]/[rebind] register for the
-    tenant's flow id. All tenants of one slot must share a reverse-path
-    delay, so a late ACK of the previous tenant stays FIFO with the new
-    tenant's on one lane ([rebind] enforces this). *)
+    timer and ACK callbacks) so open-loop churn stays allocation-free in
+    steady state. ACKs come back over the dumbbell's reverse lane for the
+    flow's delay ({!Netsim.Dumbbell.send_ack}), which hands them to the ACK
+    handler [create]/[rebind] register for the tenant's flow id. All
+    tenants of one slot must share a reverse-path delay, so a late ACK of
+    the previous tenant stays FIFO with the new tenant's on one lane
+    ([rebind] enforces this).
+
+    Each transmission takes a packet handle from the dumbbell's
+    {!Netsim.Packet} table, and the ACK handler releases it, whatever it
+    does with the ACK. An ACK is discarded unprocessed when the slot's
+    tenant has finished, or when it belongs to another flow than the
+    slot's current tenant: a late ACK of a previous tenant must not
+    advance the new tenant's window or delivery count. *)
 
 type t
 

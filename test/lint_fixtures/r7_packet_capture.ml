@@ -9,6 +9,8 @@ let by_field sim p = ignore (Sim.schedule sim ~delay:0.1 (fun () -> consume p.Pa
 let qualified sim packet =
   ignore (Sim_engine.Sim.schedule sim ~delay:0.2 (fun () -> deliver packet))
 
+let by_accessor sim tbl h = ignore (Sim.schedule sim ~delay:0.1 (fun () -> consume (Packet.seq tbl h)))
+
 (* Clean: the lane API passes the packet as an argument, no closure. *)
 let fine_lane sim lane p = Sim.schedule_packet sim lane ~delay:0.1 p
 

@@ -5,9 +5,14 @@ module Sim = Sim_engine.Sim
 module Units = Sim_engine.Units
 module Q = Netsim.Droptail_queue
 
-let mk_packet ?(flow = 0) ?(seq = 0) ?(size = 1500) () =
-  Netsim.Packet.make ~flow ~seq ~size ~retransmit:false ~sent_time:0.0
-    ~delivered:0.0 ~delivered_time:0.0
+let red_queue policy ~capacity_bytes =
+  Q.create ~packets:(Netsim.Packet.create_table ()) ~policy ~capacity_bytes ()
+
+(* Offer a packet built in the queue's own table. *)
+let offer q ?(flow = 0) ?(seq = 0) ?(size = 1500) () =
+  Q.enqueue q
+    (Netsim.Packet.take (Q.packets q) ~flow ~seq ~size ~retransmit:false
+       ~sent_time:0.0 ~delivered:0.0 ~delivered_time:0.0)
 
 (* --- RED policy --- *)
 
@@ -23,50 +28,50 @@ let red_policy ?(min_th = 10_000.0) ?(max_th = 30_000.0) ?(max_p = 0.5)
     }
 
 let test_red_no_drop_below_min () =
-  let q = Q.create ~policy:(red_policy ()) ~capacity_bytes:100_000 () in
+  let q = red_queue (red_policy ()) ~capacity_bytes:100_000 in
   (* 6 packets = 9000 B, below min_th even instantaneously. *)
   for seq = 0 to 5 do
-    match Q.enqueue q (mk_packet ~seq ()) with
+    match offer q ~seq () with
     | Q.Enqueued -> ()
     | Q.Dropped -> Alcotest.fail "drop below min threshold"
   done;
   Alcotest.(check int) "no early drops" 0 (Q.early_drops q)
 
 let test_red_drops_early_above_min () =
-  let q = Q.create ~policy:(red_policy ()) ~capacity_bytes:1_000_000 () in
+  let q = red_queue (red_policy ()) ~capacity_bytes:1_000_000 in
   (* Push far beyond max_th without draining; with weight 0.5 the EWMA
      tracks quickly and early drops must appear well before the 1 MB
      capacity. *)
   for seq = 0 to 199 do
-    ignore (Q.enqueue q (mk_packet ~seq ()))
+    ignore (offer q ~seq ())
   done;
   Alcotest.(check bool) "early drops happened" true (Q.early_drops q > 0);
   Alcotest.(check bool) "queue never filled" true
     (Q.occupancy_bytes q < 1_000_000)
 
 let test_red_tail_drop_still_applies () =
-  let q = Q.create ~policy:(red_policy ~max_p:0.01 ~min_th:1e9 ~max_th:2e9 ())
-      ~capacity_bytes:3000 ()
+  let q = red_queue (red_policy ~max_p:0.01 ~min_th:1e9 ~max_th:2e9 ())
+      ~capacity_bytes:3000
   in
   (* Thresholds so high RED never fires: capacity still enforced. *)
-  ignore (Q.enqueue q (mk_packet ~seq:0 ()));
-  ignore (Q.enqueue q (mk_packet ~seq:1 ()));
+  ignore (offer q ~seq:0 ());
+  ignore (offer q ~seq:1 ());
   Alcotest.(check bool) "tail drop" true
-    (Q.enqueue q (mk_packet ~seq:2 ()) = Q.Dropped);
+    (offer q ~seq:2 () = Q.Dropped);
   Alcotest.(check int) "not an early drop" 0 (Q.early_drops q)
 
 let test_red_average_tracks () =
-  let q = Q.create ~policy:(red_policy ~weight:1.0 ()) ~capacity_bytes:100_000 () in
-  ignore (Q.enqueue q (mk_packet ~seq:0 ()));
-  ignore (Q.enqueue q (mk_packet ~seq:1 ()));
+  let q = red_queue (red_policy ~weight:1.0 ()) ~capacity_bytes:100_000 in
+  ignore (offer q ~seq:0 ());
+  ignore (offer q ~seq:1 ());
   (* weight 1.0: avg equals the instantaneous occupancy before the last
      arrival. *)
   Alcotest.(check (float 1.0)) "ewma" 1500.0 (Q.average_queue_bytes q)
 
 let test_red_param_validation () =
   match
-    Q.create ~policy:(red_policy ~min_th:10.0 ~max_th:5.0 ())
-      ~capacity_bytes:1000 ()
+    red_queue (red_policy ~min_th:10.0 ~max_th:5.0 ())
+      ~capacity_bytes:1000
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "max_th <= min_th should raise"

@@ -110,15 +110,17 @@ let test_dumbbell_orphans_detached_flow () =
   Netsim.Dumbbell.add_flow net ~flow:3 ~base_rtt:(Units.ms 20.0);
   let delivered = ref 0 in
   Netsim.Dumbbell.set_receiver net ~flow:3 (fun _ -> incr delivered);
+  let packets = Netsim.Dumbbell.packets net in
   let pkt =
-    Netsim.Packet.make ~flow:3 ~seq:0 ~size:1500 ~retransmit:false
+    Netsim.Packet.take packets ~flow:3 ~seq:0 ~size:1500 ~retransmit:false
       ~sent_time:0.0 ~delivered:0.0 ~delivered_time:0.0
   in
   ignore (Netsim.Dumbbell.send net pkt);
   Netsim.Dumbbell.remove_flow net ~flow:3;
   Sim.run ~until:1.0 sim;
   Alcotest.(check int) "not delivered" 0 !delivered;
-  Alcotest.(check int) "orphaned" 1 (Netsim.Dumbbell.orphaned net)
+  Alcotest.(check int) "orphaned" 1 (Netsim.Dumbbell.orphaned net);
+  Alcotest.(check int) "orphan released" 0 (Netsim.Packet.live packets)
 
 let test_rebind_requires_finished_tenant () =
   let sim = Sim.create ~seed:2 () in
@@ -176,6 +178,118 @@ let test_churn_lanes_keyed_by_delay () =
   Alcotest.(check bool) "several slots" true (Churn.slots_created churn > 1);
   Alcotest.(check int) "link + forward + reverse lanes" 3
     (Sim.lane_count sim)
+
+(* A late ACK of a slot's previous tenant must not reach its new tenant:
+   the slot discards it, because its flow is not the current one. Before
+   this guard, the ACK below was processed as if the new tenant's segment 0
+   had been delivered. *)
+let test_stale_tenant_ack_discarded () =
+  let sim = Sim.create ~seed:3 () in
+  let net =
+    Netsim.Dumbbell.create ~sim ~rate_bps:(Units.mbps 10.0)
+      ~buffer_bytes:100_000
+      ~flows:[ { Netsim.Dumbbell.flow = 0; base_rtt = Units.ms 20.0 } ]
+      ()
+  in
+  let packets = Netsim.Dumbbell.packets net in
+  let cubic () =
+    Cca.Registry.create "cubic" ~mss:Units.mss ~rng:(Sim_engine.Rng.create 1)
+  in
+  let sender =
+    Tcpflow.Sender.create ~net ~flow:0 ~cc:(cubic ()) ~data_limit_bytes:15_000
+      ()
+  in
+  Sim.run ~until:1.0 sim;
+  Alcotest.(check bool) "first tenant done" true
+    (Tcpflow.Sender.finished sender);
+  Netsim.Dumbbell.remove_flow net ~flow:0;
+  Netsim.Dumbbell.add_flow net ~flow:1 ~base_rtt:(Units.ms 20.0);
+  Tcpflow.Sender.rebind sender ~flow:1 ~cc:(cubic ())
+    ~data_limit_bytes:15_000 ();
+  (* The new tenant is black-holed: none of its segments is delivered. *)
+  Netsim.Dumbbell.set_receiver net ~flow:1 (Netsim.Packet.release packets);
+  Netsim.Dumbbell.send_ack net
+    (Netsim.Packet.take packets ~flow:0 ~seq:0 ~size:Units.mss
+       ~retransmit:false ~sent_time:(Sim.now sim) ~delivered:0.0
+       ~delivered_time:0.0);
+  Sim.run ~until:1.05 sim;
+  Alcotest.(check (float 0.0)) "new tenant delivered nothing" 0.0
+    (Tcpflow.Sender.delivered_bytes sender);
+  Alcotest.(check int) "new tenant's cum_ack unmoved" 0
+    (Tcpflow.Sender.cum_ack sender);
+  Alcotest.(check bool) "new tenant still running" false
+    (Tcpflow.Sender.finished sender)
+
+(* Every live packet handle is somewhere in the network: queued at the
+   bottleneck, in service on the link, or on one of the two pipes. Checked
+   every 5 ms and at the end of a run with drops, an RTO, an orphan and
+   slot rebinds; after a full drain no handle may remain live. *)
+let test_packet_handles_conserved () =
+  let schedule =
+    Array.init 30 (fun i -> item (0.1 *. float_of_int i) 30_000)
+  in
+  let sim, net, churn = churn_setup ~buffer_bytes:6_000 schedule in
+  let packets = Netsim.Dumbbell.packets net in
+  let queue = Netsim.Dumbbell.queue net in
+  let link = Netsim.Dumbbell.link net in
+  let held () =
+    Netsim.Droptail_queue.length queue
+    + (if Netsim.Link.busy link then 1 else 0)
+    + Netsim.Dumbbell.in_flight net
+  in
+  (* A bulk flow, black-holed from 0.5 s to 2.5 s so that its RTO fires. *)
+  Netsim.Dumbbell.add_flow net ~flow:1000 ~base_rtt:(Units.ms 20.0);
+  let bulk =
+    Tcpflow.Sender.create ~net ~flow:1000
+      ~cc:
+        (Cca.Registry.create "cubic" ~mss:Units.mss
+           ~rng:(Sim_engine.Rng.create 2))
+      ()
+  in
+  let receive = Option.get (Netsim.Dumbbell.receiver net ~flow:1000) in
+  let black_hole = Netsim.Packet.release packets in
+  ignore
+    (Sim.schedule sim ~delay:0.5 (fun () ->
+         Netsim.Dumbbell.set_receiver net ~flow:1000 black_hole));
+  ignore
+    (Sim.schedule sim ~delay:2.5 (fun () ->
+         Netsim.Dumbbell.set_receiver net ~flow:1000 receive));
+  (* A packet of a flow nobody registered: an orphan. *)
+  let send_orphan () =
+    ignore
+      (Netsim.Dumbbell.send net
+         (Netsim.Packet.take packets ~flow:999 ~seq:0 ~size:Units.mss
+            ~retransmit:false ~sent_time:(Sim.now sim) ~delivered:0.0
+            ~delivered_time:0.0))
+  in
+  ignore (Sim.schedule sim ~delay:1.0 send_orphan);
+  let checks = ref 0 and mismatches = ref 0 and rto_seen = ref false in
+  let checking = ref true in
+  let rec check () =
+    incr checks;
+    if Netsim.Packet.live packets <> held () then incr mismatches;
+    if Tcpflow.Sender.rto_backoff bulk > 0 then rto_seen := true;
+    if !checking then ignore (Sim.schedule sim ~delay:0.005 check)
+  in
+  check ();
+  Sim.run ~until:6.0 sim;
+  Alcotest.(check int) "live = held, every 5 ms" 0 !mismatches;
+  Alcotest.(check bool) "checked mid-run" true (!checks > 1000);
+  Alcotest.(check int) "live = held at the end" (held ())
+    (Netsim.Packet.live packets);
+  Alcotest.(check bool) "packets in the network" true (held () > 0);
+  Alcotest.(check bool) "drops" true (Netsim.Droptail_queue.drops queue > 0);
+  Alcotest.(check bool) "an RTO fired" true !rto_seen;
+  Alcotest.(check bool) "an orphan" true (Netsim.Dumbbell.orphaned net > 0);
+  Alcotest.(check bool) "slots rebound" true
+    (Churn.slots_created churn < Churn.completed churn);
+  checking := false;
+  Churn.teardown churn;
+  Tcpflow.Sender.deactivate bulk;
+  Sim.run sim;
+  Alcotest.(check int) "drained" 0 (held ());
+  Alcotest.(check int) "no handle live after the drain" 0
+    (Netsim.Packet.live packets)
 
 (* Full experiment: static long flows + workload churn, every event traced
    and replayed through the lifecycle auditor. Zero violations expected. *)
@@ -296,6 +410,10 @@ let tests =
       test_dumbbell_orphans_detached_flow;
     Alcotest.test_case "rebind guard" `Quick
       test_rebind_requires_finished_tenant;
+    Alcotest.test_case "stale-tenant ACK discarded" `Quick
+      test_stale_tenant_ack_discarded;
+    Alcotest.test_case "packet handles conserved" `Quick
+      test_packet_handles_conserved;
     Alcotest.test_case "teardown" `Quick test_teardown_cuts_active_flows;
     Alcotest.test_case "lanes keyed by delay" `Quick
       test_churn_lanes_keyed_by_delay;

@@ -196,7 +196,7 @@ let tests =
       (check_fixture "r6_option_eq.ml" [ ("R6", 3); ("R6", 5); ("R6", 7) ]);
     Alcotest.test_case "R7 packet capture" `Quick
       (check_fixture "r7_packet_capture.ml"
-         [ ("R7", 3); ("R7", 5); ("R7", 7); ("R7", 10) ]);
+         [ ("R7", 3); ("R7", 5); ("R7", 7); ("R7", 10); ("R7", 12) ]);
     Alcotest.test_case "suppression comments" `Quick
       (check_fixture "suppressed.ml" []);
     Alcotest.test_case "parse failure reported" `Quick test_parse_failure;

@@ -1,41 +1,99 @@
 open Netsim
 module Sim = Sim_engine.Sim
 
-let mk_packet ?(flow = 0) ?(seq = 0) ?(size = 1500) () =
-  Packet.make ~flow ~seq ~size ~retransmit:false ~sent_time:0.0 ~delivered:0.0
-    ~delivered_time:0.0
+let mk_packet packets ?(flow = 0) ?(seq = 0) ?(size = 1500) () =
+  Packet.take packets ~flow ~seq ~size ~retransmit:false ~sent_time:0.0
+    ~delivered:0.0 ~delivered_time:0.0
+
+let new_queue ~capacity_bytes =
+  Droptail_queue.create ~packets:(Packet.create_table ()) ~capacity_bytes ()
+
+(* Offer a packet built in the queue's own table. *)
+let enqueue q ?flow ?seq ?size () =
+  Droptail_queue.enqueue q
+    (mk_packet (Droptail_queue.packets q) ?flow ?seq ?size ())
+
+(* Dequeue and release, returning the packet's seq and size. *)
+let dequeue q =
+  let packets = Droptail_queue.packets q in
+  let p = Droptail_queue.dequeue_exn q in
+  let r = (Packet.seq packets p, Packet.size packets p) in
+  Packet.release packets p;
+  r
+
+(* --- Packet handles --- *)
+
+let test_packet_fields () =
+  let packets = Packet.create_table () in
+  let p =
+    Packet.take packets ~flow:3 ~seq:7 ~size:1200 ~retransmit:true
+      ~sent_time:1.5 ~delivered:3000.0 ~delivered_time:1.25
+  in
+  Alcotest.(check (list int)) "ints" [ 3; 7; 1200 ]
+    [ Packet.flow packets p; Packet.seq packets p; Packet.size packets p ];
+  Alcotest.(check bool) "retransmit" true (Packet.retransmit packets p);
+  Alcotest.(check (list (float 0.0))) "stamps" [ 1.5; 3000.0; 1.25 ]
+    [
+      Packet.sent_time packets p;
+      Packet.delivered packets p;
+      Packet.delivered_time packets p;
+    ];
+  Alcotest.(check int) "live" 1 (Packet.live packets);
+  Packet.release packets p;
+  Alcotest.(check int) "released" 0 (Packet.live packets);
+  (* More handles than the initial capacity: the table grows. *)
+  let hs = List.init 200 (fun seq -> mk_packet packets ~seq ()) in
+  Alcotest.(check (list int)) "seqs survive growth" (List.init 200 Fun.id)
+    (List.map (Packet.seq packets) hs);
+  List.iter (Packet.release packets) hs;
+  Alcotest.(check int) "all released" 0 (Packet.live packets)
+
+let test_packet_double_release () =
+  let packets = Packet.create_table () in
+  let p = mk_packet packets () in
+  Packet.release packets p;
+  Alcotest.(check bool) "not live" false (Packet.is_live packets p);
+  Alcotest.check_raises "double release"
+    (Invalid_argument "Packet.release: handle not live") (fun () ->
+      Packet.release packets p);
+  Alcotest.check_raises "never taken"
+    (Invalid_argument "Packet.release: handle not live") (fun () ->
+      Packet.release packets 1_000_000)
 
 (* --- Droptail_queue --- *)
 
 let test_fifo_order () =
-  let q = Droptail_queue.create ~capacity_bytes:10_000 () in
+  let q = new_queue ~capacity_bytes:10_000 in
   for seq = 0 to 4 do
-    match Droptail_queue.enqueue q (mk_packet ~seq ()) with
+    match enqueue q ~seq () with
     | Droptail_queue.Enqueued -> ()
     | Droptail_queue.Dropped -> Alcotest.fail "unexpected drop"
   done;
   for seq = 0 to 4 do
-    match Droptail_queue.dequeue q with
-    | Some p -> Alcotest.(check int) "fifo" seq p.Packet.seq
-    | None -> Alcotest.fail "missing packet"
-  done
+    Alcotest.(check int) "fifo" seq (fst (dequeue q))
+  done;
+  Alcotest.(check int) "all released" 0
+    (Packet.live (Droptail_queue.packets q))
 
 let test_capacity_drop () =
-  let q = Droptail_queue.create ~capacity_bytes:3000 () in
+  let q = new_queue ~capacity_bytes:3000 in
   Alcotest.(check bool) "first fits" true
-    (Droptail_queue.enqueue q (mk_packet ()) = Droptail_queue.Enqueued);
+    (enqueue q () = Droptail_queue.Enqueued);
   Alcotest.(check bool) "second fits" true
-    (Droptail_queue.enqueue q (mk_packet ()) = Droptail_queue.Enqueued);
+    (enqueue q () = Droptail_queue.Enqueued);
   Alcotest.(check bool) "third dropped" true
-    (Droptail_queue.enqueue q (mk_packet ()) = Droptail_queue.Dropped);
+    (enqueue q () = Droptail_queue.Dropped);
   Alcotest.(check int) "drop count" 1 (Droptail_queue.drops q);
-  Alcotest.(check int) "dropped bytes" 1500 (Droptail_queue.dropped_bytes q)
+  Alcotest.(check int) "dropped bytes" 1500 (Droptail_queue.dropped_bytes q);
+  (* The queue releases the handle it dropped. *)
+  Alcotest.(check int) "dropped handle released" 2
+    (Packet.live (Droptail_queue.packets q))
 
 let test_occupancy_accounting () =
-  let q = Droptail_queue.create ~capacity_bytes:100_000 () in
-  ignore (Droptail_queue.enqueue q (mk_packet ~flow:0 ~size:1000 ()));
-  ignore (Droptail_queue.enqueue q (mk_packet ~flow:1 ~size:2000 ()));
-  ignore (Droptail_queue.enqueue q (mk_packet ~flow:0 ~size:500 ()));
+  let q = new_queue ~capacity_bytes:100_000 in
+  ignore (enqueue q ~flow:0 ~size:1000 ());
+  ignore (enqueue q ~flow:1 ~size:2000 ());
+  ignore (enqueue q ~flow:0 ~size:500 ());
   Alcotest.(check int) "total" 3500 (Droptail_queue.occupancy_bytes q);
   Alcotest.(check int) "flow 0" 1500 (Droptail_queue.occupancy_of_flow q 0);
   Alcotest.(check int) "flow 1" 2000 (Droptail_queue.occupancy_of_flow q 1);
@@ -43,42 +101,42 @@ let test_occupancy_accounting () =
   (* Flows 0 and 1 in classes 1 and 0; flow 2 (none queued) in no class. *)
   Droptail_queue.occupancy_by_class q ~class_of_flow:[| 1; 0; -1 |] sums;
   Alcotest.(check (array int)) "classes" [| 2000; 1500 |] sums;
-  ignore (Droptail_queue.dequeue q);
+  ignore (dequeue q);
   Alcotest.(check int) "flow 0 after dequeue" 500
     (Droptail_queue.occupancy_of_flow q 0)
 
 let test_drop_hook () =
-  let q = Droptail_queue.create ~capacity_bytes:1500 () in
+  let q = new_queue ~capacity_bytes:1500 in
   let dropped = ref [] in
   Droptail_queue.set_drop_hook q (fun ~early:_ p ->
-      dropped := p.Packet.seq :: !dropped);
-  ignore (Droptail_queue.enqueue q (mk_packet ~seq:1 ()));
-  ignore (Droptail_queue.enqueue q (mk_packet ~seq:2 ()));
+      dropped := Packet.seq (Droptail_queue.packets q) p :: !dropped);
+  ignore (enqueue q ~seq:1 ());
+  ignore (enqueue q ~seq:2 ());
   Alcotest.(check (list int)) "hook saw seq 2" [ 2 ] !dropped
 
 let test_empty_queue () =
-  let q = Droptail_queue.create ~capacity_bytes:1500 () in
+  let q = new_queue ~capacity_bytes:1500 in
   Alcotest.(check bool) "is_empty" true (Droptail_queue.is_empty q);
-  Alcotest.(check bool) "dequeue none" true (Option.is_none (Droptail_queue.dequeue q))
+  Alcotest.check_raises "dequeue raises" Droptail_queue.Empty (fun () ->
+      ignore (Droptail_queue.dequeue_exn q))
 
 let prop_byte_conservation =
   QCheck.Test.make ~name:"enqueued = dequeued + dropped + queued" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 100) (int_range 100 3000))
     (fun sizes ->
-      let q = Droptail_queue.create ~capacity_bytes:10_000 () in
+      let q = new_queue ~capacity_bytes:10_000 in
       let enqueued = ref 0 in
       List.iteri
         (fun seq size ->
-          match Droptail_queue.enqueue q (mk_packet ~seq ~size ()) with
+          match enqueue q ~seq ~size () with
           | Droptail_queue.Enqueued -> enqueued := !enqueued + size
           | Droptail_queue.Dropped -> ())
         sizes;
       let dequeued = ref 0 in
       (* dequeue half *)
       for _ = 1 to List.length sizes / 2 do
-        match Droptail_queue.dequeue q with
-        | Some p -> dequeued := !dequeued + p.Packet.size
-        | None -> ()
+        if not (Droptail_queue.is_empty q) then
+          dequeued := !dequeued + snd (dequeue q)
       done;
       !enqueued = !dequeued + Droptail_queue.occupancy_bytes q)
 
@@ -86,14 +144,15 @@ let prop_byte_conservation =
 
 let test_link_serialization () =
   let sim = Sim.create () in
-  let q = Droptail_queue.create ~capacity_bytes:1_000_000 () in
+  let q = new_queue ~capacity_bytes:1_000_000 in
   let delivered = ref [] in
   let link =
     Link.create ~sim ~rate_bps:(Sim_engine.Units.bps 12e6) ~queue:q ~deliver:(fun p ->
-        delivered := (Sim.now sim, p.Packet.seq) :: !delivered)
+        delivered :=
+          (Sim.now sim, Packet.seq (Droptail_queue.packets q) p) :: !delivered)
   in
   for seq = 0 to 2 do
-    ignore (Droptail_queue.enqueue q (mk_packet ~seq ()))
+    ignore (enqueue q ~seq ())
   done;
   Link.kick link;
   Sim.run sim;
@@ -107,10 +166,10 @@ let test_link_serialization () =
 
 let test_link_counters () =
   let sim = Sim.create () in
-  let q = Droptail_queue.create ~capacity_bytes:1_000_000 () in
+  let q = new_queue ~capacity_bytes:1_000_000 in
   let link = Link.create ~sim ~rate_bps:(Sim_engine.Units.bps 12e6) ~queue:q ~deliver:ignore in
   for seq = 0 to 4 do
-    ignore (Droptail_queue.enqueue q (mk_packet ~seq ()))
+    ignore (enqueue q ~seq ())
   done;
   Link.kick link;
   Sim.run sim;
@@ -121,10 +180,10 @@ let test_link_counters () =
 
 let test_link_kick_idempotent () =
   let sim = Sim.create () in
-  let q = Droptail_queue.create ~capacity_bytes:1_000_000 () in
+  let q = new_queue ~capacity_bytes:1_000_000 in
   let count = ref 0 in
   let link = Link.create ~sim ~rate_bps:(Sim_engine.Units.bps 12e6) ~queue:q ~deliver:(fun _ -> incr count) in
-  ignore (Droptail_queue.enqueue q (mk_packet ()));
+  ignore (enqueue q ());
   Link.kick link;
   Link.kick link;
   Link.kick link;
@@ -136,9 +195,10 @@ let test_link_kick_idempotent () =
 let test_pipe_delay () =
   let sim = Sim.create () in
   let arrival = ref nan in
-  let pipe = Pipe.create ~sim ~deliver:(fun _ -> arrival := Sim.now sim) in
+  let packets = Packet.create_table () in
+  let pipe = Pipe.create ~sim ~packets ~deliver:(fun _ -> arrival := Sim.now sim) in
   Pipe.attach pipe ~flow:0 ~delay:0.02;
-  Pipe.send pipe (mk_packet ());
+  Pipe.send pipe (mk_packet packets ());
   Alcotest.(check int) "in flight" 1 (Pipe.in_flight pipe);
   Sim.run sim;
   Alcotest.(check (float 1e-12)) "arrives after delay" 0.02 !arrival;
@@ -147,14 +207,16 @@ let test_pipe_delay () =
 let test_pipe_per_flow_delay () =
   let sim = Sim.create () in
   let arrivals = ref [] in
+  let packets = Packet.create_table () in
   let pipe =
-    Pipe.create ~sim
-      ~deliver:(fun p -> arrivals := (p.Packet.flow, Sim.now sim) :: !arrivals)
+    Pipe.create ~sim ~packets
+      ~deliver:(fun p ->
+        arrivals := (Packet.flow packets p, Sim.now sim) :: !arrivals)
   in
   Pipe.attach pipe ~flow:0 ~delay:0.01;
   Pipe.attach pipe ~flow:1 ~delay:0.03;
-  Pipe.send pipe (mk_packet ~flow:1 ());
-  Pipe.send pipe (mk_packet ~flow:0 ());
+  Pipe.send pipe (mk_packet packets ~flow:1 ());
+  Pipe.send pipe (mk_packet packets ~flow:0 ());
   Sim.run sim;
   Alcotest.(check (list (pair int (float 1e-12))))
     "per-flow delays"
@@ -171,7 +233,7 @@ let test_dumbbell_end_to_end () =
   in
   let arrival = ref nan in
   Dumbbell.set_receiver net ~flow:0 (fun _ -> arrival := Sim.now sim);
-  ignore (Dumbbell.send net (mk_packet ()));
+  ignore (Dumbbell.send net (mk_packet (Dumbbell.packets net) ()));
   Sim.run sim;
   (* serialization 1 ms + one-way 20 ms *)
   Alcotest.(check (float 1e-9)) "arrival time" 0.021 !arrival;
@@ -184,9 +246,11 @@ let test_dumbbell_orphan () =
     Dumbbell.create ~sim ~rate_bps:(Sim_engine.Units.bps 12e6) ~buffer_bytes:1_000_000
       ~flows:[ { Dumbbell.flow = 0; base_rtt = Sim_engine.Units.ms 40.0 } ] ()
   in
-  ignore (Dumbbell.send net (mk_packet ~flow:7 ()));
+  ignore (Dumbbell.send net (mk_packet (Dumbbell.packets net) ~flow:7 ()));
   Sim.run sim;
-  Alcotest.(check int) "orphaned" 1 (Dumbbell.orphaned net)
+  Alcotest.(check int) "orphaned" 1 (Dumbbell.orphaned net);
+  Alcotest.(check int) "orphan released" 0
+    (Packet.live (Dumbbell.packets net))
 
 let test_dumbbell_rtt_lookup () =
   let sim = Sim.create () in
@@ -209,13 +273,13 @@ let test_dumbbell_rtt_lookup () =
 
 let test_sampler_series () =
   let sim = Sim.create () in
-  let q = Droptail_queue.create ~capacity_bytes:1_000_000 () in
+  let q = new_queue ~capacity_bytes:1_000_000 in
   let sampler =
     Netsim.Sampler.create ~sim ~queue:q ~period:0.01 ~classes:[| "even" |]
       ~class_of_flow:[| 0; -1 |] ()
   in
-  ignore (Droptail_queue.enqueue q (mk_packet ~flow:0 ~size:1000 ()));
-  ignore (Droptail_queue.enqueue q (mk_packet ~flow:1 ~size:500 ()));
+  ignore (enqueue q ~flow:0 ~size:1000 ());
+  ignore (enqueue q ~flow:1 ~size:500 ());
   Sim.run ~until:0.05 sim;
   Netsim.Sampler.stop sampler;
   let total = Netsim.Sampler.total sampler in
@@ -231,8 +295,8 @@ let test_sampler_series () =
 
 let test_sampler_queuing_delay () =
   let sim = Sim.create () in
-  let q = Droptail_queue.create ~capacity_bytes:1_000_000 () in
-  ignore (Droptail_queue.enqueue q (mk_packet ~size:12500 ()));
+  let q = new_queue ~capacity_bytes:1_000_000 in
+  ignore (enqueue q ~size:12500 ());
   let sampler = Netsim.Sampler.create ~sim ~queue:q ~period:0.01 () in
   Sim.run ~until:0.1 sim;
   Netsim.Sampler.stop sampler;
@@ -242,6 +306,9 @@ let test_sampler_queuing_delay () =
 
 let tests =
   [
+    Alcotest.test_case "packet fields" `Quick test_packet_fields;
+    Alcotest.test_case "packet double release" `Quick
+      test_packet_double_release;
     Alcotest.test_case "droptail FIFO" `Quick test_fifo_order;
     Alcotest.test_case "droptail capacity" `Quick test_capacity_drop;
     Alcotest.test_case "droptail occupancy" `Quick test_occupancy_accounting;

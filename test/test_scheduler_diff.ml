@@ -42,7 +42,7 @@ let run_differential ~seed ~rounds ~ops_per_round ~n_lanes ~n_timers =
     fired := (id, Sim.now sim) :: !fired;
     Hashtbl.replace fired_ids id ()
   in
-  let lanes = Array.init n_lanes (fun _ -> Sim.lane sim ~dummy:(-1) ~deliver:record) in
+  let lanes = Array.init n_lanes (fun _ -> Sim.lane sim ~deliver:record) in
   (* Per timer: the reference entry of its latest set, whose id the action
      records. *)
   let timer_entry = Array.make n_timers None in

@@ -30,8 +30,10 @@
       hot path. Packets belong on a calendar lane ([Sim.schedule_packet]),
       which passes the payload as an argument to a callback registered
       once. Syntactic heuristic: the function-literal callback reads a
-      [Packet]-qualified record field or mentions a free variable named
-      [packet]/[pkt]; names bound inside the callback don't count.
+      [Packet]-qualified record field, calls a [Packet]-qualified function
+      (the handle accessors, [Packet.seq tbl p]) or mentions a free
+      variable named [packet]/[pkt]; names bound inside the callback don't
+      count.
 
    A violation is suppressed by [(* simlint: allow R<n> *)] on the same
    line or the line directly above it. *)
@@ -214,8 +216,9 @@ let is_sim_schedule lid =
 let packet_var_names = [ "packet"; "pkt" ]
 
 (* Scans a callback expression for packet evidence: a [Packet]-qualified
-   field read, or an occurrence of a conventional packet variable name that
-   no pattern inside the callback binds (so it must be captured). Binding
+   field read or function call (a packet handle's accessors), or an
+   occurrence of a conventional packet variable name that no pattern inside
+   the callback binds (so it must be captured). Binding
    anywhere inside the callback shadows the name — a deliberate
    over-approximation that keeps the heuristic free of scope tracking. *)
 let callback_captures_packet callback =
@@ -240,6 +243,7 @@ let callback_captures_packet callback =
             when List.mem name packet_var_names ->
             free_candidates := name :: !free_candidates
           | Pexp_field (_, { txt; _ })
+          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
             when List.mem "Packet" (Longident.flatten txt) ->
             field_hit := true
           | _ -> ());
