@@ -35,6 +35,10 @@ lint: build
 # twice from one cache and both copies must match the golden one: the cold
 # run must simulate all 22 analytic specs and the warm run none, which
 # smoke-tests the analytic-backend cache path as fig03 does the packet one.
+# After the cached runs the cache directory must hold only .pack files, at
+# most one per invocation that simulated something (cold fig03, fig01,
+# fig05, cold fluidgrid and evolve: five); the warm runs' "; 0 simulated"
+# reads what the earlier processes appended.
 # The ext-2flow and ext-utility goldens pin the equilibrium check on the
 # 2-flow and the symmetric n-flow game.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
@@ -71,6 +75,12 @@ check: build test lint
 	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \
 	  --out "$(CHECK_OUT)"
 	cmp test/golden/evolve_quick.csv "$(CHECK_OUT)/evolve.csv"
+	@packs=$$(ls "$(CHECK_CACHE)" | grep -c '\.pack$$'); \
+	others=$$(ls "$(CHECK_CACHE)" | grep -vc '\.pack$$'); \
+	echo "cache: $$packs packs, $$others other files"; \
+	test "$$others" -eq 0 && test "$$packs" -ge 1 && test "$$packs" -le 5 \
+	  || { echo "check: the result cache must hold only packs, at most one \
+	per simulating invocation"; exit 1; }
 	dune exec bin/repro.exe -- run ext-short --jobs 2 --out "$(CHECK_OUT)"
 	cmp test/golden/ext_short_quick.csv "$(CHECK_OUT)/ext-short.csv"
 	dune exec bin/repro.exe -- run ext-2flow --jobs 2 --out "$(CHECK_OUT)"

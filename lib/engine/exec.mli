@@ -41,18 +41,33 @@ val mkdir_p : string -> unit
     exists. Losing a creation race to a concurrent caller is tolerated;
     any other failure raises [Sys_error]. *)
 
-(** Content-addressed result store: values are marshalled under the MD5 of
-    a caller-chosen key string (for experiments, the marshalled config).
+(** Content-addressed result store: values are marshalled under a
+    caller-chosen key string (for experiments, the config's digest).
 
-    Reads are typed by the caller ([find] is as unsafe as [Marshal]): only
-    read a key with the type it was stored at. Corrupted, truncated, or
-    foreign files are treated as misses, never errors. Concurrent writers
-    are safe: files are written to a temp name and renamed into place. *)
+    Each value is one record appended to a pack, an append-only [*.pack]
+    file in the directory. A handle writes to one pack of its own, created
+    on its first {!store}, and indexes the records of every pack in the
+    directory once, on its first {!find}. A record counts only when it is
+    complete and its payload matches its checksum: a torn tail or a
+    damaged record is a counted miss, never an error. Files without the
+    [.pack] suffix, such as the per-result files of the earlier layout,
+    are ignored.
+
+    - Within one handle, the last store of a key wins.
+    - Across handles, any complete record of a key may answer; values are
+      content-addressed, so they are equal.
+    - Records another handle appends after this one built its index are
+      invisible to it: the miss re-simulates.
+
+    One handle may be used from several domains at once; a mutex guards
+    its index and its pack. Reads are typed by the caller ([find] is as
+    unsafe as [Marshal]): only read a key with the type it was stored at. *)
 module Cache : sig
   type t
 
   val create : string -> t
-  (** Use (and create if needed, including parents) the given directory. *)
+  (** A handle on the given directory, created if needed (including
+      parents). Creates no pack and reads nothing yet. *)
 
   val dir : t -> string
 
@@ -61,6 +76,7 @@ module Cache : sig
       absent or unreadable. *)
 
   val store : t -> key:string -> 'a -> unit
-  (** Persist [value] under [key], atomically replacing any previous
-      entry. The value must contain no closures. *)
+  (** Append [value] under [key] to this handle's pack: one open for
+      append, one write, one close. Later finds through this handle read
+      it. The value must contain no closures. *)
 end

@@ -3,13 +3,18 @@ type mode = Quick | Full
 type ctx = {
   mode : mode;
   jobs : int;
-  cache_dir : string option;
+  cache : Sim_engine.Exec.Cache.t option;
   trace_dir : string option;
 }
 
 let ctx ?(jobs = 1) ?cache_dir ?trace_dir mode =
   if jobs < 1 then invalid_arg "Common.ctx: jobs must be >= 1";
-  { mode; jobs; cache_dir; trace_dir }
+  {
+    mode;
+    jobs;
+    cache = Option.map Sim_engine.Exec.Cache.create cache_dir;
+    trace_dir;
+  }
 
 let quick = ctx Quick
 

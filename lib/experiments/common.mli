@@ -10,9 +10,12 @@ type mode = Quick | Full
 type ctx = {
   mode : mode;
   jobs : int;  (** Worker domains that simulation runs are spread over. *)
-  cache_dir : string option;
-      (** When set, completed runs are stored here (content-addressed by
-          config digest) and replayed on re-runs instead of re-simulating. *)
+  cache : Sim_engine.Exec.Cache.t option;
+      (** When set, completed runs are stored in this cache (content-addressed
+          by config digest) and replayed on re-runs instead of
+          re-simulating. One handle serves every run of the ctx, and of the
+          ctxs {!sequential} derives from it, so a ctx appends to at most
+          one pack and reads its directory's packs once. *)
   trace_dir : string option;
       (** When set, every simulated config writes a structured event trace
           to [<trace_dir>/<digest>.jsonl] plus a [.metrics] rollup sidecar.
@@ -20,14 +23,15 @@ type ctx = {
           simulation and produce no trace. *)
 }
 (** Everything a driver needs to execute its plan: the grid scale ([mode])
-    plus the execution policy ([jobs], [cache_dir], [trace_dir]) threaded
+    plus the execution policy ([jobs], [cache], [trace_dir]) threaded
     through to {!Runs.eval}. *)
 
 val ctx :
   ?jobs:int -> ?cache_dir:string -> ?trace_dir:string -> mode -> ctx
 (** [jobs] defaults to 1 (sequential); pass
-    [Sim_engine.Exec.domain_count ()] to use every core. Raises
-    [Invalid_argument] when [jobs < 1]. *)
+    [Sim_engine.Exec.domain_count ()] to use every core. [cache_dir]
+    opens the ctx's cache handle ({!Sim_engine.Exec.Cache.create}, which
+    creates the directory). Raises [Invalid_argument] when [jobs < 1]. *)
 
 val quick : ctx
 (** [ctx Quick]: sequential, uncached — the tests' and benches' default. *)
@@ -35,7 +39,8 @@ val quick : ctx
 val sequential : ctx -> ctx
 (** The same ctx with [jobs = 1]; used by drivers that parallelise at a
     coarser granularity (one domain per grid point) to keep the inner
-    per-trial batches from spawning nested worker pools. *)
+    per-trial batches from spawning nested worker pools. The result shares
+    the ctx's cache handle, which is safe to use from several domains. *)
 
 type table = {
   id : string;  (** e.g. ["fig03"]. *)

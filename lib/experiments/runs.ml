@@ -53,8 +53,7 @@ let no_store = { find = (fun _ -> None); add = (fun _ _ -> ()) }
 (* The caller fixes ['v]: [Exec.Cache.find] reads at whatever type it is
    asked for, so each key space must be read at the type it was stored
    at. *)
-let disk (type v) dir : v store =
-  let cache = Sim_engine.Exec.Cache.create dir in
+let disk (type v) cache : v store =
   {
     find = (fun key -> Sim_engine.Exec.Cache.find cache ~key);
     add = (fun key v -> Sim_engine.Exec.Cache.store cache ~key v);
@@ -99,7 +98,7 @@ let eval (ctx : Common.ctx) configs =
     Sim_engine.Exec.mkdir_p dir;
     evaluate ctx ~key:E.digest ~store:no_store (run_traced ~dir) configs
   | None ->
-    let store = Option.fold ~none:no_store ~some:disk ctx.cache_dir in
+    let store = Option.fold ~none:no_store ~some:disk ctx.cache in
     evaluate ctx ~key:E.digest ~store (fun _ c -> E.run c) configs
 
 (* A capped memo: outcomes keyed by digest, stamped with a logical access
@@ -169,7 +168,7 @@ let memo_over memo store =
 (* Analytic backends have no event stream, so [trace_dir] does not apply
    here. *)
 let run_specs ?memo (ctx : Common.ctx) backend specs =
-  let store = Option.fold ~none:no_store ~some:disk ctx.cache_dir in
+  let store = Option.fold ~none:no_store ~some:disk ctx.cache in
   let store =
     match memo with Some m -> memo_over m store | None -> store
   in

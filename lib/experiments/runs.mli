@@ -19,7 +19,7 @@ val eval :
   Tcpflow.Experiment.config list ->
   Tcpflow.Experiment.result list
 (** Run every config, in order. Duplicate configs within one call are
-    simulated once. With [ctx.cache_dir] set, cached results are returned
+    simulated once. With [ctx.cache] set, cached results are returned
     without simulating and fresh results are persisted. Misses run on
     [ctx.jobs] worker domains, one job per distinct config; results are
     independent of [jobs] because each run derives all randomness from its

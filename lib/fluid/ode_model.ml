@@ -114,12 +114,32 @@ type acc = {
   mutable warm : float;  (* warm start for the fixed-point solve *)
 }
 
+(* What [account] sums over the run. All-float for the same reason: a
+   [float ref] captured by a closure costs a box and a write barrier per
+   update. *)
+type totals = {
+  mutable queue_integral : float;  (* ∫ q dt over the measured window *)
+  mutable measured : float;  (* seconds of that window integrated so far *)
+  mutable backoffs : float;  (* ∫ loss-event rate dt *)
+  mutable next_sample : float;  (* time of the next trajectory sample *)
+}
+
 type arena = {
   n : int;  (* flows *)
   capacity : float;  (* bytes/s *)
   buffer : float;  (* bytes *)
   fair : float;  (* capacity / n *)
+  warmup : float;  (* s; goodput/queue means start here *)
+  sample_period : float;  (* s *)
   acc : acc;
+  tot : totals;
+  mutable steps : int;  (* accepted integrator steps *)
+  mutable rejected : int;  (* adaptive rejections *)
+  (* Sampled per-flow rate trajectory (bps) for the stability metrics:
+     row [k] holds the rates at [s_times.(k)]. *)
+  s_times : float array;
+  s_rows : float array array;
+  mutable n_samples : int;
   (* Per flow. *)
   kinds : Fluid_sim.kind array;
   rtt : float array;
@@ -127,6 +147,7 @@ type arena = {
   w_ceil : float array;
   w : float array; (* clamped windows for the queue solve *)
   x : float array; (* per-flow rates, bytes/s *)
+  delivered : float array; (* bytes delivered over the measured window *)
   startup : bool array;
       (* CUBIC slow start — exponential growth until the first overflow,
          mirroring the fluid model's doubling phase. BBR's window-tracking
@@ -206,18 +227,36 @@ let make_arena (c : config) =
         | Fluid_sim.Cubic | Fluid_sim.Bbr -> 0.0))
     c.flows;
   let slots () = Array.make (3 * n) 0.0 in
+  let duration = Sim_engine.Units.Raw.to_float c.duration in
+  let sample_period = Sim_engine.Units.Raw.to_float c.sample_period in
+  let max_samples = int_of_float (duration /. sample_period) + 2 in
   {
     n;
     capacity = cap;
     buffer = buf;
     fair = cap /. float_of_int n;
+    warmup = Sim_engine.Units.Raw.to_float c.warmup;
+    sample_period;
     acc = { q = 0.0; p = 0.0; warm = 0.0 };
+    tot =
+      {
+        queue_integral = 0.0;
+        measured = 0.0;
+        backoffs = 0.0;
+        next_sample = 0.0;
+      };
+    steps = 0;
+    rejected = 0;
+    s_times = Array.make max_samples 0.0;
+    s_rows = Array.make max_samples [||];
+    n_samples = 0;
     kinds;
     rtt;
     w_floor;
     w_ceil;
     w = Array.make n 0.0;
     x = Array.make n 0.0;
+    delivered = Array.make n 0.0;
     startup;
     y;
     k1y = slots ();
@@ -339,8 +378,10 @@ let deriv st y dy =
    derivative [k1] precomputed by the caller ([deriv st y k1]): the
    adaptive loop shares one stage-1 evaluation between the full step and
    the first half step, and keeps it across rejected retries. out == y is
-   allowed: [y] is only read while building the stage states. *)
-let rk4_step st ~dt ~y ~k1 ~out =
+   allowed: [y] is only read while building the stage states. Inlined,
+   like [step_error] and [account] below, so that no float crosses a call
+   boxed. *)
+let[@inline] rk4_step st ~dt ~y ~k1 ~out =
   let last = (3 * st.n) - 1 in
   let ytmp = st.ytmp in
   for s = 0 to last do
@@ -384,7 +425,7 @@ let clamp_state st =
   done
 
 (* Scaled max-norm distance between the full-step and half-step results. *)
-let step_error st =
+let[@inline] step_error st =
   let err = ref 0.0 in
   for s = 0 to (3 * st.n) - 1 do
     let scale = fmax (Float.abs st.y_half.(s)) mss in
@@ -395,140 +436,142 @@ let step_error st =
 
 let dt_min = 1e-5
 
+(* Goodput/queue accounting over [t_new - dt, t_new] at the just-accepted
+   state, the trajectory samples due by [t_new], and the slow-start
+   exit. *)
+let[@inline] account st t_new dt =
+  compute_rates st st.y;
+  let n = st.n and acc = st.acc and tot = st.tot in
+  let overlap = fmin dt (fmax 0.0 (t_new -. st.warmup)) in
+  if overlap > 0.0 then begin
+    for i = 0 to n - 1 do
+      st.delivered.(i) <- st.delivered.(i) +. (st.x.(i) *. overlap)
+    done;
+    tot.queue_integral <- tot.queue_integral +. (acc.q *. overlap);
+    tot.measured <- tot.measured +. overlap
+  end;
+  let nu_rtt = acc.p /. (acc.p +. p0) in
+  if nu_rtt > 0.0 then begin
+    let qdelay = acc.q /. st.capacity in
+    for i = 0 to n - 1 do
+      match st.kinds.(i) with
+      | Fluid_sim.Cubic | Fluid_sim.Bbr2 ->
+        tot.backoffs <- tot.backoffs +. (nu_rtt /. (st.rtt.(i) +. qdelay) *. dt)
+      | Fluid_sim.Bbr -> ()
+    done
+  end;
+  while tot.next_sample <= t_new +. 1e-12 do
+    let k = st.n_samples in
+    if k < Array.length st.s_times then begin
+      let row =
+        (Array.create_float n
+         [@simlint.alloc_ok
+           "one row per sample: the trajectory the stability metrics read"])
+      in
+      for i = 0 to n - 1 do
+        row.(i) <- st.x.(i) *. Sim_engine.Units.bits_per_byte
+      done;
+      st.s_times.(k) <- tot.next_sample;
+      st.s_rows.(k) <- row;
+      st.n_samples <- k + 1
+    end;
+    tot.next_sample <- tot.next_sample +. st.sample_period
+  done;
+  (* Slow-start exit: the first overflow ends every CUBIC startup phase
+     with the fluid model's backoff (w_max := w, then w := 0.7 w). A
+     discrete event, like the clamping projection: from here the
+     continuous loss term takes over. *)
+  if acc.p > 0.0 then
+    for i = 0 to n - 1 do
+      if st.startup.(i) then begin
+        st.startup.(i) <- false;
+        st.y.((3 * i) + 1) <- st.y.(3 * i);
+        st.y.(3 * i) <- fmax (2.0 *. mss) (0.7 *. st.y.(3 * i))
+      end
+    done
+
+(* Fixed-step RK4 from t = 0 to [duration]; the last step is shortened to
+   land on it. *)
+let run_fixed st ~duration ~dt0 =
+  let t = ref 0.0 in
+  while !t < duration -. 1e-12 do
+    let dt = fmin dt0 (duration -. !t) in
+    deriv st st.y st.k1y;
+    rk4_step st ~dt ~y:st.y ~k1:st.k1y ~out:st.y;
+    clamp_state st;
+    t := !t +. dt;
+    st.steps <- st.steps + 1;
+    account st !t dt
+  done
+
+(* Step-doubling RK4 from t = 0 to [duration]: each step is compared with
+   two half steps and accepted, Richardson-extrapolated, when the scaled
+   error is within [tol]. *)
+let run_adaptive st ~duration ~tol ~dt_init ~dt_max =
+  let t = ref 0.0 in
+  let dt = ref dt_init in
+  (* [k1y] caches deriv at the accepted state: the full step and the
+     first half step share it, and a rejected attempt reuses it. *)
+  let k1_valid = ref false in
+  while !t < duration -. 1e-12 do
+    let h = fmin (fmin !dt dt_max) (duration -. !t) in
+    let h = fmax h dt_min in
+    if not !k1_valid then begin
+      deriv st st.y st.k1y;
+      k1_valid := true
+    end;
+    rk4_step st ~dt:h ~y:st.y ~k1:st.k1y ~out:st.y_full;
+    rk4_step st ~dt:(0.5 *. h) ~y:st.y ~k1:st.k1y ~out:st.y_mid;
+    deriv st st.y_mid st.k1;
+    rk4_step st ~dt:(0.5 *. h) ~y:st.y_mid ~k1:st.k1 ~out:st.y_half;
+    let err = step_error st in
+    if err <= tol || h <= dt_min then begin
+      (* Accept, with Richardson extrapolation of the half-step pair. *)
+      for s = 0 to (3 * st.n) - 1 do
+        st.y.(s) <-
+          st.y_half.(s) +. ((st.y_half.(s) -. st.y_full.(s)) /. 15.0)
+      done;
+      clamp_state st;
+      k1_valid := false;
+      t := !t +. h;
+      st.steps <- st.steps + 1;
+      account st !t h;
+      let grow =
+        if err <= 0.0 then 2.0 else fmin 2.0 (0.9 *. ((tol /. err) ** 0.2))
+      in
+      dt := fmin dt_max (h *. fmax 0.3 grow)
+    end
+    else begin
+      st.rejected <- st.rejected + 1;
+      dt := fmax dt_min (h *. fmax 0.3 (0.9 *. ((tol /. err) ** 0.2)))
+    end
+  done
+
 (* Integrate from the cold initial state to [duration]. *)
 let run (config : config) =
   let module Raw = Sim_engine.Units.Raw in
   validate config;
   let st = make_arena config in
   let duration = Raw.to_float config.duration in
-  let warmup = Raw.to_float config.warmup in
-  let sample_period = Raw.to_float config.sample_period in
-  let n = st.n in
-  let acc = st.acc in
   let capacity = st.capacity in
   let capacity_bps = capacity *. Sim_engine.Units.bits_per_byte in
-  (* Sampled per-flow rate trajectory (bps) for the stability metrics. *)
-  let max_samples = int_of_float (duration /. sample_period) + 2 in
-  let s_times = Array.make max_samples 0.0 in
-  let s_rows = Array.make max_samples [||] in
-  let n_samples = ref 0 in
-  let record t =
-    if !n_samples < max_samples then begin
-      s_times.(!n_samples) <- t;
-      s_rows.(!n_samples) <-
-        Array.map (fun x -> x *. Sim_engine.Units.bits_per_byte) st.x;
-      incr n_samples
-    end
-  in
-  let delivered = Array.make n 0.0 in
-  let queue_integral = ref 0.0 in
-  let measured = ref 0.0 in
-  let backoffs = ref 0.0 in
-  let steps = ref 0 in
-  let rejected = ref 0 in
-  let next_sample = ref 0.0 in
-  (* Goodput/queue accounting over [t, t+dt] at the just-accepted state. *)
-  let account t_new dt =
-    compute_rates st st.y;
-    let overlap = fmin dt (fmax 0.0 (t_new -. warmup)) in
-    if overlap > 0.0 then begin
-      for i = 0 to n - 1 do
-        delivered.(i) <- delivered.(i) +. (st.x.(i) *. overlap)
-      done;
-      queue_integral := !queue_integral +. (acc.q *. overlap);
-      measured := !measured +. overlap
-    end;
-    let nu_rtt = acc.p /. (acc.p +. p0) in
-    if nu_rtt > 0.0 then begin
-      let qdelay = acc.q /. capacity in
-      for i = 0 to n - 1 do
-        match st.kinds.(i) with
-        | Fluid_sim.Cubic | Fluid_sim.Bbr2 ->
-          backoffs := !backoffs +. (nu_rtt /. (st.rtt.(i) +. qdelay) *. dt)
-        | Fluid_sim.Bbr -> ()
-      done
-    end;
-    while !next_sample <= t_new +. 1e-12 do
-      record !next_sample;
-      next_sample := !next_sample +. sample_period
-    done;
-    (* Slow-start exit: the first overflow ends every CUBIC startup phase
-       with the fluid model's backoff (w_max := w, then w := 0.7 w). A
-       discrete event, like the clamping projection: from here the
-       continuous loss term takes over. *)
-    if acc.p > 0.0 then
-      for i = 0 to n - 1 do
-        if st.startup.(i) then begin
-          st.startup.(i) <- false;
-          st.y.((3 * i) + 1) <- st.y.(3 * i);
-          st.y.(3 * i) <- fmax (2.0 *. mss) (0.7 *. st.y.(3 * i))
-        end
-      done
-  in
   (* Initial sample at t = 0. *)
   compute_rates st st.y;
-  account 0.0 0.0;
-  let t = ref 0.0 in
+  account st 0.0 0.0;
   (match config.integrator with
-  | Rk4 dt_u ->
-    let dt0 = Raw.to_float dt_u in
-    while !t < duration -. 1e-12 do
-      let dt = fmin dt0 (duration -. !t) in
-      deriv st st.y st.k1y;
-      rk4_step st ~dt ~y:st.y ~k1:st.k1y ~out:st.y;
-      clamp_state st;
-      t := !t +. dt;
-      incr steps;
-      account !t dt
-    done
+  | Rk4 dt0 -> run_fixed st ~duration ~dt0:(Raw.to_float dt0)
   | Adaptive { tol; dt_init; dt_max } ->
-    let dt = ref (Raw.to_float dt_init) in
-    let dt_max = Raw.to_float dt_max in
-    (* [k1y] caches deriv at the accepted state: the full step and the
-       first half step share it, and a rejected attempt reuses it. *)
-    let k1_valid = ref false in
-    while !t < duration -. 1e-12 do
-      let h = fmin (fmin !dt dt_max) (duration -. !t) in
-      let h = fmax h dt_min in
-      if not !k1_valid then begin
-        deriv st st.y st.k1y;
-        k1_valid := true
-      end;
-      rk4_step st ~dt:h ~y:st.y ~k1:st.k1y ~out:st.y_full;
-      rk4_step st ~dt:(0.5 *. h) ~y:st.y ~k1:st.k1y ~out:st.y_mid;
-      deriv st st.y_mid st.k1;
-      rk4_step st ~dt:(0.5 *. h) ~y:st.y_mid ~k1:st.k1 ~out:st.y_half;
-      let err = step_error st in
-      if err <= tol || h <= dt_min then begin
-        (* Accept, with Richardson extrapolation of the half-step pair. *)
-        for s = 0 to (3 * n) - 1 do
-          st.y.(s) <-
-            st.y_half.(s) +. ((st.y_half.(s) -. st.y_full.(s)) /. 15.0)
-        done;
-        clamp_state st;
-        k1_valid := false;
-        t := !t +. h;
-        incr steps;
-        account !t h;
-        let grow =
-          if err <= 0.0 then 2.0
-          else fmin 2.0 (0.9 *. ((tol /. err) ** 0.2))
-        in
-        dt := fmin dt_max (h *. fmax 0.3 grow)
-      end
-      else begin
-        incr rejected;
-        dt := fmax dt_min (h *. fmax 0.3 (0.9 *. ((tol /. err) ** 0.2)))
-      end
-    done);
-  let window = fmax !measured 1e-9 in
+    run_adaptive st ~duration ~tol ~dt_init:(Raw.to_float dt_init)
+      ~dt_max:(Raw.to_float dt_max));
+  let tot = st.tot in
+  let window = fmax tot.measured 1e-9 in
   let per_flow_bps =
     Array.map
       (fun d -> d /. window *. Sim_engine.Units.bits_per_byte)
-      delivered
+      st.delivered
   in
-  let times = Array.sub s_times 0 !n_samples in
-  let series = Array.sub s_rows 0 !n_samples in
+  let times = Array.sub st.s_times 0 st.n_samples in
+  let series = Array.sub st.s_rows 0 st.n_samples in
   let final = Ccmodel.Fairness.tail_mean ~frac:0.2 ~times ~series in
   let metrics =
     {
@@ -543,12 +586,12 @@ let run (config : config) =
   {
     per_flow_bps;
     flow_kinds = Array.copy st.kinds;
-    mean_queue_bytes = !queue_integral /. window;
-    mean_queuing_delay = !queue_integral /. window /. capacity;
-    expected_backoffs = !backoffs;
+    mean_queue_bytes = tot.queue_integral /. window;
+    mean_queuing_delay = tot.queue_integral /. window /. capacity;
+    expected_backoffs = tot.backoffs;
     metrics;
-    steps = !steps;
-    rejected_steps = !rejected;
+    steps = st.steps;
+    rejected_steps = st.rejected;
   }
 
 let mean_bps_of_kind res kind =

@@ -38,3 +38,12 @@ let[@simlint.alloc_ok "fixture: the option box is this API's product"] pop_opt
 
 let[@simlint.alloc_ok] bad_suppression t = Some t.len
 let head_unsafe t = t.xs.(t.len - 1)
+
+(* [same_ends] is inferred ['a array -> bool], so [uniform] hands it the
+   flat float array generically and every element it reads is boxed. *)
+let same_ends xs = xs.(0) = xs.(Array.length xs - 1)
+let uniform t = same_ends t.xs
+
+(* [Array.blit]'s C primitive copies a float array flat, so handing it
+   [t.xs] boxes nothing and [save] must stay silent. *)
+let save t dst = Array.blit t.xs 0 dst 0 t.len

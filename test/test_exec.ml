@@ -216,6 +216,162 @@ let test_cache_raw_roundtrip () =
   Alcotest.(check (option (list int))) "overwrite" (Some [ 9 ])
     (Exec.Cache.find cache ~key:"xs")
 
+(* --- Pack format --- *)
+
+let packs dir =
+  List.sort compare
+    (List.filter
+       (fun name -> Filename.check_suffix name ".pack")
+       (Array.to_list (Sys.readdir dir)))
+
+let only_pack dir =
+  match packs dir with
+  | [ name ] -> Filename.concat dir name
+  | names -> Alcotest.failf "expected one pack, found %d" (List.length names)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+(* What [f] returned, with the hits and misses of the finds it made. *)
+let counted f =
+  let before = Exec.counters () in
+  let v = f () in
+  let after = Exec.counters () in
+  ( v,
+    (after.cache_hits - before.cache_hits,
+     after.cache_misses - before.cache_misses) )
+
+(* Each value carries a marker that occurs once in the pack, so a test can
+   find its payload's bytes. *)
+let value_of key = "payload of " ^ key ^ String.make 64 '.'
+let keys = [ "first"; "second"; "third" ]
+
+let store_all cache =
+  List.iter (fun k -> Exec.Cache.store cache ~key:k (value_of k)) keys
+
+let find_all cache =
+  List.map (fun k -> (Exec.Cache.find cache ~key:k : string option)) keys
+
+let test_pack_torn_tail () =
+  let dir = fresh_dir () in
+  store_all (Exec.Cache.create dir);
+  let pack = only_pack dir in
+  let bytes = read_file pack in
+  (* Cut the last record short by a few bytes of its payload. *)
+  write_file pack (String.sub bytes 0 (String.length bytes - 5));
+  let found, counts =
+    counted (fun () -> find_all (Exec.Cache.create dir))
+  in
+  Alcotest.(check (list (option string)))
+    "earlier records survive a torn tail"
+    [ Some (value_of "first"); Some (value_of "second"); None ]
+    found;
+  Alcotest.(check (pair int int)) "two hits, one counted miss" (2, 1) counts
+
+let index_of ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in the pack" sub
+    else if String.equal (String.sub s i n) sub then i
+    else go (i + 1)
+  in
+  go 0
+
+let test_pack_corrupt_record () =
+  let dir = fresh_dir () in
+  store_all (Exec.Cache.create dir);
+  let pack = only_pack dir in
+  let bytes = Bytes.of_string (read_file pack) in
+  let i = index_of ~sub:"payload of second" (Bytes.to_string bytes) in
+  Bytes.set bytes (i + 3) 'X';
+  write_file pack (Bytes.to_string bytes);
+  let found, counts =
+    counted (fun () -> find_all (Exec.Cache.create dir))
+  in
+  Alcotest.(check (list (option string)))
+    "only the damaged record misses"
+    [ Some (value_of "first"); None; Some (value_of "third") ]
+    found;
+  Alcotest.(check (pair int int)) "two hits, one counted miss" (2, 1) counts
+
+(* Also the documented semantics: a writer's last store of a key wins, and
+   what another handle appends after a reader built its index stays
+   invisible to that reader. *)
+let test_pack_two_writers () =
+  let dir = fresh_dir () in
+  let a = Exec.Cache.create dir and b = Exec.Cache.create dir in
+  Exec.Cache.store a ~key:"a" 1;
+  Exec.Cache.store b ~key:"b" 2;
+  Exec.Cache.store a ~key:"a2" 3;
+  Exec.Cache.store a ~key:"a2" 4;
+  Alcotest.(check int) "one pack per writer" 2 (List.length (packs dir));
+  let c = Exec.Cache.create dir in
+  Alcotest.(check (list (option int)))
+    "a third handle reads both packs"
+    [ Some 1; Some 2; Some 4 ]
+    (List.map (fun key -> Exec.Cache.find c ~key) [ "a"; "b"; "a2" ]);
+  Exec.Cache.store b ~key:"late" 5;
+  Alcotest.(check (option int)) "a record appended later is not seen" None
+    (Exec.Cache.find c ~key:"late")
+
+let test_pack_shared_by_domains () =
+  let dir = fresh_dir () in
+  let cache = Exec.Cache.create dir in
+  let n = 200 in
+  ignore
+    (Exec.map ~jobs:4
+       (fun i -> Exec.Cache.store cache ~key:(string_of_int i) (i * i))
+       (Array.init n Fun.id));
+  Alcotest.(check int) "one pack for the shared handle" 1
+    (List.length (packs dir));
+  let expected = List.init n (fun i -> Some (i * i)) in
+  let read cache =
+    List.init n (fun i ->
+        (Exec.Cache.find cache ~key:(string_of_int i) : int option))
+  in
+  Alcotest.(check (list (option int)))
+    "the writer reads every record" expected (read cache);
+  Alcotest.(check (list (option int)))
+    "a new handle reads every record" expected
+    (read (Exec.Cache.create dir))
+
+let test_pack_one_per_ctx () =
+  let dir = fresh_dir () in
+  let ctx = Common.ctx ~cache_dir:dir Common.Quick in
+  let before = Exec.counters () in
+  for seed = 1 to 20 do
+    ignore
+      (Runs.eval ctx
+         [ small_config ~seed ~duration:(Sim_engine.Units.seconds 1.0)
+             ~warmup:(Sim_engine.Units.seconds 0.25) () ])
+  done;
+  let after = Exec.counters () in
+  Alcotest.(check int) "every call missed" 20
+    (after.cache_misses - before.cache_misses);
+  Alcotest.(check int) "one pack for the ctx" 1 (List.length (packs dir))
+
+(* A result file in the layout that predates packs: the value marshalled
+   with a magic and its key, named by the key's MD5. *)
+let test_pack_ignores_old_files () =
+  let dir = fresh_dir () in
+  Exec.mkdir_p dir;
+  let key = "old" in
+  let old = Filename.concat dir (Digest.to_hex (Digest.string key)) in
+  (* simlint: allow R2 *)
+  write_file old (Marshal.to_string ("bbr-equilibrium-cache-v1", key, 42) []);
+  let cache = Exec.Cache.create dir in
+  let found, counts =
+    counted (fun () -> (Exec.Cache.find cache ~key : int option))
+  in
+  Alcotest.(check (option int)) "old file is not read" None found;
+  Alcotest.(check (pair int int)) "a counted miss" (0, 1) counts;
+  Exec.Cache.store cache ~key 43;
+  Alcotest.(check (option int)) "the new record answers" (Some 43)
+    (Exec.Cache.find (Exec.Cache.create dir) ~key);
+  Alcotest.(check bool) "old file left in place" true (Sys.file_exists old)
+
 let tests =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_order;
@@ -235,4 +391,15 @@ let tests =
     Alcotest.test_case "corrupted cache falls back to live run" `Quick
       test_corrupted_cache_falls_back;
     Alcotest.test_case "raw cache roundtrip" `Quick test_cache_raw_roundtrip;
+    Alcotest.test_case "pack: torn tail is a counted miss" `Quick
+      test_pack_torn_tail;
+    Alcotest.test_case "pack: corrupt record misses alone" `Quick
+      test_pack_corrupt_record;
+    Alcotest.test_case "pack: two writers, one reader" `Quick
+      test_pack_two_writers;
+    Alcotest.test_case "pack: handle shared by domains" `Quick
+      test_pack_shared_by_domains;
+    Alcotest.test_case "pack: one per ctx" `Quick test_pack_one_per_ctx;
+    Alcotest.test_case "pack: old per-result files ignored" `Quick
+      test_pack_ignores_old_files;
   ]

@@ -63,7 +63,8 @@ module Report = Simlint_core.Report
 let tast_manifest =
   Manifest.of_string
     {|((hot_paths (Event_queue.pop Event_queue.smaller Event_queue.scale
-                   Event_queue.pop_opt Event_queue.head_unsafe))
+                   Event_queue.pop_opt Event_queue.head_unsafe
+                   Event_queue.uniform Event_queue.save))
        (spawn_apis (Domain.spawn))
        (domain_safe ((Domain_roots.table
                       "fixture: populated before the spawn, read-only after")))
@@ -125,15 +126,19 @@ let tast_check name check expected ~message_has () =
 
 (* The deliberate allocation in the fixture's [pop] (the acceptance case),
    the boxed floats at the accidentally-polymorphic call in [smaller]
-   (both arguments), and the per-call closure in [scale]. [pop_opt]'s
-   reasoned alloc_ok and the allocation-free [head_unsafe] stay silent. *)
+   (both arguments), the per-call closure in [scale] and the float array
+   it hands to the generic [Array.iteri], and the float array [uniform]
+   hands to a helper typed ['a array]. [pop_opt]'s reasoned alloc_ok, the
+   allocation-free [head_unsafe] and [save], which hands the float array to
+   [Array.blit], stay silent. *)
 let test_a1 =
   tast_check "A1 zero-alloc hot paths"
     (fun g m -> Alloc_check.check g m)
-    [ ("A1", 24); ("A1", 28); ("A1", 28); ("A1", 29) ]
+    [ ("A1", 24); ("A1", 28); ("A1", 28); ("A1", 29); ("A1", 29); ("A1", 45) ]
     ~message_has:
       [ "Event_queue.pop"; "Some constructor application";
-        "boxes a float"; "closure construction" ]
+        "boxes a float"; "closure construction";
+        "reads a float array generically" ]
 
 (* The toplevel ref mutated from the Domain-spawned worker is the one
    finding; the allowlisted Hashtbl and the Atomic counter stay silent. *)

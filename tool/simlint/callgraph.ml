@@ -360,6 +360,22 @@ let is_float_type ty =
 let is_bare_var ty =
   match Types.get_desc ty with Tvar _ | Tunivar _ -> true | _ -> false
 
+let array_element ty =
+  match Types.get_desc ty with
+  | Tconstr (p, [ elt ], _) when String.equal (Path.name p) "array" -> Some elt
+  | _ -> None
+
+let is_var_array ty =
+  Option.fold ~none:false ~some:is_bare_var (array_element ty)
+
+let is_float_array ty =
+  Option.fold ~none:false ~some:is_float_type (array_element ty)
+
+(* Stdlib wrappers over C primitives that test the array's tag and copy a
+   float array's elements flat: handing them a float array boxes nothing. *)
+let float_array_aware =
+  [ "Array.blit"; "Array.fill"; "Array.sub"; "Array.copy"; "Array.append" ]
+
 (* Compiler [%]-primitives ([=], [<], [Array.get], ...) are specialized
    at a call site whose types are known — a float comparison or flat
    float-array read compiles to the unboxed instruction, so the
@@ -376,7 +392,10 @@ let is_compiler_primitive (vd : Types.value_description) =
    instantiation: an argument (or result) position that the scheme leaves
    generic but the call instantiates at [float] passes that float boxed —
    the classic way a "zero-alloc" path silently regains a box per call
-   ([Stdlib.max], [compare], [Hashtbl.replace] with float data, ...). *)
+   ([Stdlib.max], [compare], [Hashtbl.replace] with float data, ...). An
+   ['a array] argument instantiated at [float array] is the same leak one
+   level down: the callee reads the flat array generically, boxing every
+   element it touches (an RTT array handed to an untyped helper). *)
 let float_boxing_positions ~scheme ~concrete ~n_args =
   let scheme =
     match Types.get_desc scheme with Tpoly (ty, _) -> ty | _ -> scheme
@@ -389,6 +408,8 @@ let float_boxing_positions ~scheme ~concrete ~n_args =
       | Tarrow (_, s_arg, s_rest, _), Tarrow (_, c_arg, c_rest, _) ->
         let acc =
           if is_bare_var s_arg && is_float_type c_arg then `Arg i :: acc
+          else if is_var_array s_arg && is_float_array c_arg then
+            `Array_arg i :: acc
           else acc
         in
         go s_rest c_rest (i + 1) acc
@@ -801,6 +822,13 @@ and walk_apply ctx st (e : Typedtree.expression) f args =
               (Printf.sprintf
                  "polymorphic call to %s boxes a float (argument %d)" name
                  (i + 1))
+          | `Array_arg _ when List.mem name float_array_aware -> ()
+          | `Array_arg i ->
+            record_alloc st loc
+              (Printf.sprintf
+                 "polymorphic call to %s reads a float array generically, \
+                  boxing each element (argument %d)"
+                 name (i + 1))
           | `Ret ->
             record_alloc st loc
               (Printf.sprintf "polymorphic call to %s returns a boxed float"
