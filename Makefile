@@ -37,8 +37,10 @@ lint: build
 # smoke-tests the analytic-backend cache path as fig03 does the packet one.
 # After the cached runs the cache directory must hold only .pack files, at
 # most one per invocation that simulated something (cold fig03, fig01,
-# fig05, cold fluidgrid and evolve: five); the warm runs' "; 0 simulated"
-# reads what the earlier processes appended.
+# fig05, cold fluidgrid and cold evolve: five); the warm runs' "; 0 simulated"
+# reads what the earlier processes appended. "N simulated" counts
+# simulations only, not the outer jobs with which evolve, fig09 and fig10
+# fan their units out, so the warm evolve run must also report none.
 # The ext-2flow and ext-utility goldens pin the equilibrium check on the
 # 2-flow and the symmetric n-flow game.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
@@ -74,6 +76,9 @@ check: build test lint
 	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
 	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \
 	  --out "$(CHECK_OUT)"
+	cmp test/golden/evolve_quick.csv "$(CHECK_OUT)/evolve.csv"
+	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \
+	  --out "$(CHECK_OUT)" | $(call expect,; 0 simulated)
 	cmp test/golden/evolve_quick.csv "$(CHECK_OUT)/evolve.csv"
 	@packs=$$(ls "$(CHECK_CACHE)" | grep -c '\.pack$$'); \
 	others=$$(ls "$(CHECK_CACHE)" | grep -vc '\.pack$$'); \

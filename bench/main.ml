@@ -397,6 +397,14 @@ let sweep_specs =
 let run_sweep backend () =
   Array.iter (fun s -> ignore (B.run_exn backend s)) sweep_specs
 
+(* One cache key of a 20-flow spec, the largest analytic-sweep shape. *)
+let digest_20flow =
+  let spec =
+    sweep_spec ~buffer_bdp:10.0
+      (List.init 20 (fun i -> [| "cubic"; "bbr"; "bbr2" |].(i mod 3)))
+  in
+  fun () -> ignore (B.digest B.fluid spec)
+
 (* --- Allocation gates ------------------------------------------------- *)
 
 (* Committed minor-words-per-run ceilings for the allocation-sensitive
@@ -425,6 +433,10 @@ let alloc_gates =
        sample (1,200 rows at the 60 s horizon), which scales with the
        horizon, not with the steps taken. *)
     ("fluid/11cell-sweep", 3, 7_000.0, run_sweep B.fluid);
+    (* A key is MD5 over the spec's bytes: the encoding buffer, the digest
+       and its hex. Rendering floats with [Printf "%.17g"] took 1,611
+       words here. *)
+    ("backend/digest-20flow", 1000, 75.0, digest_20flow);
     ("ode/11cell-sweep", 3, 71_000.0, run_sweep B.ode);
     (* The step kernel itself is allocation-free; the budget covers the
        three 64-slot scratch arrays the harness sets up per run. *)

@@ -112,7 +112,7 @@ let run_entry ~out entry (ctx : Experiments.Common.ctx) =
   let evictions = after.memo_evictions - before.memo_evictions in
   Format.printf "(%s took %.1f s; %d simulated, %d cache hits%s)@.@." entry.id
     (Unix.gettimeofday () -. t0 (* simlint: allow R1 *))
-    (after.jobs_executed - before.jobs_executed)
+    (after.simulations - before.simulations)
     (after.cache_hits - before.cache_hits)
     (if evictions = 0 then ""
      else Printf.sprintf ", %d memo evictions" evictions)

@@ -75,7 +75,12 @@ module type S = sig
   val digest : spec -> string
   (** Content address of [run]'s outcome: a hex digest over the full spec
       and a backend-version token. Two equal digests — same backend, same
-      spec — denote the same outcome. *)
+      spec — denote the same outcome. The analytic backends take the MD5
+      of a binary encoding: the token, rate, buffer, duration and warm-up
+      as IEEE-754 bits, the seed (zeroed by the ODE backend), then per
+      flow its CCA name behind an 8-byte length and its RTT's bits. It
+      allocates no formatted text, so a warm cache lookup pays little
+      for its key. *)
 
   val run : spec -> (outcome, error) result
 

@@ -21,9 +21,12 @@ val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over lists. *)
 
 type counters = {
-  jobs_executed : int;  (** Jobs evaluated by {!map} since process start. *)
-  cache_hits : int;  (** {!Cache.find} calls answered from disk. *)
-  cache_misses : int;  (** {!Cache.find} calls that fell through. *)
+  simulations : int;
+      (** Simulations run since process start: {!note_simulation} calls.
+          {!map} counts nothing itself, because a job may only orchestrate
+          other jobs. *)
+  cache_hits : int;  (** Keys {!Cache.find_many} answered from disk. *)
+  cache_misses : int;  (** Keys {!Cache.find_many} did not answer. *)
   memo_evictions : int;
       (** Entries displaced from capped in-memory memo layers
           ({!note_memo_eviction} calls — see [Runs.run_specs]). *)
@@ -32,6 +35,11 @@ type counters = {
 val counters : unit -> counters
 (** Process-wide monotonic counters; take a snapshot before and after a
     batch and subtract to report per-batch work (as [bin/repro] does). *)
+
+val note_simulation : unit -> unit
+(** Count one simulation (atomic; callable from worker domains). Called
+    where a simulation runs: once per miss that [Runs] evaluates, and once
+    per bespoke run of a driver that bypasses [Runs]. *)
 
 val note_memo_eviction : unit -> unit
 (** Count one memo eviction (atomic; callable from worker domains). *)
@@ -47,7 +55,7 @@ val mkdir_p : string -> unit
     Each value is one record appended to a pack, an append-only [*.pack]
     file in the directory. A handle writes to one pack of its own, created
     on its first {!store}, and indexes the records of every pack in the
-    directory once, on its first {!find}. A record counts only when it is
+    directory once, on its first find. A record counts only when it is
     complete and its payload matches its checksum: a torn tail or a
     damaged record is a counted miss, never an error. Files without the
     [.pack] suffix, such as the per-result files of the earlier layout,
@@ -60,7 +68,7 @@ val mkdir_p : string -> unit
       invisible to it: the miss re-simulates.
 
     One handle may be used from several domains at once; a mutex guards
-    its index and its pack. Reads are typed by the caller ([find] is as
+    its index and its pack. Reads are typed by the caller (a find is as
     unsafe as [Marshal]): only read a key with the type it was stored at. *)
 module Cache : sig
   type t
@@ -71,9 +79,20 @@ module Cache : sig
 
   val dir : t -> string
 
+  val find_many : t -> keys:string array -> 'a option array
+  (** The value stored under each key, in order, or [None] (counted as a
+      miss for that key alone) when absent or unreadable; hits and misses
+      are counted per key. Every key is resolved in the index under the
+      lock. The reads then go pack by pack in offset order: one open per
+      pack, one [read] per run of exactly adjacent records (the runtime
+      reads at most 64 kB per call), and each record is checked on its
+      own (magic, lengths, key, checksum) before it is unmarshalled. A
+      short read or a damaged record misses for its own key only.
+      Memory is bounded by the bytes of the records asked for, and no
+      descriptor outlives the call. *)
+
   val find : t -> key:string -> 'a option
-  (** The value stored under [key], or [None] (counted as a miss) when
-      absent or unreadable. *)
+  (** [find_many] of one key. *)
 
   val store : t -> key:string -> 'a -> unit
   (** Append [value] under [key] to this handle's pack: one open for

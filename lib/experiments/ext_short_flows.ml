@@ -100,8 +100,9 @@ let run_point ~mode ~offered_load ~buffer_bdp ~seed =
     List.length (List.filter Tcpflow.Sender.completed shorts) )
 
 (* Each point drives its own bespoke simulation (Poisson churn is not an
-   [Experiment.config]), so the result cache does not apply; the grid
-   still fans out over the ctx's workers. *)
+   [Experiment.config]), so the result cache does not apply and each point
+   counts its own simulation; the grid still fans out over the ctx's
+   workers. *)
 let points (ctx : Common.ctx) =
   let loads =
     match ctx.mode with
@@ -120,6 +121,7 @@ let points (ctx : Common.ctx) =
         Ccmodel.Params.of_paper_units ~mbps ~buffer_bdp ~rtt_ms:(Sim_engine.Units.sec_to_ms rtt)
       in
       let model_bbr_bps = (Ccmodel.Two_flow.solve params).bbr_bandwidth_bps in
+      Sim_engine.Exec.note_simulation ();
       let long_cubic_bps, long_bbr_bps, short_goodput_bps, completed =
         run_point ~mode:ctx.mode ~offered_load ~buffer_bdp ~seed:5
       in

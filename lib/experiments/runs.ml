@@ -45,42 +45,62 @@ let run_traced ~dir key config =
   result
 
 (* Where [evaluate] looks results up before running them, and where it
-   puts what it ran. *)
-type 'v store = { find : string -> 'v option; add : string -> 'v -> unit }
+   puts what it ran. [find] answers a batch of distinct keys at once, in
+   order, so the disk store reads each pack once. *)
+type 'v store = {
+  find : string array -> 'v option array;
+  add : string -> 'v -> unit;
+}
 
-let no_store = { find = (fun _ -> None); add = (fun _ _ -> ()) }
+let no_store =
+  { find = (fun keys -> Array.map (fun _ -> None) keys); add = (fun _ _ -> ()) }
 
-(* The caller fixes ['v]: [Exec.Cache.find] reads at whatever type it is
-   asked for, so each key space must be read at the type it was stored
+(* The caller fixes ['v]: [Exec.Cache.find_many] reads at whatever type it
+   is asked for, so each key space must be read at the type it was stored
    at. *)
 let disk (type v) cache : v store =
   {
-    find = (fun key -> Sim_engine.Exec.Cache.find cache ~key);
+    find = (fun keys -> Sim_engine.Exec.Cache.find_many cache ~keys);
     add = (fun key v -> Sim_engine.Exec.Cache.store cache ~key v);
   }
 
 (* The choke point every simulation in the experiment suite goes through:
-   key each item, skip repeated keys, look each distinct key up in
-   [store], run the misses on the ctx's worker pool (one job per miss),
-   store what was computed, and return results in input order. With
-   [no_store], duplicates still run once. *)
+   key each item, drop repeated keys, look every distinct key up in
+   [store] with one batch find, run the misses on the ctx's worker pool
+   (one job and one counted simulation per miss), store what was
+   computed, and return results in input order. With [no_store],
+   duplicates still run once. *)
 let evaluate (ctx : Common.ctx) ~key ~store run items =
   let keyed = List.map (fun x -> (key x, x)) items in
   (* key -> its result; [None] while a miss is pending. *)
   let known = Hashtbl.create 16 in
-  let misses =
+  let distinct =
     List.filter
       (fun (k, _) ->
         if Hashtbl.mem known k then false
         else begin
-          let hit = store.find k in
-          Hashtbl.add known k hit;
-          Option.is_none hit
+          Hashtbl.add known k None;
+          true
         end)
       keyed
   in
+  let found = store.find (Array.of_list (List.map fst distinct)) in
+  let misses =
+    List.filteri
+      (fun i (k, _) ->
+        match found.(i) with
+        | Some _ as hit ->
+          Hashtbl.replace known k hit;
+          false
+        | None -> true)
+      distinct
+  in
   let computed =
-    Sim_engine.Exec.map_list ~jobs:ctx.jobs (fun (k, x) -> run k x) misses
+    Sim_engine.Exec.map_list ~jobs:ctx.jobs
+      (fun (k, x) ->
+        Sim_engine.Exec.note_simulation ();
+        run k x)
+      misses
   in
   List.iter2
     (fun (k, _) v ->
@@ -146,18 +166,30 @@ let memo_add memo key outcome =
   incr memo.tick;
   Hashtbl.replace memo.table key (outcome, ref !(memo.tick))
 
-(* The memo in front of [store]: a memo miss falls through to [store], and
-   whatever [store] holds or learns is remembered. *)
+(* The memo in front of [store]: the keys the memo does not hold go to
+   [store] in one batch, and whatever [store] holds or learns is
+   remembered. *)
 let memo_over memo store =
-  let recall key =
-    match memo_find memo key with
-    | Some _ as hit -> hit
-    | None -> (
-      match store.find key with
-      | Some outcome as hit ->
-        memo_add memo key outcome;
-        hit
-      | None -> None)
+  let recall keys =
+    let found = Array.map (memo_find memo) keys in
+    let missing =
+      List.filter (fun i -> Option.is_none found.(i))
+        (List.init (Array.length keys) Fun.id)
+    in
+    if missing <> [] then begin
+      let stored =
+        store.find (Array.of_list (List.map (Array.get keys) missing))
+      in
+      List.iteri
+        (fun j i ->
+          match stored.(j) with
+          | Some outcome as hit ->
+            memo_add memo keys.(i) outcome;
+            found.(i) <- hit
+          | None -> ())
+        missing
+    end;
+    found
   in
   let remember key outcome =
     store.add key outcome;

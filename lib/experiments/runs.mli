@@ -20,8 +20,11 @@ val eval :
   Tcpflow.Experiment.result list
 (** Run every config, in order. Duplicate configs within one call are
     simulated once. With [ctx.cache] set, cached results are returned
-    without simulating and fresh results are persisted. Misses run on
-    [ctx.jobs] worker domains, one job per distinct config; results are
+    without simulating and fresh results are persisted: the distinct
+    configs are looked up in one {!Sim_engine.Exec.Cache.find_many}, so
+    results one invocation stored together read back in one [read]. Each
+    miss counts one simulation in {!Sim_engine.Exec.counters}. Misses run
+    on [ctx.jobs] worker domains, one job per distinct config; results are
     independent of [jobs] because each run derives all randomness from its
     config's seed.
 
@@ -61,10 +64,11 @@ val run_specs :
     miss is one worker-pool job through {!Sim_backend.run}, so outcomes
     are byte-identical across [ctx.jobs] settings. With [memo], specs whose
     digest the memo holds are answered without touching the disk cache or
-    the worker pool, and every outcome read from disk or computed is
-    recorded in it. [ctx.trace_dir] does not apply: analytic backends emit
-    no event stream. Raises [Invalid_argument] when the backend rejects a
-    spec (unsupported CCA, malformed spec). *)
+    the worker pool, the rest go to the disk cache in one batch, and every
+    outcome read from disk or computed is recorded in it. [ctx.trace_dir]
+    does not apply: analytic backends emit no event stream. Raises
+    [Invalid_argument] when the backend rejects a spec (unsupported CCA,
+    malformed spec). *)
 
 type mix_spec
 (** One homogeneous-RTT CUBIC-vs-other mix — one grid point of a figure,

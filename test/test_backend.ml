@@ -1,7 +1,8 @@
 (* Tests for the unified backend API ({!Sim_backend}): registry lookup,
    typed validation errors, digest semantics (stable per backend+spec,
-   distinct across backends and across specs), and the outcome helpers
-   shared by the differential tests and [repro compare]. *)
+   distinct across backends and across every field of a spec, pinned for
+   the analytic backends), and the outcome helpers shared by the
+   differential tests and [repro compare]. *)
 
 module U = Sim_engine.Units
 module B = Sim_backend
@@ -80,12 +81,46 @@ let test_digests () =
     "digests distinct across backends"
     (List.length B.all)
     (List.length (List.sort_uniq compare digests));
-  let bumped = { spec with B.duration = U.seconds 9.0 } in
+  let flow cca rtt_ms = { B.cca; rtt = U.ms rtt_ms } in
+  let flows fs = { spec with B.flows = fs } in
+  let variants =
+    [
+      ("rate", { spec with B.rate_bps = U.mbps 60.0 });
+      ( "buffer",
+        { spec with B.buffer_bytes = U.scale 2.0 spec.B.buffer_bytes } );
+      ("duration", { spec with B.duration = U.seconds 9.0 });
+      ("warm-up", { spec with B.warmup = U.seconds 3.0 });
+      ("a flow's CCA", flows [ flow "cubic" 40.0; flow "bbr2" 40.0 ]);
+      ("a flow's RTT", flows [ flow "cubic" 40.0; flow "bbr" 50.0 ]);
+      ( "the flow count",
+        flows [ flow "cubic" 40.0; flow "bbr" 40.0; flow "bbr" 40.0 ] );
+      ("the flow order", flows [ flow "bbr" 40.0; flow "cubic" 40.0 ]);
+    ]
+  in
   List.iter
     (fun backend ->
-      if String.equal (B.digest backend spec) (B.digest backend bumped) then
-        Alcotest.failf "%s digest ignores the spec" (B.name backend))
-    B.all
+      let keys = List.map (fun (_, s) -> B.digest backend s) variants in
+      List.iter2
+        (fun (field, _) key ->
+          if String.equal (B.digest backend spec) key then
+            Alcotest.failf "%s digest ignores %s" (B.name backend) field)
+        variants keys;
+      Alcotest.(check int)
+        (B.name backend ^ " variants pairwise distinct")
+        (List.length variants)
+        (List.length (List.sort_uniq compare keys)))
+    B.all;
+  let reseeded = { spec with B.seed = 8 } in
+  Alcotest.(check bool) "fluid digest covers the seed" false
+    (String.equal (B.digest B.fluid spec) (B.digest B.fluid reseeded));
+  Alcotest.(check string) "ode digest ignores the seed"
+    (B.digest B.ode spec) (B.digest B.ode reseeded);
+  (* Pinned, so a change of encoding or version token is a visible,
+     deliberate diff: every cached analytic outcome misses once. *)
+  Alcotest.(check string) "fluid key pinned"
+    "fb2f8e46e3d314fa1afdbf69329961d5" (B.digest B.fluid spec);
+  Alcotest.(check string) "ode key pinned" "eb58105deba4715be3508e3b927325ad"
+    (B.digest B.ode spec)
 
 let test_run_and_helpers () =
   let spec = mk_spec () in

@@ -96,7 +96,7 @@ let test_cache_hit_skips_simulation () =
   let second = Runs.eval ctx configs in
   let after = Exec.counters () in
   Alcotest.(check int) "no new simulations" 0
-    (after.jobs_executed - before.jobs_executed);
+    (after.simulations - before.simulations);
   Alcotest.(check int) "every config hit" (List.length configs)
     (after.cache_hits - before.cache_hits);
   List.iteri
@@ -120,7 +120,7 @@ let test_cache_dedups_within_batch () =
   | _ -> Alcotest.fail "expected 3 results");
   let after = Exec.counters () in
   Alcotest.(check int) "simulated once" 1
-    (after.jobs_executed - before.jobs_executed)
+    (after.simulations - before.simulations)
 
 let test_digest_sensitive_to_every_field () =
   let digests =
@@ -191,7 +191,7 @@ let test_corrupted_cache_falls_back () =
   let after = Exec.counters () in
   Alcotest.(check int) "corrupted entries re-simulated"
     (List.length configs)
-    (after.jobs_executed - before.jobs_executed);
+    (after.simulations - before.simulations);
   List.iteri
     (fun i (a, b) ->
       Alcotest.(check bool)
@@ -203,7 +203,7 @@ let test_corrupted_cache_falls_back () =
   ignore (Runs.eval ctx configs);
   let after = Exec.counters () in
   Alcotest.(check int) "cache healed" 0
-    (after.jobs_executed - before.jobs_executed)
+    (after.simulations - before.simulations)
 
 let test_cache_raw_roundtrip () =
   let cache = Exec.Cache.create (fresh_dir ()) in
@@ -372,6 +372,128 @@ let test_pack_ignores_old_files () =
     (Exec.Cache.find (Exec.Cache.create dir) ~key);
   Alcotest.(check bool) "old file left in place" true (Sys.file_exists old)
 
+(* A pack in the [bbrpack1] layout: the same header fields, checksummed
+   by a one-lane multiply-xorshift fold. *)
+let bbrpack1_record ~key payload =
+  let mix h w =
+    let x = Int64.mul (Int64.logxor h w) 0x9E3779B97F4A7C15L in
+    Int64.logxor x (Int64.shift_right_logical x 29)
+  in
+  let len = String.length payload in
+  let h = ref (Int64.of_int len) and i = ref 0 in
+  while !i + 8 <= len do
+    h := mix !h (String.get_int64_le payload !i);
+    i := !i + 8
+  done;
+  while !i < len do
+    h := mix !h (Int64.of_int (Char.code payload.[!i]));
+    incr i
+  done;
+  let b = Bytes.create 32 in
+  Bytes.blit_string "bbrpack1" 0 b 0 8;
+  Bytes.set_int64_le b 8 (Int64.of_int (String.length key));
+  Bytes.set_int64_le b 16 (Int64.of_int len);
+  Bytes.set_int64_le b 24 !h;
+  Bytes.to_string b ^ key ^ payload
+
+let test_pack_old_magic () =
+  let dir = fresh_dir () in
+  Exec.mkdir_p dir;
+  let key = "old" in
+  (* simlint: allow R2 *)
+  let payload = Marshal.to_string 42 [] in
+  write_file
+    (Filename.concat dir "writer-old.pack")
+    (bbrpack1_record ~key payload);
+  let found, counts =
+    counted (fun () ->
+        (Exec.Cache.find (Exec.Cache.create dir) ~key : int option))
+  in
+  Alcotest.(check (option int)) "a bbrpack1 record is not read" None found;
+  Alcotest.(check (pair int int)) "a counted miss" (0, 1) counts;
+  Exec.Cache.store (Exec.Cache.create dir) ~key 43;
+  Alcotest.(check (option int)) "the next store reads back" (Some 43)
+    (Exec.Cache.find (Exec.Cache.create dir) ~key)
+
+(* A batch asks for keys out of storage order, with a repeat and an absent
+   key, across two packs; one record in the middle of a run is damaged. *)
+let test_pack_batch_find () =
+  let dir = fresh_dir () in
+  store_all (Exec.Cache.create dir);
+  let first_pack = only_pack dir in
+  Exec.Cache.store (Exec.Cache.create dir) ~key:"other" (value_of "other");
+  let asked = [| "third"; "absent"; "other"; "first"; "second"; "third" |] in
+  let expected =
+    [ Some "third"; None; Some "other"; Some "first"; Some "second";
+      Some "third" ]
+  in
+  let batch () =
+    Array.to_list
+      (Exec.Cache.find_many (Exec.Cache.create dir) ~keys:asked
+        : string option array)
+  in
+  let found, counts = counted batch in
+  Alcotest.(check (list (option string)))
+    "values in the order asked"
+    (List.map (Option.map value_of) expected)
+    found;
+  Alcotest.(check (pair int int)) "counted per key" (5, 1) counts;
+  let bytes = Bytes.of_string (read_file first_pack) in
+  let i = index_of ~sub:"payload of second" (Bytes.to_string bytes) in
+  Bytes.set bytes (i + 3) 'X';
+  write_file first_pack (Bytes.to_string bytes);
+  let found, counts = counted batch in
+  Alcotest.(check (list (option string)))
+    "only the damaged record misses"
+    (List.map (Option.map value_of)
+       [ Some "third"; None; Some "other"; Some "first"; None; Some "third" ])
+    found;
+  Alcotest.(check (pair int int)) "two counted misses" (4, 2) counts;
+  Alcotest.(check (array (option string)))
+    "an empty batch" [||]
+    (Exec.Cache.find_many (Exec.Cache.create dir) ~keys:[||])
+
+let test_pack_batch_torn_tail () =
+  let dir = fresh_dir () in
+  store_all (Exec.Cache.create dir);
+  let cache = Exec.Cache.create dir in
+  (* Index first, then cut the run's last record short under the handle:
+     the run's read comes back short. *)
+  ignore (Exec.Cache.find cache ~key:"first" : string option);
+  let pack = only_pack dir in
+  let bytes = read_file pack in
+  write_file pack (String.sub bytes 0 (String.length bytes - 5));
+  let found, counts =
+    counted (fun () ->
+        Array.to_list
+          (Exec.Cache.find_many cache ~keys:(Array.of_list keys)
+            : string option array))
+  in
+  Alcotest.(check (list (option string)))
+    "records before the cut survive"
+    [ Some (value_of "first"); Some (value_of "second"); None ]
+    found;
+  Alcotest.(check (pair int int)) "two hits, one counted miss" (2, 1) counts
+
+(* [map] only schedules: a job that finds its result in the cache counts
+   no simulation, as when fig09, fig10 or evolve fan their units out. *)
+let test_map_counts_no_simulation () =
+  let dir = fresh_dir () in
+  let ctx = Common.ctx ~cache_dir:dir Common.Quick in
+  let configs = [ small_config ~seed:3 (); small_config ~seed:4 () ] in
+  let before = Exec.counters () in
+  ignore (Runs.eval ctx configs);
+  let cold = Exec.counters () in
+  ignore
+    (Exec.map ~jobs:2
+       (fun c -> Runs.eval (Common.sequential ctx) [ c ])
+       (Array.of_list configs));
+  let warm = Exec.counters () in
+  Alcotest.(check int) "cold: one per config" 2
+    (cold.simulations - before.simulations);
+  Alcotest.(check int) "warm outer jobs: none" 0
+    (warm.simulations - cold.simulations)
+
 let tests =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_order;
@@ -402,4 +524,12 @@ let tests =
     Alcotest.test_case "pack: one per ctx" `Quick test_pack_one_per_ctx;
     Alcotest.test_case "pack: old per-result files ignored" `Quick
       test_pack_ignores_old_files;
+    Alcotest.test_case "pack: bbrpack1 record is a counted miss" `Quick
+      test_pack_old_magic;
+    Alcotest.test_case "pack: batch find by pack and offset" `Quick
+      test_pack_batch_find;
+    Alcotest.test_case "pack: batch find with a short read" `Quick
+      test_pack_batch_torn_tail;
+    Alcotest.test_case "map counts no simulation" `Quick
+      test_map_counts_no_simulation;
   ]

@@ -272,10 +272,10 @@ let test_run_specs_one_job_per_miss () =
           [ "cubic"; "bbr" ])
       [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
   in
-  let before = (Sim_engine.Exec.counters ()).jobs_executed in
+  let before = (Sim_engine.Exec.counters ()).simulations in
   ignore (Runs.run_specs Common.quick B.fluid specs : B.outcome list);
   Alcotest.(check int) "one job per distinct spec" (List.length specs)
-    ((Sim_engine.Exec.counters ()).jobs_executed - before)
+    ((Sim_engine.Exec.counters ()).simulations - before)
 
 (* The differential-grid cells the analytic backends are calibrated on. *)
 let fluid_grid_specs =
@@ -328,19 +328,19 @@ let test_run_specs_memo_dedupes () =
   in
   let memo = Runs.memo () in
   let ctx = Common.quick in
-  let before = (Sim_engine.Exec.counters ()).jobs_executed in
+  let before = (Sim_engine.Exec.counters ()).simulations in
   let outcomes =
     Runs.run_specs ~memo ctx Sim_backend.ode
       [ spec "cubic"; spec "bbr"; spec "cubic" ]
   in
-  let first_batch = (Sim_engine.Exec.counters ()).jobs_executed - before in
+  let first_batch = (Sim_engine.Exec.counters ()).simulations - before in
   Alcotest.(check int) "order-preserving length" 3 (List.length outcomes);
   Alcotest.(check int) "duplicates run once" 2 first_batch;
   Alcotest.(check bool) "repeats share the outcome" true
     (List.nth outcomes 0 = List.nth outcomes 2);
   let again = Runs.run_specs ~memo ctx Sim_backend.ode [ spec "bbr" ] in
   let second_batch =
-    (Sim_engine.Exec.counters ()).jobs_executed - before - first_batch
+    (Sim_engine.Exec.counters ()).simulations - before - first_batch
   in
   Alcotest.(check int) "memo hit runs nothing" 0 second_batch;
   Alcotest.(check bool) "memo returns the same outcome" true
