@@ -40,7 +40,10 @@ lint: build
 # fig05, cold fluidgrid and cold evolve: five); the warm runs' "; 0 simulated"
 # reads what the earlier processes appended. "N simulated" counts
 # simulations only, not the outer jobs with which evolve, fig09 and fig10
-# fan their units out, so the warm evolve run must also report none.
+# fan their units out, so the warm evolve run must also report none. One
+# invocation simulates each distinct run once, cached or not and at any
+# --jobs: the cold cached evolve run and an uncached one must both report
+# its 47 distinct specs.
 # The ext-2flow and ext-utility goldens pin the equilibrium check on the
 # 2-flow and the symmetric n-flow game.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
@@ -74,8 +77,11 @@ check: build test lint
 	dune exec bin/repro.exe -- run fluidgrid --jobs 2 --cache "$(CHECK_CACHE)" \
 	  --out "$(CHECK_OUT)" | $(call expect,; 0 simulated)
 	cmp test/golden/fluidgrid_quick.csv "$(CHECK_OUT)/fluidgrid.csv"
+	dune exec bin/repro.exe -- evolve --jobs 2 --out "$(CHECK_OUT)" \
+	  | $(call expect,; 47 simulated)
+	cmp test/golden/evolve_quick.csv "$(CHECK_OUT)/evolve.csv"
 	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \
-	  --out "$(CHECK_OUT)"
+	  --out "$(CHECK_OUT)" | $(call expect,; 47 simulated)
 	cmp test/golden/evolve_quick.csv "$(CHECK_OUT)/evolve.csv"
 	dune exec bin/repro.exe -- evolve --jobs 2 --cache "$(CHECK_CACHE)" \
 	  --out "$(CHECK_OUT)" | $(call expect,; 0 simulated)

@@ -671,10 +671,13 @@ let ablation_bbr_cap () =
       Cca.Registry.register "bbr-cap" (fun ~mss ~rng ->
           Cca.Bbr.make ~probe_bw_cwnd_gain:gain ~variant:Cca.Bbr.V1 ~mss ~rng
             ());
+      (* A fresh ctx per gain: every gain registers the same CCA name, so
+         the configs share a digest that one store would answer. *)
       let summary =
-        Experiments.Runs.mix ~ctx:Experiments.Common.quick ~mbps:50.0
-          ~rtt_ms:40.0 ~buffer_bdp:8.0 ~n_cubic:1 ~other:"bbr-cap" ~n_other:1
-          ()
+        Experiments.Runs.mix
+          ~ctx:(Experiments.Common.ctx Experiments.Common.Quick)
+          ~mbps:50.0 ~rtt_ms:40.0 ~buffer_bdp:8.0 ~n_cubic:1 ~other:"bbr-cap"
+          ~n_other:1 ()
       in
       Printf.printf "%6.2f %14.2f %14.2f\n%!" gain
         (mbps_of summary.per_flow_other_bps)

@@ -17,9 +17,21 @@
                   [--generations N] [--spot-checks N] [--out results/]
 *)
 
-let ctx_of ~full ~jobs ~cache_dir ~trace_dir =
-  Experiments.Common.ctx ~jobs ?cache_dir ?trace_dir
-    (if full then Experiments.Common.Full else Experiments.Common.Quick)
+(* The ctx of a [run], [all] or [evolve] invocation. [--out] and [--trace]
+   are created and the cache is opened before the first entry, so a path
+   that names a regular file stops the invocation before anything is
+   simulated. *)
+let ctx_of ~full ~jobs ~out ~cache_dir ~trace_dir =
+  match
+    Option.iter Sim_engine.Exec.mkdir_p out;
+    Option.iter Sim_engine.Exec.mkdir_p trace_dir;
+    Experiments.Common.ctx ~jobs ?cache_dir ?trace_dir
+      (if full then Experiments.Common.Full else Experiments.Common.Quick)
+  with
+  | ctx -> ctx
+  | exception Sys_error msg ->
+    Format.eprintf "repro: %s@." msg;
+    exit 2
 
 (* Aggregate the .metrics sidecars a traced entry produced into one
    summary line: sum the integer counters, recompute the rates from the
@@ -109,13 +121,10 @@ let run_entry ~out entry (ctx : Experiments.Common.ctx) =
     if new_metrics <> [] then
       Format.printf "%s trace: %s@." entry.id (trace_summary ~dir new_metrics)
   | _ -> ());
-  let evictions = after.memo_evictions - before.memo_evictions in
-  Format.printf "(%s took %.1f s; %d simulated, %d cache hits%s)@.@." entry.id
+  Format.printf "(%s took %.1f s; %d simulated, %d cache hits)@.@." entry.id
     (Unix.gettimeofday () -. t0 (* simlint: allow R1 *))
     (after.simulations - before.simulations)
     (after.cache_hits - before.cache_hits)
-    (if evictions = 0 then ""
-     else Printf.sprintf ", %d memo evictions" evictions)
 
 open Cmdliner
 
@@ -149,7 +158,9 @@ let jobs_arg =
 let cache_arg =
   let doc =
     "Cache simulation results in $(docv) (content-addressed by config \
-     digest); re-runs with unchanged parameters replay from disk."
+     digest); re-runs with unchanged parameters replay from disk. Without \
+     it, results are kept in memory: one invocation still simulates each \
+     distinct run once."
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
@@ -157,7 +168,10 @@ let trace_arg =
   let doc =
     "Write a structured event trace per simulated config into $(docv): \
      $(b,<digest>.jsonl) (the event stream) and $(b,<digest>.metrics) (a \
-     one-line rollup). Traced runs bypass the result cache."
+     one-line rollup). A traced invocation keeps its results in memory and \
+     neither reads nor writes the $(b,--cache) directory, analytic runs \
+     included: a cache hit would skip the simulation and leave no trace. \
+     Each distinct config is still simulated and traced once."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"DIR" ~doc)
 
@@ -183,7 +197,7 @@ let run_cmd =
         (String.concat ", " (Experiments.Catalog.ids ()));
       exit 1
     | Some entry ->
-      run_entry ~out entry (ctx_of ~full ~jobs ~cache_dir ~trace_dir)
+      run_entry ~out entry (ctx_of ~full ~jobs ~out ~cache_dir ~trace_dir)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -232,7 +246,7 @@ let model_cmd =
 let all_cmd =
   let doc = "Run every experiment in paper order." in
   let run full out jobs cache_dir trace_dir =
-    let ctx = ctx_of ~full ~jobs ~cache_dir ~trace_dir in
+    let ctx = ctx_of ~full ~jobs ~out ~cache_dir ~trace_dir in
     List.iter (fun entry -> run_entry ~out entry ctx) Experiments.Catalog.all
   in
   Cmd.v (Cmd.info "all" ~doc)
@@ -568,7 +582,7 @@ let evolve_cmd =
   in
   let run full out jobs cache_dir dynamics backend seed max_generations
       spot_checks =
-    let ctx = ctx_of ~full ~jobs ~cache_dir ~trace_dir:None in
+    let ctx = ctx_of ~full ~jobs ~out ~cache_dir ~trace_dir:None in
     let dynamics = if dynamics = [] then None else Some dynamics in
     let entry =
       {

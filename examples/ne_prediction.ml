@@ -18,6 +18,7 @@ let () =
     mbps rtt_ms;
   Printf.printf "%12s %22s %22s %14s\n" "buffer(BDP)" "model #cubic (synch)"
     "model #cubic (desynch)" "observed NE";
+  let ctx = Experiments.Common.ctx Experiments.Common.Quick in
   List.iter
     (fun buffer_bdp ->
       let params = Ccmodel.Params.of_paper_units ~mbps ~buffer_bdp ~rtt_ms in
@@ -29,8 +30,7 @@ let () =
         Experiments.Ne_search.packet_payoff
           ~duration:(Sim_engine.Units.seconds 60.0)
           ~warmup:(Sim_engine.Units.seconds 25.0)
-          ~ctx:Experiments.Common.quick ~mbps ~rtt_ms ~buffer_bdp
-          ~other:"bbr" ~n ()
+          ~ctx ~mbps ~rtt_ms ~buffer_bdp ~other:"bbr" ~n ()
       in
       let observed =
         Experiments.Ne_search.observed_equilibria ~epsilon:0.02 ~n

@@ -1,32 +1,24 @@
-(* Domain-based parallel executor and content-addressed result cache.
+(* Domain-based parallel executor and content-addressed result store.
 
    Simulation runs are pure functions of their config (every run builds its
    own [Sim.t] and derives all randomness from the config's seed), so a
    batch of runs can be farmed out to domains in any order and the results
-   keyed on disk by a digest of the config. *)
+   keyed, on disk or in memory, by a digest of the config. *)
 
-type counters = {
-  simulations : int;
-  cache_hits : int;
-  cache_misses : int;
-  memo_evictions : int;
-}
+type counters = { simulations : int; cache_hits : int; cache_misses : int }
 
 let simulations = Atomic.make 0
 let hits = Atomic.make 0
 let misses = Atomic.make 0
-let memo_evictions = Atomic.make 0
 
 let counters () =
   {
     simulations = Atomic.get simulations;
     cache_hits = Atomic.get hits;
     cache_misses = Atomic.get misses;
-    memo_evictions = Atomic.get memo_evictions;
   }
 
 let note_simulation () = Atomic.incr simulations
-let note_memo_eviction () = Atomic.incr memo_evictions
 
 let domain_count () = Domain.recommended_domain_count ()
 
@@ -66,9 +58,15 @@ let map ?(jobs = 1) f xs =
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
 
 (* A concurrent creator may win the race for any component; losing it is
-   the one failure tolerated, and only if a directory is what it left. *)
+   the one failure tolerated, and only if a directory is what it left. A
+   path that exists is done only if it is a directory: otherwise the first
+   file written under it would fail, after the work that produced it. *)
 let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then
+      raise (Sys_error (dir ^ ": Not a directory"))
+  end
+  else begin
     mkdir_p (Filename.dirname dir);
     try Sys.mkdir dir 0o755
     with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
@@ -93,14 +91,23 @@ module Cache = struct
   (* Where a record sits: its pack, and its offset and length in bytes. *)
   type loc = { pack : string; off : int; len : int }
 
-  type t = {
+  (* The packs of one directory, as one handle sees them. *)
+  type packs = {
     dir : string;
-    lock : Mutex.t;
-        (* Guards the fields below: one handle may serve every domain of
-           a [map]. *)
     index : (string, loc) Hashtbl.t;
     mutable indexed : bool;  (* The directory's packs have been read. *)
     mutable own : string option;  (* This handle's pack, once created. *)
+  }
+
+  (* Where a handle keeps its records: in the packs of a directory, or
+     each key's marshalled payload in process memory. *)
+  type records = Packs of packs | Memory of (string, string) Hashtbl.t
+
+  type t = {
+    lock : Mutex.t;
+        (* Guards the records: one handle may serve every domain of a
+           [map]. *)
+    records : records;
   }
 
   let magic = "bbrpack2"
@@ -142,14 +149,13 @@ module Cache = struct
   let create dir =
     mkdir_p dir;
     {
-      dir;
       lock = Mutex.create ();
-      index = Hashtbl.create 64;
-      indexed = false;
-      own = None;
+      records =
+        Packs { dir; index = Hashtbl.create 64; indexed = false; own = None };
     }
 
-  let dir t = t.dir
+  let in_memory () =
+    { lock = Mutex.create (); records = Memory (Hashtbl.create 64) }
 
   let record ~key payload =
     let b = Bytes.create header_len in
@@ -203,13 +209,13 @@ module Cache = struct
      torn or unreadable header. A record replaces an earlier record of its
      key in the same pack (the writer's last store wins), never one from
      another pack or from this handle's own stores. *)
-  let index_pack t pack =
+  let index_pack index pack =
     let add key loc =
-      match Hashtbl.find_opt t.index key with
+      match Hashtbl.find_opt index key with
       | Some prev when not (String.equal prev.pack pack && prev.off < loc.off)
         ->
         ()
-      | _ -> Hashtbl.replace t.index key loc
+      | _ -> Hashtbl.replace index key loc
     in
     try
       In_channel.with_open_bin pack (fun ic ->
@@ -316,16 +322,16 @@ module Cache = struct
      stay invisible to this one. Every location is resolved under the
      lock; the reads happen outside it, by pack and in offset order, so
      a batch stored in request order reads back in one [read]. *)
-  let find_many (type a) t ~keys : a option array =
+  let find_packs (type a) lock p ~keys : a option array =
     let located =
-      Mutex.protect t.lock (fun () ->
-          if not t.indexed then begin
-            t.indexed <- true;
-            List.iter (index_pack t) (packs t.dir)
+      Mutex.protect lock (fun () ->
+          if not p.indexed then begin
+            p.indexed <- true;
+            List.iter (index_pack p.index) (packs p.dir)
           end;
           let acc = ref [] in
           for i = Array.length keys - 1 downto 0 do
-            match Hashtbl.find_opt t.index keys.(i) with
+            match Hashtbl.find_opt p.index keys.(i) with
             | Some loc -> acc := (loc, i) :: !acc
             | None -> ()
           done;
@@ -342,6 +348,25 @@ module Cache = struct
       end
     in
     packs 0;
+    values
+
+  (* Payloads are unmarshalled outside the lock, each into a fresh value
+     as a read from a pack is, so a caller that mutates what it found
+     cannot change what the next find returns. *)
+  let find_memory (type a) lock table ~keys : a option array =
+    let payloads =
+      Mutex.protect lock (fun () -> Array.map (Hashtbl.find_opt table) keys)
+    in
+    Array.map
+      (Option.map (fun payload -> (Marshal.from_string payload 0 : a)))
+      payloads
+
+  let find_many (type a) t ~keys : a option array =
+    let values : a option array =
+      match t.records with
+      | Packs p -> find_packs t.lock p ~keys
+      | Memory table -> find_memory t.lock table ~keys
+    in
     let found =
       Array.fold_left
         (fun c v -> if Option.is_some v then c + 1 else c)
@@ -353,24 +378,23 @@ module Cache = struct
 
   let find t ~key = (find_many t ~keys:[| key |]).(0)
 
-  (* Each store opens the pack for append, writes one record and closes
-     it, so no descriptor outlives a call. A failed write may leave a torn
-     record, past which a scan reads nothing: the next store starts a new
-     pack. *)
-  let store t ~key value =
-    let record = record ~key (Marshal.to_string value []) in
+  (* Each append opens the pack, writes one record and closes it, so no
+     descriptor outlives a call. A failed write may leave a torn record,
+     past which a scan reads nothing: the next append starts a new pack. *)
+  let append lock p ~key payload =
+    let record = record ~key payload in
     let len = String.length record in
-    Mutex.protect t.lock (fun () ->
+    Mutex.protect lock (fun () ->
         match
           let pack =
-            match t.own with
+            match p.own with
             | Some pack -> pack
             | None ->
               (* An exclusive create under a fresh name. *)
               let pack =
-                Filename.temp_file ~temp_dir:t.dir "writer-" ".pack"
+                Filename.temp_file ~temp_dir:p.dir "writer-" ".pack"
               in
-              t.own <- Some pack;
+              p.own <- Some pack;
               pack
           in
           let fd =
@@ -383,8 +407,15 @@ module Cache = struct
               ignore (Unix.write_substring fd record 0 len);
               { pack; off; len })
         with
-        | loc -> Hashtbl.replace t.index key loc
+        | loc -> Hashtbl.replace p.index key loc
         | exception e ->
-          t.own <- None;
+          p.own <- None;
           raise e)
+
+  let store t ~key value =
+    let payload = Marshal.to_string value [] in
+    match t.records with
+    | Packs p -> append t.lock p ~key payload
+    | Memory table ->
+      Mutex.protect t.lock (fun () -> Hashtbl.replace table key payload)
 end

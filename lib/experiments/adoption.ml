@@ -6,17 +6,18 @@
     classes; the state is one BBR share per class, evolved by
     {!Ccgame.Evolve} dynamics (replicator / smoothed best response / logit)
     against tagged-flow deviation payoffs measured by a {!Sim_backend}
-    backend through {!Runs.run_specs} with a memo — every profile
-    simulated at most once per unit of work, content-addressed in the
-    on-disk cache.
+    backend through {!Runs.run_specs} — every profile simulated at most
+    once per ctx, content-addressed in the ctx's result store.
 
-    Each (cell x dynamics) pair is an independent, sequential unit of work;
-    the units shard across [ctx.jobs] domains (the fig10 pattern), so the
-    emitted trajectories are byte-identical for any [--jobs]. Terminal
-    states are checked against {!Ccgame.Grouped_game.is_equilibrium} on the
-    rounded counts, and packet-level spot checks re-simulate the profile
-    nearest each share crossing to confirm the analytic backend got the
-    advantage signs right. *)
+    Each cell is an independent, sequential unit of work that evolves its
+    dynamics in turn; the cells shard across [ctx.jobs] domains (the fig10
+    pattern). Cells never share a spec, so no two domains ask for the same
+    one: the trajectories are byte-identical and the number of simulations
+    is the same for any [--jobs]. Terminal states are checked against
+    {!Ccgame.Grouped_game.is_equilibrium} on the rounded counts, and
+    packet-level spot checks re-simulate the profile nearest each share
+    crossing to confirm the analytic backend got the advantage signs
+    right. *)
 
 module Units = Sim_engine.Units
 
@@ -102,7 +103,7 @@ let group_mean (o : Sim_backend.outcome) ~sizes ~group ~cca =
 (* All profiles the dynamics can query at one state: the rounded base
    profile plus every one-flow deviation — the same neighbourhood
    [Grouped_game.is_equilibrium] probes, so the terminal NE check is
-   answered from the memo too. *)
+   answered from the store too. *)
 let neighbourhood ~sizes counts =
   let bump g delta =
     let next = Array.copy counts in
@@ -117,16 +118,16 @@ let neighbourhood ~sizes counts =
 
 (* Tagged-flow payoffs over the quantized profile, batched per state: the
    first query at a new state prefetches the whole deviation neighbourhood
-   through [Runs.run_specs ~memo] in one submission, so a generation costs
-   one batch rather than up to 2G sequential runs. *)
-let tagged_payoffs ~ctx ~backend ~memo ~cell ~seed ~sizes =
+   through [Runs.run_specs] in one submission, so a generation costs one
+   batch rather than up to 2G sequential runs. *)
+let tagged_payoffs ~ctx ~backend ~cell ~seed ~sizes =
   let duration, warmup = horizon ctx.Common.mode in
   let spec_of counts =
     spec_of_counts ~mode:ctx.Common.mode ~cell ~seed ~sizes ~duration ~warmup
       counts
   in
   let outcome_of counts =
-    match Runs.run_specs ~memo ctx backend [ spec_of counts ] with
+    match Runs.run_specs ctx backend [ spec_of counts ] with
     | [ o ] -> o
     | _ -> assert false
   in
@@ -135,7 +136,7 @@ let tagged_payoffs ~ctx ~backend ~memo ~cell ~seed ~sizes =
     if !last <> shares then begin
       let counts = Ccgame.Evolve.counts_of_shares ~sizes shares in
       ignore
-        (Runs.run_specs ~memo ctx backend
+        (Runs.run_specs ctx backend
            (List.map spec_of (neighbourhood ~sizes counts))
         : Sim_backend.outcome list);
       last := Array.copy shares
@@ -212,7 +213,7 @@ let crossing_generations (traj : Ccgame.Evolve.trajectory) =
    analytic model. Near-indifferent classes (|normalized advantage| below
    [slack] on either backend) never count as disagreement — crossings are
    exactly where advantages pass through zero. *)
-let spot_check ~ctx ~backend ~memo ~cell ~seed ~sizes ~limit traj =
+let spot_check ~ctx ~backend ~cell ~seed ~sizes ~limit traj =
   if limit = 0 || String.equal (Sim_backend.name backend) "packet" then None
   else begin
     let duration, warmup = spot_horizon in
@@ -232,7 +233,7 @@ let spot_check ~ctx ~backend ~memo ~cell ~seed ~sizes ~limit traj =
       (fun gen ->
         let counts = Ccgame.Evolve.counts_of_shares ~sizes states.(gen) in
         let run b =
-          match Runs.run_specs ~memo ctx b [ spec_of counts ] with
+          match Runs.run_specs ctx b [ spec_of counts ] with
           | [ o ] -> o
           | _ -> assert false
         in
@@ -268,14 +269,11 @@ type unit_result = {
   u_spot : (int * int) option;  (** (sign-agreeing checks, checks run). *)
 }
 
-let run_unit ~ctx ~backend ~seed ~max_generations ~spot_checks
-    (cell, init, dyn) =
-  let ictx = Common.sequential ctx in
+(* One trajectory; [ctx] is the sequential ctx of its cell's job. *)
+let run_unit ~ctx ~backend ~seed ~max_generations ~spot_checks cell init
+    dyn =
   let sizes = class_sizes ctx.Common.mode in
-  let memo = Runs.memo () in
-  let payoffs, outcome_of =
-    tagged_payoffs ~ctx:ictx ~backend ~memo ~cell ~seed ~sizes
-  in
+  let payoffs, outcome_of = tagged_payoffs ~ctx ~backend ~cell ~seed ~sizes in
   let traj =
     Ccgame.Evolve.run ~tol:1e-3 dyn ~rate:(rate_of dyn) ~max_generations
       payoffs ~init
@@ -289,8 +287,7 @@ let run_unit ~ctx ~backend ~seed ~max_generations ~spot_checks
       (Ccgame.Evolve.counts_of_shares ~sizes terminal)
   in
   let u_spot =
-    spot_check ~ctx:ictx ~backend ~memo ~cell ~seed ~sizes ~limit:spot_checks
-      traj
+    spot_check ~ctx ~backend ~cell ~seed ~sizes ~limit:spot_checks traj
   in
   { u_cell = cell; u_dyn = dyn; u_traj = traj; u_eps_nash; u_spot }
 
@@ -347,18 +344,19 @@ let run_with ?(dynamics = default_dynamics) ?(backend = Sim_backend.fluid)
           class_rtts_ms)
       cells
   in
-  let units =
-    List.concat_map
-      (fun (cell, init) -> List.map (fun dyn -> (cell, init, dyn)) dynamics)
-      (List.combine cells inits)
-  in
-  (* The adoption loop is adaptive, so each unit runs sequentially and the
-     (cell x dynamics) grid is what parallelises; Exec.map_list preserves
-     order, so the table is independent of ctx.jobs. *)
+  (* The adoption loop is adaptive, so each cell runs its dynamics
+     sequentially and the cells are what parallelises; Exec.map_list
+     preserves order, so the table is independent of ctx.jobs. *)
+  let cell_ctx = Common.sequential ctx in
   let results =
-    Sim_engine.Exec.map_list ~jobs:ctx.jobs
-      (run_unit ~ctx ~backend ~seed ~max_generations ~spot_checks)
-      units
+    List.concat
+      (Sim_engine.Exec.map_list ~jobs:ctx.jobs
+         (fun (cell, init) ->
+           List.map
+             (run_unit ~ctx:cell_ctx ~backend ~seed ~max_generations
+                ~spot_checks cell init)
+             dynamics)
+         (List.combine cells inits))
   in
   let weights =
     Array.map float_of_int (class_sizes ctx.mode)

@@ -3,20 +3,20 @@ type mode = Quick | Full
 type ctx = {
   mode : mode;
   jobs : int;
-  cache : Sim_engine.Exec.Cache.t option;
+  cache : Sim_engine.Exec.Cache.t;
   trace_dir : string option;
 }
 
+(* A traced ctx keeps its results in memory: a hit in a disk cache would
+   skip the simulation and leave no trace. *)
 let ctx ?(jobs = 1) ?cache_dir ?trace_dir mode =
   if jobs < 1 then invalid_arg "Common.ctx: jobs must be >= 1";
-  {
-    mode;
-    jobs;
-    cache = Option.map Sim_engine.Exec.Cache.create cache_dir;
-    trace_dir;
-  }
-
-let quick = ctx Quick
+  let cache =
+    match (cache_dir, trace_dir) with
+    | Some dir, None -> Sim_engine.Exec.Cache.create dir
+    | _ -> Sim_engine.Exec.Cache.in_memory ()
+  in
+  { mode; jobs; cache; trace_dir }
 
 let sequential ctx = { ctx with jobs = 1 }
 

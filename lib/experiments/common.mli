@@ -10,17 +10,20 @@ type mode = Quick | Full
 type ctx = {
   mode : mode;
   jobs : int;  (** Worker domains that simulation runs are spread over. *)
-  cache : Sim_engine.Exec.Cache.t option;
-      (** When set, completed runs are stored in this cache (content-addressed
-          by config digest) and replayed on re-runs instead of
-          re-simulating. One handle serves every run of the ctx, and of the
-          ctxs {!sequential} derives from it, so a ctx appends to at most
-          one pack and reads its directory's packs once. *)
+  cache : Sim_engine.Exec.Cache.t;
+      (** The ctx's one result store: every completed run is stored here
+          (content-addressed by config digest) and replayed when asked for
+          again instead of re-simulating, so the ctx simulates each
+          distinct run once. On disk under [cache_dir], where re-runs
+          replay it too; in process memory otherwise. One handle serves
+          every run of the ctx, and of the ctxs {!sequential} derives from
+          it, so a ctx appends to at most one pack and reads its
+          directory's packs once. *)
   trace_dir : string option;
       (** When set, every simulated config writes a structured event trace
           to [<trace_dir>/<digest>.jsonl] plus a [.metrics] rollup sidecar.
-          Traced runs bypass the result cache: a cache hit would skip the
-          simulation and produce no trace. *)
+          A traced ctx's store is in memory, whatever [cache_dir] says: a
+          disk cache hit would skip the simulation and produce no trace. *)
 }
 (** Everything a driver needs to execute its plan: the grid scale ([mode])
     plus the execution policy ([jobs], [cache], [trace_dir]) threaded
@@ -30,17 +33,18 @@ val ctx :
   ?jobs:int -> ?cache_dir:string -> ?trace_dir:string -> mode -> ctx
 (** [jobs] defaults to 1 (sequential); pass
     [Sim_engine.Exec.domain_count ()] to use every core. [cache_dir]
-    opens the ctx's cache handle ({!Sim_engine.Exec.Cache.create}, which
-    creates the directory). Raises [Invalid_argument] when [jobs < 1]. *)
-
-val quick : ctx
-(** [ctx Quick]: sequential, uncached — the tests' and benches' default. *)
+    without [trace_dir] opens the ctx's store on disk
+    ({!Sim_engine.Exec.Cache.create}, which creates the directory); in
+    every other case the store is {!Sim_engine.Exec.Cache.in_memory}.
+    Each call makes a new store. Raises [Invalid_argument] when
+    [jobs < 1], and [Sys_error] when [cache_dir] names something other
+    than a directory. *)
 
 val sequential : ctx -> ctx
 (** The same ctx with [jobs = 1]; used by drivers that parallelise at a
     coarser granularity (one domain per grid point) to keep the inner
     per-trial batches from spawning nested worker pools. The result shares
-    the ctx's cache handle, which is safe to use from several domains. *)
+    the ctx's store, which is safe to use from several domains. *)
 
 type table = {
   id : string;  (** e.g. ["fig03"]. *)

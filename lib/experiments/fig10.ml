@@ -2,9 +2,10 @@
     three groups of 10 (10, 30, 50 ms) share a 100 Mbps bottleneck; buffers
     are multiples of the shortest-RTT flow's BDP. The NE search runs over
     per-group BBR counts (the paper's 2^30 profiles collapse to 11^3
-    distributions); payoffs come from the packet-level simulator, memoized
-    per distribution, and the search uses best-response dynamics from
-    several starts followed by an exact neighbourhood check. *)
+    distributions); payoffs come from the packet-level simulator, each
+    distribution simulated once per ctx (repeats are answered by the ctx's
+    result store), and the search uses best-response dynamics from several
+    starts followed by an exact neighbourhood check. *)
 
 let mbps = 100.0
 
@@ -29,41 +30,32 @@ let[@simlint.domain_ok "read-only group-size table; workers never write it"]
 
 let payoff_tables ~(ctx : Common.ctx) ~buffer_bdp ~seed =
   let shortest_rtt_ms = group_rtts_ms.(0) in
-  let cache = Hashtbl.create 64 in
+  let duration, warmup =
+    match ctx.mode with
+    | Common.Quick -> (Sim_engine.Units.seconds 50.0, Sim_engine.Units.seconds 20.0)
+    | Common.Full -> (Sim_engine.Units.seconds 120.0, Sim_engine.Units.seconds 40.0)
+  in
   let run_counts counts =
-    let key = Array.to_list counts in
-    match Hashtbl.find_opt cache key with
-    | Some result -> result
-    | None ->
-      (* Flow order: group-major; within a group, BBR flows first. *)
-      let flows =
-        List.concat
-          (List.mapi
-             (fun g rtt_ms ->
-               let rtt = Sim_engine.Units.ms rtt_ms in
-               List.init group_size (fun i ->
-                   Tcpflow.Experiment.flow_config ~base_rtt:rtt
-                     (if i < counts.(g) then "bbr" else "cubic")))
-             (Array.to_list group_rtts_ms))
-      in
-      let duration, warmup =
-        match ctx.mode with
-        | Common.Quick -> (Sim_engine.Units.seconds 50.0, Sim_engine.Units.seconds 20.0)
-        | Common.Full -> (Sim_engine.Units.seconds 120.0, Sim_engine.Units.seconds 40.0)
-      in
-      let result =
-        match
-          Runs.eval ctx
-            [
-              Runs.config ~duration ~warmup ~mode:ctx.mode ~mbps
-                ~rtt_ms:shortest_rtt_ms ~buffer_bdp ~flows ~seed ();
-            ]
-        with
-        | [ r ] -> r
-        | _ -> assert false
-      in
-      Hashtbl.replace cache key result;
-      result
+    (* Flow order: group-major; within a group, BBR flows first. *)
+    let flows =
+      List.concat
+        (List.mapi
+           (fun g rtt_ms ->
+             let rtt = Sim_engine.Units.ms rtt_ms in
+             List.init group_size (fun i ->
+                 Tcpflow.Experiment.flow_config ~base_rtt:rtt
+                   (if i < counts.(g) then "bbr" else "cubic")))
+           (Array.to_list group_rtts_ms))
+    in
+    match
+      Runs.eval ctx
+        [
+          Runs.config ~duration ~warmup ~mode:ctx.mode ~mbps
+            ~rtt_ms:shortest_rtt_ms ~buffer_bdp ~flows ~seed ();
+        ]
+    with
+    | [ r ] -> r
+    | _ -> assert false
   in
   let group_mean counts ~group ~cca =
     let result = run_counts counts in

@@ -1,15 +1,5 @@
 type payoff_fn = int -> float * float
 
-let memoize f =
-  let cache = Hashtbl.create 32 in
-  fun k ->
-    match Hashtbl.find_opt cache k with
-    | Some v -> v
-    | None ->
-      let v = f k in
-      Hashtbl.replace cache k v;
-      v
-
 let observed_equilibria ?epsilon ~n ~fair_bps ~payoff ~window () =
   let u_bbr k = snd (payoff k) in
   let u_cubic k = fst (payoff k) in
@@ -55,11 +45,10 @@ let observed_equilibria ?epsilon ~n ~fair_bps ~payoff ~window () =
   | ne -> ne
 
 let packet_payoff ?duration ?warmup ~ctx ~mbps ~rtt_ms ~buffer_bdp ~other ~n
-    () =
-  memoize (fun k ->
-      if k < 0 || k > n then invalid_arg "packet_payoff: k out of range";
-      let summary =
-        Runs.mix ?duration ?warmup ~ctx ~mbps ~rtt_ms ~buffer_bdp
-          ~n_cubic:(n - k) ~other ~n_other:k ()
-      in
-      (summary.Runs.per_flow_cubic_bps, summary.Runs.per_flow_other_bps))
+    () k =
+  if k < 0 || k > n then invalid_arg "packet_payoff: k out of range";
+  let summary =
+    Runs.mix ?duration ?warmup ~ctx ~mbps ~rtt_ms ~buffer_bdp ~n_cubic:(n - k)
+      ~other ~n_other:k ()
+  in
+  (summary.Runs.per_flow_cubic_bps, summary.Runs.per_flow_other_bps)

@@ -8,10 +8,8 @@
 type payoff_fn = int -> float * float
 (** [k ↦ (per-flow CUBIC utility, per-flow BBR utility)] for k BBR flows out
     of n. Conventions: the CUBIC component may be [nan] at k = n and the
-    BBR component [nan] at k = 0. Implementations should memoize — the
-    search calls it O(log n + window) times. *)
-
-val memoize : payoff_fn -> payoff_fn
+    BBR component [nan] at k = 0. The search calls it O(log n + window)
+    times, several times at the same k. *)
 
 val observed_equilibria :
   ?epsilon:float ->
@@ -40,8 +38,9 @@ val packet_payoff :
   unit ->
   payoff_fn
 (** Payoffs measured by the packet-level simulator (slower; used for spot
-    checks and full mode). Memoized, and cached on disk when the ctx has a
-    cache dir. The search is adaptive (each probe depends on the last), so
+    checks and full mode). Each k is simulated once per ctx: a repeat is
+    answered by the ctx's result store. The search is adaptive (each probe
+    depends on the last), so
     callers that want parallelism should fan out at a coarser granularity —
     one grid point per worker with a {!Common.sequential} ctx — as the
     fig09/fig11 drivers do. *)

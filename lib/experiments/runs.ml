@@ -44,33 +44,15 @@ let run_traced ~dir key config =
   close_out mc;
   result
 
-(* Where [evaluate] looks results up before running them, and where it
-   puts what it ran. [find] answers a batch of distinct keys at once, in
-   order, so the disk store reads each pack once. *)
-type 'v store = {
-  find : string array -> 'v option array;
-  add : string -> 'v -> unit;
-}
-
-let no_store =
-  { find = (fun keys -> Array.map (fun _ -> None) keys); add = (fun _ _ -> ()) }
-
-(* The caller fixes ['v]: [Exec.Cache.find_many] reads at whatever type it
-   is asked for, so each key space must be read at the type it was stored
-   at. *)
-let disk (type v) cache : v store =
-  {
-    find = (fun keys -> Sim_engine.Exec.Cache.find_many cache ~keys);
-    add = (fun key v -> Sim_engine.Exec.Cache.store cache ~key v);
-  }
-
 (* The choke point every simulation in the experiment suite goes through:
-   key each item, drop repeated keys, look every distinct key up in
-   [store] with one batch find, run the misses on the ctx's worker pool
-   (one job and one counted simulation per miss), store what was
-   computed, and return results in input order. With [no_store],
-   duplicates still run once. *)
-let evaluate (ctx : Common.ctx) ~key ~store run items =
+   key each item, drop repeated keys, look every distinct key up in the
+   ctx's store with one batch find, run the misses on the ctx's worker pool
+   (one job and one counted simulation per miss), store what was computed,
+   and return results in input order. [Exec.Cache.find_many] reads at
+   whatever type it is asked for, so [run] fixes the type: each key space
+   is read at the type it was stored at. *)
+let evaluate (type v) (ctx : Common.ctx) ~key (run : string -> _ -> v) items
+    : v list =
   let keyed = List.map (fun x -> (key x, x)) items in
   (* key -> its result; [None] while a miss is pending. *)
   let known = Hashtbl.create 16 in
@@ -84,7 +66,10 @@ let evaluate (ctx : Common.ctx) ~key ~store run items =
         end)
       keyed
   in
-  let found = store.find (Array.of_list (List.map fst distinct)) in
+  let found : v option array =
+    Sim_engine.Exec.Cache.find_many ctx.cache
+      ~keys:(Array.of_list (List.map fst distinct))
+  in
   let misses =
     List.filteri
       (fun i (k, _) ->
@@ -104,107 +89,24 @@ let evaluate (ctx : Common.ctx) ~key ~store run items =
   in
   List.iter2
     (fun (k, _) v ->
-      store.add k v;
+      Sim_engine.Exec.Cache.store ctx.cache ~key:k v;
       Hashtbl.replace known k (Some v))
     misses computed;
   List.map (fun (k, _) -> Option.get (Hashtbl.find known k)) keyed
 
-(* Tracing bypasses the cache — a cache hit skips the simulation and
-   would produce no trace — but still dedupes repeated configs, so one
-   file pair per distinct digest. *)
+(* A traced ctx's store is in memory ([Common.ctx]), so each distinct
+   config is simulated, and traced, once per ctx. *)
 let eval (ctx : Common.ctx) configs =
   match ctx.trace_dir with
   | Some dir ->
     Sim_engine.Exec.mkdir_p dir;
-    evaluate ctx ~key:E.digest ~store:no_store (run_traced ~dir) configs
-  | None ->
-    let store = Option.fold ~none:no_store ~some:disk ctx.cache in
-    evaluate ctx ~key:E.digest ~store (fun _ c -> E.run c) configs
-
-(* A capped memo: outcomes keyed by digest, stamped with a logical access
-   tick. When full, the least-recently-used entry is evicted (an O(cap)
-   scan — vanishingly cheap next to the simulation run an insertion just
-   paid for) and counted via {!Sim_engine.Exec.note_memo_eviction}.
-   Eviction order is deterministic: ticks are unique, so the minimum is
-   unambiguous; and since a re-run of an evicted digest reproduces the
-   same outcome, results never depend on the cap at all. *)
-type memo = {
-  table : (string, Sim_backend.outcome * int ref) Hashtbl.t;
-  cap : int;
-  tick : int ref;
-}
-
-let memo ?(cap = 4096) () : memo =
-  if cap < 1 then invalid_arg "Runs.memo: cap must be >= 1";
-  { table = Hashtbl.create 64; cap; tick = ref 0 }
-
-let memo_find memo key =
-  match Hashtbl.find_opt memo.table key with
-  | None -> None
-  | Some (outcome, stamp) ->
-    incr memo.tick;
-    stamp := !(memo.tick);
-    Some outcome
-
-let memo_add memo key outcome =
-  if Hashtbl.length memo.table >= memo.cap then begin
-    let victim = ref None in
-    (* Stamps are unique (one monotonic tick per touch), so the min-stamp
-       victim is order-independent. *)
-    Hashtbl.iter (* simlint: allow R1 *)
-      (fun k (_, stamp) ->
-        match !victim with
-        | Some (_, best) when best <= !stamp -> ()
-        | _ -> victim := Some (k, !stamp))
-      memo.table;
-    match !victim with
-    | Some (k, _) ->
-      Hashtbl.remove memo.table k;
-      Sim_engine.Exec.note_memo_eviction ()
-    | None -> ()
-  end;
-  incr memo.tick;
-  Hashtbl.replace memo.table key (outcome, ref !(memo.tick))
-
-(* The memo in front of [store]: the keys the memo does not hold go to
-   [store] in one batch, and whatever [store] holds or learns is
-   remembered. *)
-let memo_over memo store =
-  let recall keys =
-    let found = Array.map (memo_find memo) keys in
-    let missing =
-      List.filter (fun i -> Option.is_none found.(i))
-        (List.init (Array.length keys) Fun.id)
-    in
-    if missing <> [] then begin
-      let stored =
-        store.find (Array.of_list (List.map (Array.get keys) missing))
-      in
-      List.iteri
-        (fun j i ->
-          match stored.(j) with
-          | Some outcome as hit ->
-            memo_add memo keys.(i) outcome;
-            found.(i) <- hit
-          | None -> ())
-        missing
-    end;
-    found
-  in
-  let remember key outcome =
-    store.add key outcome;
-    memo_add memo key outcome
-  in
-  { find = recall; add = remember }
+    evaluate ctx ~key:E.digest (run_traced ~dir) configs
+  | None -> evaluate ctx ~key:E.digest (fun _ c -> E.run c) configs
 
 (* Analytic backends have no event stream, so [trace_dir] does not apply
    here. *)
-let run_specs ?memo (ctx : Common.ctx) backend specs =
-  let store = Option.fold ~none:no_store ~some:disk ctx.cache in
-  let store =
-    match memo with Some m -> memo_over m store | None -> store
-  in
-  evaluate ctx ~key:(Sim_backend.digest backend) ~store
+let run_specs (ctx : Common.ctx) backend specs =
+  evaluate ctx ~key:(Sim_backend.digest backend)
     (fun _ s -> Sim_backend.run_exn backend s)
     specs
 

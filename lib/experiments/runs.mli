@@ -2,7 +2,7 @@
 
     Drivers no longer call {!Tcpflow.Experiment.run} inline: they build
     {!mix_spec}s (or raw configs) for every grid point up front, submit the
-    whole batch through {!eval} — which consults the ctx's on-disk cache
+    whole batch through {!eval} — which consults the ctx's result store
     and fans the misses out over [ctx.jobs] domains — and reduce the
     results afterwards. *)
 
@@ -18,55 +18,37 @@ val eval :
   Common.ctx ->
   Tcpflow.Experiment.config list ->
   Tcpflow.Experiment.result list
-(** Run every config, in order. Duplicate configs within one call are
-    simulated once. With [ctx.cache] set, cached results are returned
-    without simulating and fresh results are persisted: the distinct
-    configs are looked up in one {!Sim_engine.Exec.Cache.find_many}, so
-    results one invocation stored together read back in one [read]. Each
-    miss counts one simulation in {!Sim_engine.Exec.counters}. Misses run
-    on [ctx.jobs] worker domains, one job per distinct config; results are
-    independent of [jobs] because each run derives all randomness from its
-    config's seed.
+(** Run every config, in order. Results in [ctx.cache] are returned
+    without simulating and fresh results are stored there, so duplicate
+    configs are simulated once within one ctx, not only within one call:
+    the distinct configs are looked up in one
+    {!Sim_engine.Exec.Cache.find_many}, so results one invocation stored
+    together read back in one [read]. Each miss counts one simulation in
+    {!Sim_engine.Exec.counters}. Misses run on [ctx.jobs] worker domains,
+    one job per distinct config; results are independent of [jobs]
+    because each run derives all randomness from its config's seed.
 
     With [ctx.trace_dir] set, every distinct config is simulated with a
     trace hub attached and writes [<trace_dir>/<digest>.jsonl] (the full
     event stream) plus [<digest>.metrics] (a one-line
-    {!Sim_engine.Trace.Metrics.summary_line} rollup). Traced batches bypass
-    the result cache entirely — a hit would skip the simulation and leave
-    no trace — and the files are byte-identical across invocations and
-    [jobs] settings for a given config. *)
-
-type memo
-(** An in-memory outcome store keyed by {!Sim_backend.digest}, layered in
-    front of {!run_specs}'s disk cache for adaptive drivers whose payoff
-    queries revisit the same profile many times per process (the evolve
-    generation loop: late generations are quantized onto a few profiles).
-    Bounded: at most [cap] entries, evicting least-recently-used (each
-    eviction bumps {!Sim_engine.Exec.counters}' [memo_evictions]);
-    results never depend on the cap, only the hit rate does. One memo
-    per driver unit of work — memos are not domain-safe, so keep each
-    inside the worker that owns it. *)
-
-val memo : ?cap:int -> unit -> memo
-(** [cap] defaults to 4096 outcomes. Raises [Invalid_argument] when
-    [cap < 1]. *)
+    {!Sim_engine.Trace.Metrics.summary_line} rollup). A traced ctx's store
+    is in memory ({!Common.ctx}), so no disk cache hit skips a trace, and
+    the files are byte-identical across invocations and [jobs] settings
+    for a given config. *)
 
 val run_specs :
-  ?memo:memo ->
   Common.ctx ->
   Sim_backend.t ->
   Sim_backend.spec list ->
   Sim_backend.outcome list
 (** {!eval}'s backend-neutral sibling: run every spec on the given backend,
-    in order, with the same cache discipline — outcomes are keyed by
+    in order, through the same store — outcomes are keyed by
     {!Sim_backend.digest} (which includes the backend's version token), so
-    the packet, fluid and ODE backends never share entries. Each distinct
-    miss is one worker-pool job through {!Sim_backend.run}, so outcomes
-    are byte-identical across [ctx.jobs] settings. With [memo], specs whose
-    digest the memo holds are answered without touching the disk cache or
-    the worker pool, the rest go to the disk cache in one batch, and every
-    outcome read from disk or computed is recorded in it. [ctx.trace_dir]
-    does not apply: analytic backends emit no event stream. Raises
+    the packet, fluid and ODE backends never share entries, and duplicate
+    specs are simulated once within one ctx. Each distinct miss is one
+    worker-pool job through {!Sim_backend.run}, so outcomes are
+    byte-identical across [ctx.jobs] settings. [ctx.trace_dir] does not
+    apply: analytic backends emit no event stream. Raises
     [Invalid_argument] when the backend rejects a spec (unsupported CCA,
     malformed spec). *)
 

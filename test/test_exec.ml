@@ -1,4 +1,4 @@
-(* The parallel executor and on-disk result cache (Sim_engine.Exec).
+(* The parallel executor and result store (Sim_engine.Exec).
 
    The contract under test is the one the experiment drivers rely on:
    results are bit-identical whatever the jobs count, cache hits skip the
@@ -87,25 +87,41 @@ let test_jobs_determinism () =
 
 (* --- Cache semantics --- *)
 
+(* Every ctx has one store: on disk with [cache_dir], in memory without. *)
 let test_cache_hit_skips_simulation () =
-  let dir = fresh_dir () in
-  let ctx = Common.ctx ~cache_dir:dir Common.Quick in
   let configs = [ small_config ~seed:1 (); small_config ~seed:2 () ] in
-  let first = Runs.eval ctx configs in
-  let before = Exec.counters () in
-  let second = Runs.eval ctx configs in
-  let after = Exec.counters () in
-  Alcotest.(check int) "no new simulations" 0
-    (after.simulations - before.simulations);
-  Alcotest.(check int) "every config hit" (List.length configs)
-    (after.cache_hits - before.cache_hits);
-  List.iteri
-    (fun i (a, b) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "result %d identical to first run" i)
-        true
-        (String.equal a b))
-    (List.combine (marshal_of_results first) (marshal_of_results second))
+  List.iter
+    (fun (store, ctx) ->
+      let first = Runs.eval ctx configs in
+      let before = Exec.counters () in
+      let second = Runs.eval ctx configs in
+      let after = Exec.counters () in
+      Alcotest.(check int) (store ^ ": no new simulations") 0
+        (after.simulations - before.simulations);
+      Alcotest.(check int) (store ^ ": every config hit")
+        (List.length configs)
+        (after.cache_hits - before.cache_hits);
+      List.iteri
+        (fun i (a, b) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: result %d identical to first run" store i)
+            true (String.equal a b))
+        (List.combine (marshal_of_results first) (marshal_of_results second)))
+    [
+      ("disk", Common.ctx ~cache_dir:(fresh_dir ()) Common.Quick);
+      ("memory", Common.ctx Common.Quick);
+    ]
+
+(* A cache path that names a regular file fails when the ctx is made, not
+   at the first store, after the batch has been simulated. *)
+let test_cache_dir_is_a_file () =
+  let file = Filename.temp_file "exec_cache" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      match Common.ctx ~cache_dir:file Common.Quick with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.fail "a ctx over a regular file should raise")
 
 let test_cache_dedups_within_batch () =
   let dir = fresh_dir () in
@@ -206,15 +222,35 @@ let test_corrupted_cache_falls_back () =
     (after.simulations - before.simulations)
 
 let test_cache_raw_roundtrip () =
-  let cache = Exec.Cache.create (fresh_dir ()) in
-  Alcotest.(check (option (list int))) "absent" None
-    (Exec.Cache.find cache ~key:"missing");
-  Exec.Cache.store cache ~key:"xs" [ 1; 2; 3 ];
-  Alcotest.(check (option (list int))) "roundtrip" (Some [ 1; 2; 3 ])
-    (Exec.Cache.find cache ~key:"xs");
-  Exec.Cache.store cache ~key:"xs" [ 9 ];
-  Alcotest.(check (option (list int))) "overwrite" (Some [ 9 ])
-    (Exec.Cache.find cache ~key:"xs")
+  List.iter
+    (fun (store, cache) ->
+      Alcotest.(check (option (list int))) (store ^ ": absent") None
+        (Exec.Cache.find cache ~key:"missing");
+      Exec.Cache.store cache ~key:"xs" [ 1; 2; 3 ];
+      Alcotest.(check (option (list int))) (store ^ ": roundtrip")
+        (Some [ 1; 2; 3 ])
+        (Exec.Cache.find cache ~key:"xs");
+      Exec.Cache.store cache ~key:"xs" [ 9 ];
+      Alcotest.(check (option (list int))) (store ^ ": overwrite") (Some [ 9 ])
+        (Exec.Cache.find cache ~key:"xs"))
+    [
+      ("disk", Exec.Cache.create (fresh_dir ()));
+      ("memory", Exec.Cache.in_memory ());
+    ]
+
+(* A find returns a copy, as a read from disk does: neither the value
+   handed to [store] nor one a find returned is the stored value. *)
+let test_memory_find_copies () =
+  let cache = Exec.Cache.in_memory () in
+  let stored = [| 1.0; 2.0 |] in
+  Exec.Cache.store cache ~key:"xs" stored;
+  stored.(0) <- -1.0;
+  let find () = (Exec.Cache.find cache ~key:"xs" : float array option) in
+  (match find () with
+  | Some found -> found.(1) <- -2.0
+  | None -> Alcotest.fail "stored value not found");
+  Alcotest.(check (option (array (float 0.0))))
+    "mutations leave the stored value" (Some [| 1.0; 2.0 |]) (find ())
 
 (* --- Pack format --- *)
 
@@ -317,25 +353,32 @@ let test_pack_two_writers () =
     (Exec.Cache.find c ~key:"late")
 
 let test_pack_shared_by_domains () =
-  let dir = fresh_dir () in
-  let cache = Exec.Cache.create dir in
   let n = 200 in
-  ignore
-    (Exec.map ~jobs:4
-       (fun i -> Exec.Cache.store cache ~key:(string_of_int i) (i * i))
-       (Array.init n Fun.id));
-  Alcotest.(check int) "one pack for the shared handle" 1
-    (List.length (packs dir));
+  let fill cache =
+    ignore
+      (Exec.map ~jobs:4
+         (fun i -> Exec.Cache.store cache ~key:(string_of_int i) (i * i))
+         (Array.init n Fun.id))
+  in
   let expected = List.init n (fun i -> Some (i * i)) in
   let read cache =
     List.init n (fun i ->
         (Exec.Cache.find cache ~key:(string_of_int i) : int option))
   in
+  let dir = fresh_dir () in
+  let cache = Exec.Cache.create dir in
+  fill cache;
+  Alcotest.(check int) "one pack for the shared handle" 1
+    (List.length (packs dir));
   Alcotest.(check (list (option int)))
     "the writer reads every record" expected (read cache);
   Alcotest.(check (list (option int)))
     "a new handle reads every record" expected
-    (read (Exec.Cache.create dir))
+    (read (Exec.Cache.create dir));
+  let memory = Exec.Cache.in_memory () in
+  fill memory;
+  Alcotest.(check (list (option int)))
+    "an in-memory handle reads every record" expected (read memory)
 
 let test_pack_one_per_ctx () =
   let dir = fresh_dir () in
@@ -351,6 +394,30 @@ let test_pack_one_per_ctx () =
   Alcotest.(check int) "every call missed" 20
     (after.cache_misses - before.cache_misses);
   Alcotest.(check int) "one pack for the ctx" 1 (List.length (packs dir))
+
+(* A traced ctx keeps its results in memory: over a warm cache it still
+   simulates and traces, and it appends nothing to the cache. *)
+let test_trace_ignores_cache () =
+  let dir = fresh_dir () and trace = fresh_dir () in
+  let config = small_config ~seed:6 () in
+  ignore (Runs.eval (Common.ctx ~cache_dir:dir Common.Quick) [ config ]);
+  let warm = packs dir in
+  let before = Exec.counters () in
+  ignore
+    (Runs.eval
+       (Common.ctx ~cache_dir:dir ~trace_dir:trace Common.Quick)
+       [ config ]);
+  let after = Exec.counters () in
+  let files = List.sort compare (Array.to_list (Sys.readdir trace)) in
+  List.iter (fun f -> Sys.remove (Filename.concat trace f)) files;
+  Sys.rmdir trace;
+  Alcotest.(check int) "simulated despite a warm cache" 1
+    (after.simulations - before.simulations);
+  let key = E.digest config in
+  Alcotest.(check (list string)) "a trace and its metrics"
+    [ key ^ ".jsonl"; key ^ ".metrics" ]
+    files;
+  Alcotest.(check (list string)) "no pack added" warm (packs dir)
 
 (* A result file in the layout that predates packs: the value marshalled
    with a magic and its key, named by the key's MD5. *)
@@ -512,7 +579,11 @@ let tests =
       test_digest_ignores_sharing;
     Alcotest.test_case "corrupted cache falls back to live run" `Quick
       test_corrupted_cache_falls_back;
+    Alcotest.test_case "cache dir that is a file" `Quick
+      test_cache_dir_is_a_file;
     Alcotest.test_case "raw cache roundtrip" `Quick test_cache_raw_roundtrip;
+    Alcotest.test_case "memory: finds return copies" `Quick
+      test_memory_find_copies;
     Alcotest.test_case "pack: torn tail is a counted miss" `Quick
       test_pack_torn_tail;
     Alcotest.test_case "pack: corrupt record misses alone" `Quick
@@ -522,6 +593,8 @@ let tests =
     Alcotest.test_case "pack: handle shared by domains" `Quick
       test_pack_shared_by_domains;
     Alcotest.test_case "pack: one per ctx" `Quick test_pack_one_per_ctx;
+    Alcotest.test_case "traced ctx ignores the cache" `Quick
+      test_trace_ignores_cache;
     Alcotest.test_case "pack: old per-result files ignored" `Quick
       test_pack_ignores_old_files;
     Alcotest.test_case "pack: bbrpack1 record is a counted miss" `Quick

@@ -93,18 +93,6 @@ let test_print_table_no_exn () =
 
 (* --- Ne_search --- *)
 
-let test_memoize () =
-  let calls = ref 0 in
-  let f =
-    Ne_search.memoize (fun k ->
-        incr calls;
-        (float_of_int k, float_of_int k))
-  in
-  ignore (f 3);
-  ignore (f 3);
-  ignore (f 4);
-  Alcotest.(check int) "two evaluations" 2 !calls
-
 let synthetic_payoff k =
   (* u_cubic rises, u_bbr falls; fair share 10 crossed at k = 8. *)
   (6.0 +. (0.5 *. float_of_int k), 18.0 -. float_of_int k)
@@ -142,12 +130,12 @@ let test_observed_equilibria_all_cubic () =
 (* --- Model-only figure drivers (fast) --- *)
 
 let test_table1_driver () =
-  let t = Table1.run Common.quick in
+  let t = Table1.run (Common.ctx Common.Quick) in
   Alcotest.(check int) "14 rows" 14 (List.length t.Common.rows);
   Alcotest.(check string) "id" "table1" t.Common.id
 
 let test_fig06_driver () =
-  let t = Fig06.run Common.quick in
+  let t = Fig06.run (Common.ctx Common.Quick) in
   Alcotest.(check int) "10 rows" 10 (List.length t.Common.rows);
   Alcotest.(check bool) "has NE note" true (t.Common.notes <> [])
 
@@ -273,7 +261,8 @@ let test_run_specs_one_job_per_miss () =
       [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
   in
   let before = (Sim_engine.Exec.counters ()).simulations in
-  ignore (Runs.run_specs Common.quick B.fluid specs : B.outcome list);
+  ignore
+    (Runs.run_specs (Common.ctx Common.Quick) B.fluid specs : B.outcome list);
   Alcotest.(check int) "one job per distinct spec" (List.length specs)
     ((Sim_engine.Exec.counters ()).simulations - before)
 
@@ -326,89 +315,58 @@ let test_run_specs_memo_dedupes () =
       ~warmup:(Sim_engine.Units.seconds 2.0)
       [ { Sim_backend.cca; rtt } ]
   in
-  let memo = Runs.memo () in
-  let ctx = Common.quick in
-  let before = (Sim_engine.Exec.counters ()).simulations in
-  let outcomes =
-    Runs.run_specs ~memo ctx Sim_backend.ode
-      [ spec "cubic"; spec "bbr"; spec "cubic" ]
+  let ctx = Common.ctx Common.Quick in
+  let simulated f =
+    let before = (Sim_engine.Exec.counters ()).simulations in
+    let v = f () in
+    (v, (Sim_engine.Exec.counters ()).simulations - before)
   in
-  let first_batch = (Sim_engine.Exec.counters ()).simulations - before in
+  let outcomes, first_batch =
+    simulated (fun () ->
+        Runs.run_specs ctx Sim_backend.ode
+          [ spec "cubic"; spec "bbr"; spec "cubic" ])
+  in
   Alcotest.(check int) "order-preserving length" 3 (List.length outcomes);
   Alcotest.(check int) "duplicates run once" 2 first_batch;
   Alcotest.(check bool) "repeats share the outcome" true
     (List.nth outcomes 0 = List.nth outcomes 2);
-  let again = Runs.run_specs ~memo ctx Sim_backend.ode [ spec "bbr" ] in
-  let second_batch =
-    (Sim_engine.Exec.counters ()).simulations - before - first_batch
+  let again, second_batch =
+    simulated (fun () -> Runs.run_specs ctx Sim_backend.ode [ spec "bbr" ])
   in
-  Alcotest.(check int) "memo hit runs nothing" 0 second_batch;
-  Alcotest.(check bool) "memo returns the same outcome" true
-    (List.nth outcomes 1 = List.hd again)
-
-let test_memo_cap_validation () =
-  match Runs.memo ~cap:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "memo ~cap:0 accepted"
-
-let test_memo_eviction () =
-  let ctx = Common.quick in
-  let specs =
-    List.map
-      (fun seed ->
-        mk_spec ~mbps:50.0 ~rtt_ms:40.0
-          ~buffer_bdp:(float_of_int seed)
-          ~duration:8.0 ~seed [ "cubic" ])
-      [ 1; 2; 3 ]
+  Alcotest.(check int) "a repeat in the ctx runs nothing" 0 second_batch;
+  Alcotest.(check bool) "the store returns the same outcome" true
+    (List.nth outcomes 1 = List.hd again);
+  let derived, third_batch =
+    simulated (fun () ->
+        Runs.run_specs (Common.sequential ctx) Sim_backend.ode
+          [ spec "cubic" ])
   in
-  let expected = bytes (Runs.run_specs ctx B.fluid specs) in
-  let memo = Runs.memo ~cap:2 () in
-  let before = (Sim_engine.Exec.counters ()).memo_evictions in
-  (* Three distinct outcomes through a 2-slot memo: at least one entry
-     must be evicted, and a second pass (re-missing whatever was
-     evicted) must still return the same bytes. *)
-  let first = bytes (Runs.run_specs ~memo ctx B.fluid specs) in
-  let second = bytes (Runs.run_specs ~memo ctx B.fluid specs) in
-  let after = (Sim_engine.Exec.counters ()).memo_evictions in
-  Alcotest.(check bool) "evictions counted" true (after > before);
-  Alcotest.(check bool) "first pass correct" true (String.equal expected first);
-  Alcotest.(check bool)
-    "second pass correct despite evictions" true
-    (String.equal expected second)
-
-let test_memo_results_cap_independent () =
-  let specs =
-    List.map
-      (fun seed ->
-        mk_spec ~mbps:50.0 ~rtt_ms:40.0 ~buffer_bdp:2.0 ~duration:8.0 ~seed
-          [ "bbr" ])
-      [ 1; 2; 3; 1; 2 ]
-  in
-  let run cap =
-    bytes (Runs.run_specs ~memo:(Runs.memo ~cap ()) Common.quick B.fluid specs)
-  in
-  let unbounded = run 4096 in
-  List.iter
-    (fun cap ->
-      Alcotest.(check bool)
-        (Printf.sprintf "cap %d = cap 4096" cap)
-        true
-        (String.equal unbounded (run cap)))
-    [ 1; 2 ]
+  Alcotest.(check int) "a repeat through Common.sequential runs nothing" 0
+    third_batch;
+  Alcotest.(check bool) "the derived ctx shares the store" true
+    (List.nth outcomes 0 = List.hd derived)
 
 (* --- the evolve driver --- *)
 
 let test_adoption_jobs_deterministic () =
   (* The acceptance property of the sharding design: trajectories are
-     byte-identical for any --jobs. Tiny grid (ODE backend, no packet
-     spot checks, few generations) to keep the two runs fast. *)
+     byte-identical, and each distinct spec is simulated once, for any
+     --jobs. Tiny grid (ODE backend, no packet spot checks, few
+     generations) to keep the two runs fast. *)
   let table jobs =
-    Common.csv_of_table
-      (Adoption.run_with ~backend:Sim_backend.ode ~spot_checks:0
-         ~max_generations:6
-         (Common.ctx ~jobs Common.Quick))
+    let before = (Sim_engine.Exec.counters ()).simulations in
+    let csv =
+      Common.csv_of_table
+        (Adoption.run_with ~backend:Sim_backend.ode ~spot_checks:0
+           ~max_generations:6
+           (Common.ctx ~jobs Common.Quick))
+    in
+    (csv, (Sim_engine.Exec.counters ()).simulations - before)
   in
-  Alcotest.(check string) "byte-identical across jobs" (table 1) (table 3)
+  let csv1, simulated1 = table 1 in
+  let csv3, simulated3 = table 3 in
+  Alcotest.(check string) "byte-identical across jobs" csv1 csv3;
+  Alcotest.(check int) "same simulations across jobs" simulated1 simulated3
 
 let test_fig12_regimes () =
   Alcotest.(check string) "shallow" "shallow"
@@ -430,7 +388,6 @@ let tests =
     Alcotest.test_case "write csv, missing parents" `Quick
       test_write_csv_nested;
     Alcotest.test_case "print table" `Quick test_print_table_no_exn;
-    Alcotest.test_case "memoize" `Quick test_memoize;
     Alcotest.test_case "NE search crossing" `Quick
       test_observed_equilibria_finds_crossing;
     Alcotest.test_case "NE search all-bbr" `Quick
@@ -453,11 +410,6 @@ let tests =
       test_run_specs_jobs_invariant;
     Alcotest.test_case "run_specs_memo dedupes" `Quick
       test_run_specs_memo_dedupes;
-    Alcotest.test_case "memo cap validation" `Quick test_memo_cap_validation;
-    Alcotest.test_case "memo eviction counted, results intact" `Quick
-      test_memo_eviction;
-    Alcotest.test_case "memo results cap-independent" `Quick
-      test_memo_results_cap_independent;
     Alcotest.test_case "evolve jobs-deterministic" `Quick
       test_adoption_jobs_deterministic;
     Alcotest.test_case "fig12 regimes" `Quick test_fig12_regimes;
