@@ -45,7 +45,8 @@ lint: build
 # --jobs: the cold cached evolve run and an uncached one must both report
 # its 47 distinct specs.
 # The ext-2flow and ext-utility goldens pin the equilibrium check on the
-# 2-flow and the symmetric n-flow game.
+# 2-flow and the symmetric n-flow game. Bad option values must be usage
+# errors (exit 124), not uncaught exceptions (exit 125) from deep in a run.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
 CHECK_TRACE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-trace
 CHECK_OUT := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-out
@@ -55,6 +56,9 @@ CHECK_OUT := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-out
 expect = awk '{ print; fflush() } /$(1)/ { ok = 1 } END { exit !ok }' >&2
 check: build test lint
 	dune exec bench/main.exe -- --alloc-gate
+	dune exec bin/repro.exe -- fuzz --count 0; test $$? -eq 124
+	dune exec bin/repro.exe -- model --flows 0; test $$? -eq 124
+	dune exec bin/repro.exe -- compare --duration=nan; test $$? -eq 124
 	rm -rf "$(CHECK_CACHE)" "$(CHECK_TRACE)" "$(CHECK_OUT)"
 	dune exec bin/repro.exe -- run fig03 --jobs 2 --cache "$(CHECK_CACHE)" \
 	  --out "$(CHECK_OUT)"

@@ -424,20 +424,17 @@ let alloc_gates =
     ("fig07/short-sim-vivace", 3, 258_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
-    ("ode/2flow-competition", 3, 3_000.0, ode_2flow);
+    ("ode/2flow-competition", 3, 940.0, ode_2flow);
     (* Each cell runs through [Sim_backend.run_exn] on its own SoA arena
-       with an allocation-free step loop: the fluid budget covers the
-       per-spec arenas and result records — anything larger means an
-       allocation crept inside the step loop. The ODE budget also holds
-       the rate trajectory its stability metrics read, one row per 50 ms
-       sample (1,200 rows at the 60 s horizon), which scales with the
-       horizon, not with the steps taken. *)
+       with an allocation-free step loop: the fluid and ODE budgets cover
+       the per-spec arenas and result records — anything larger means an
+       allocation crept inside the step loop. *)
     ("fluid/11cell-sweep", 3, 7_000.0, run_sweep B.fluid);
     (* A key is MD5 over the spec's bytes: the encoding buffer, the digest
        and its hex. Rendering floats with [Printf "%.17g"] took 1,611
        words here. *)
     ("backend/digest-20flow", 1000, 75.0, digest_20flow);
-    ("ode/11cell-sweep", 3, 71_000.0, run_sweep B.ode);
+    ("ode/11cell-sweep", 3, 31_000.0, run_sweep B.ode);
     (* The step kernel itself is allocation-free; the budget covers the
        three 64-slot scratch arrays the harness sets up per run. *)
     ( "evolve/step-1k-logit", 50, 1_000.0,

@@ -136,14 +136,35 @@ let out_arg =
   let doc = "Also write each table as CSV into $(docv)." in
   Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"DIR" ~doc)
 
-let positive_int =
+(* [conv] restricted to the values [ok] accepts: any other value is a
+   usage error (exit 124) that says [msg], not an exception from deep in
+   the run. *)
+let checked conv ~ok ~msg =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg "must be >= 1")
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg msg)
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~ok:(fun n -> n >= 1) ~msg:"must be >= 1"
+let non_negative_int = checked Arg.int ~ok:(fun n -> n >= 0) ~msg:"must be >= 0"
+
+let positive_float =
+  checked Arg.float
+    ~ok:(fun x -> Float.is_finite x && x > 0.0)
+    ~msg:"must be finite and > 0"
+
+(* The network of [model] and [compare]. *)
+let mbps_arg =
+  Arg.(value & opt positive_float 100.0 & info [ "mbps" ] ~docv:"MBPS" ~doc:"Link capacity.")
+
+let rtt_arg =
+  Arg.(value & opt positive_float 40.0 & info [ "rtt" ] ~docv:"MS" ~doc:"Base RTT in ms.")
+
+let buffer_arg =
+  Arg.(value & opt positive_float 10.0 & info [ "buffer" ] ~docv:"BDP" ~doc:"Buffer in BDP.")
 
 let jobs_arg =
   let doc =
@@ -209,17 +230,8 @@ let model_cmd =
     "Print the model's predictions (two-flow split, Ware baseline, Nash \
      region) for a given network."
   in
-  let mbps_arg =
-    Arg.(value & opt float 100.0 & info [ "mbps" ] ~docv:"MBPS" ~doc:"Link capacity.")
-  in
-  let rtt_arg =
-    Arg.(value & opt float 40.0 & info [ "rtt" ] ~docv:"MS" ~doc:"Base RTT in ms.")
-  in
-  let buffer_arg =
-    Arg.(value & opt float 10.0 & info [ "buffer" ] ~docv:"BDP" ~doc:"Buffer in BDP.")
-  in
   let flows_arg =
-    Arg.(value & opt int 10 & info [ "flows" ] ~docv:"N" ~doc:"Total flows for the NE prediction.")
+    Arg.(value & opt positive_int 10 & info [ "flows" ] ~docv:"N" ~doc:"Total flows for the NE prediction.")
   in
   let run mbps rtt_ms buffer_bdp n =
     let params = Ccmodel.Params.of_paper_units ~mbps ~buffer_bdp ~rtt_ms in
@@ -313,7 +325,7 @@ let fuzz_cmd =
   in
   let count_arg =
     Arg.(
-      value & opt int 100
+      value & opt positive_int 100
       & info [ "count"; "n" ] ~docv:"N" ~doc:"Number of scenarios to run.")
   in
   let seed_arg =
@@ -454,17 +466,8 @@ let compare_cmd =
     let doc = "A flow's CCA, by registry name (repeatable)." in
     Arg.(value & opt_all string [ "cubic"; "bbr" ] & info [ "cca" ] ~docv:"CCA" ~doc)
   in
-  let mbps_arg =
-    Arg.(value & opt float 100.0 & info [ "mbps" ] ~docv:"MBPS" ~doc:"Link capacity.")
-  in
-  let rtt_arg =
-    Arg.(value & opt float 40.0 & info [ "rtt" ] ~docv:"MS" ~doc:"Base RTT in ms.")
-  in
-  let buffer_arg =
-    Arg.(value & opt float 10.0 & info [ "buffer" ] ~docv:"BDP" ~doc:"Buffer in BDP.")
-  in
   let duration_arg =
-    Arg.(value & opt float 30.0 & info [ "duration" ] ~docv:"S" ~doc:"Horizon in seconds.")
+    Arg.(value & opt positive_float 30.0 & info [ "duration" ] ~docv:"S" ~doc:"Horizon in seconds.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed (stochastic backends).")
@@ -567,14 +570,14 @@ let evolve_cmd =
   let generations_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative_int) None
       & info [ "generations" ] ~docv:"N"
           ~doc:"Generation cap (default: 60 quick / 150 full).")
   in
   let spot_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative_int) None
       & info [ "spot-checks" ] ~docv:"N"
           ~doc:
             "Packet-level sign checks per trajectory; 0 disables (default: \

@@ -55,22 +55,24 @@ type t = (module S)
 
 let ( let* ) = Result.bind
 
-(* Backend-independent sanity of a spec. *)
+(* Backend-independent sanity of a spec. Each test is written so that NaN
+   fails it: [nan <= 0.0] is false, so a bare [x <= 0.0] would let NaN
+   through. *)
 let validate_shape s =
   let module Raw = Sim_engine.Units.Raw in
+  let positive x = Float.is_finite x && x > 0.0 in
+  let duration = Raw.to_float s.duration and warmup = Raw.to_float s.warmup in
   if s.flows = [] then Error (Invalid_spec "no flows")
-  else if Raw.to_float s.duration <= 0.0 then
-    Error (Invalid_spec "duration must be > 0")
-  else if
-    Raw.to_float s.warmup < 0.0
-    || Raw.to_float s.warmup >= Raw.to_float s.duration
-  then Error (Invalid_spec "need 0 <= warmup < duration")
-  else if Raw.to_float s.rate_bps <= 0.0 then
-    Error (Invalid_spec "rate must be > 0")
-  else if Raw.to_float s.buffer_bytes <= 0.0 then
-    Error (Invalid_spec "buffer must be > 0")
-  else if List.exists (fun f -> Raw.to_float f.rtt <= 0.0) s.flows then
-    Error (Invalid_spec "flow rtt must be > 0")
+  else if not (positive duration) then
+    Error (Invalid_spec "duration must be finite and > 0")
+  else if not (warmup >= 0.0 && warmup < duration) then
+    Error (Invalid_spec "need 0 <= warmup < duration")
+  else if not (positive (Raw.to_float s.rate_bps)) then
+    Error (Invalid_spec "rate must be finite and > 0")
+  else if not (positive (Raw.to_float s.buffer_bytes)) then
+    Error (Invalid_spec "buffer must be finite and > 0")
+  else if not (List.for_all (fun f -> positive (Raw.to_float f.rtt)) s.flows)
+  then Error (Invalid_spec "flow rtt must be finite and > 0")
   else Ok ()
 
 let validate_ccas ~backend ~supports ~supported s =

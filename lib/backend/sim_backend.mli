@@ -69,8 +69,10 @@ module type S = sig
   (** Does this backend model the named CCA? *)
 
   val validate : spec -> (unit, error) result
-  (** Cheap static check (CCA support, positive durations) without
-      running anything. *)
+  (** Cheap static check without running anything: CCA support, a
+      non-empty flow list, finite positive rate, buffer, duration and
+      RTTs, and a finite warm-up in [\[0, duration)]. NaN fails every
+      bound. *)
 
   val digest : spec -> string
   (** Content address of [run]'s outcome: a hex digest over the full spec

@@ -13,7 +13,6 @@ type config = {
   duration : Sim_engine.Units.seconds;
   warmup : Sim_engine.Units.seconds;
   integrator : integrator;
-  sample_period : Sim_engine.Units.seconds;
 }
 
 let default_config =
@@ -38,14 +37,7 @@ let default_config =
           dt_init = Sim_engine.Units.ms 2.0;
           dt_max = Sim_engine.Units.ms 100.0;
         };
-    sample_period = Sim_engine.Units.ms 50.0;
   }
-
-type metrics = {
-  jain_index : float;
-  convergence_time : float;
-  oscillation_bps : float;
-}
 
 type result = {
   per_flow_bps : float array;
@@ -53,7 +45,6 @@ type result = {
   mean_queue_bytes : float;
   mean_queuing_delay : float;
   expected_backoffs : float;
-  metrics : metrics;
   steps : int;
   rejected_steps : int;
 }
@@ -121,7 +112,6 @@ type totals = {
   mutable queue_integral : float;  (* ∫ q dt over the measured window *)
   mutable measured : float;  (* seconds of that window integrated so far *)
   mutable backoffs : float;  (* ∫ loss-event rate dt *)
-  mutable next_sample : float;  (* time of the next trajectory sample *)
 }
 
 type arena = {
@@ -130,16 +120,10 @@ type arena = {
   buffer : float;  (* bytes *)
   fair : float;  (* capacity / n *)
   warmup : float;  (* s; goodput/queue means start here *)
-  sample_period : float;  (* s *)
   acc : acc;
   tot : totals;
   mutable steps : int;  (* accepted integrator steps *)
   mutable rejected : int;  (* adaptive rejections *)
-  (* Sampled per-flow rate trajectory (bps) for the stability metrics:
-     row [k] holds the rates at [s_times.(k)]. *)
-  s_times : float array;
-  s_rows : float array array;
-  mutable n_samples : int;
   (* Per flow. *)
   kinds : Fluid_sim.kind array;
   rtt : float array;
@@ -166,31 +150,34 @@ type arena = {
   y_half : float array;
 }
 
+(* Every quantity must be finite; each bound is stated so that NaN fails
+   it ([nan <= 0.0] is false). *)
 let validate (config : config) =
   let module Raw = Sim_engine.Units.Raw in
+  let positive x = Float.is_finite x && x > 0.0 in
   let duration = Raw.to_float config.duration in
   let warmup = Raw.to_float config.warmup in
-  let sample_period = Raw.to_float config.sample_period in
-  let buffer = Raw.to_float config.buffer_bytes in
-  let capacity = Sim_engine.Units.bytes_per_sec config.capacity_bps in
-  if duration <= 0.0 then invalid_arg "Ode_model: duration must be > 0";
-  if warmup < 0.0 || warmup >= duration then
+  if not (positive duration) then
+    invalid_arg "Ode_model: duration must be > 0";
+  if not (warmup >= 0.0 && warmup < duration) then
     invalid_arg "Ode_model: need 0 <= warmup < duration";
-  if sample_period <= 0.0 then
-    invalid_arg "Ode_model: sample_period must be > 0";
   if config.flows = [] then invalid_arg "Ode_model: no flows";
-  if capacity <= 0.0 then invalid_arg "Ode_model: capacity must be > 0";
-  if buffer <= 0.0 then invalid_arg "Ode_model: buffer must be > 0";
+  if not (positive (Sim_engine.Units.bytes_per_sec config.capacity_bps)) then
+    invalid_arg "Ode_model: capacity must be > 0";
+  if not (positive (Raw.to_float config.buffer_bytes)) then
+    invalid_arg "Ode_model: buffer must be > 0";
   (match config.integrator with
   | Rk4 dt ->
-    if Raw.to_float dt <= 0.0 then invalid_arg "Ode_model: Rk4 dt must be > 0"
+    if not (positive (Raw.to_float dt)) then
+      invalid_arg "Ode_model: Rk4 dt must be > 0"
   | Adaptive { tol; dt_init; dt_max } ->
-    if tol <= 0.0 then invalid_arg "Ode_model: Adaptive tol must be > 0";
-    if Raw.to_float dt_init <= 0.0 || Raw.to_float dt_max <= 0.0 then
-      invalid_arg "Ode_model: Adaptive steps must be > 0");
+    if not (positive tol) then
+      invalid_arg "Ode_model: Adaptive tol must be > 0";
+    if not (positive (Raw.to_float dt_init) && positive (Raw.to_float dt_max))
+    then invalid_arg "Ode_model: Adaptive steps must be > 0");
   List.iter
     (fun (f : Fluid_sim.flow_spec) ->
-      if Raw.to_float f.rtt <= 0.0 then
+      if not (positive (Raw.to_float f.rtt)) then
         invalid_arg "Ode_model: flow rtt must be > 0")
     config.flows
 
@@ -227,29 +214,16 @@ let make_arena (c : config) =
         | Fluid_sim.Cubic | Fluid_sim.Bbr -> 0.0))
     c.flows;
   let slots () = Array.make (3 * n) 0.0 in
-  let duration = Sim_engine.Units.Raw.to_float c.duration in
-  let sample_period = Sim_engine.Units.Raw.to_float c.sample_period in
-  let max_samples = int_of_float (duration /. sample_period) + 2 in
   {
     n;
     capacity = cap;
     buffer = buf;
     fair = cap /. float_of_int n;
     warmup = Sim_engine.Units.Raw.to_float c.warmup;
-    sample_period;
     acc = { q = 0.0; p = 0.0; warm = 0.0 };
-    tot =
-      {
-        queue_integral = 0.0;
-        measured = 0.0;
-        backoffs = 0.0;
-        next_sample = 0.0;
-      };
+    tot = { queue_integral = 0.0; measured = 0.0; backoffs = 0.0 };
     steps = 0;
     rejected = 0;
-    s_times = Array.make max_samples 0.0;
-    s_rows = Array.make max_samples [||];
-    n_samples = 0;
     kinds;
     rtt;
     w_floor;
@@ -437,8 +411,7 @@ let[@inline] step_error st =
 let dt_min = 1e-5
 
 (* Goodput/queue accounting over [t_new - dt, t_new] at the just-accepted
-   state, the trajectory samples due by [t_new], and the slow-start
-   exit. *)
+   state, and the slow-start exit. *)
 let[@inline] account st t_new dt =
   compute_rates st st.y;
   let n = st.n and acc = st.acc and tot = st.tot in
@@ -460,23 +433,6 @@ let[@inline] account st t_new dt =
       | Fluid_sim.Bbr -> ()
     done
   end;
-  while tot.next_sample <= t_new +. 1e-12 do
-    let k = st.n_samples in
-    if k < Array.length st.s_times then begin
-      let row =
-        (Array.create_float n
-         [@simlint.alloc_ok
-           "one row per sample: the trajectory the stability metrics read"])
-      in
-      for i = 0 to n - 1 do
-        row.(i) <- st.x.(i) *. Sim_engine.Units.bits_per_byte
-      done;
-      st.s_times.(k) <- tot.next_sample;
-      st.s_rows.(k) <- row;
-      st.n_samples <- k + 1
-    end;
-    tot.next_sample <- tot.next_sample +. st.sample_period
-  done;
   (* Slow-start exit: the first overflow ends every CUBIC startup phase
      with the fluid model's backoff (w_max := w, then w := 0.7 w). A
      discrete event, like the clamping projection: from here the
@@ -553,9 +509,9 @@ let run (config : config) =
   validate config;
   let st = make_arena config in
   let duration = Raw.to_float config.duration in
-  let capacity = st.capacity in
-  let capacity_bps = capacity *. Sim_engine.Units.bits_per_byte in
-  (* Initial sample at t = 0. *)
+  (* An accounting pass at t = 0 integrates nothing but can end slow
+     start. Its queue solve and the one before it also move the fixed
+     point's warm start, which every later solve begins from. *)
   compute_rates st st.y;
   account st 0.0 0.0;
   (match config.integrator with
@@ -570,26 +526,12 @@ let run (config : config) =
       (fun d -> d /. window *. Sim_engine.Units.bits_per_byte)
       st.delivered
   in
-  let times = Array.sub st.s_times 0 st.n_samples in
-  let series = Array.sub st.s_rows 0 st.n_samples in
-  let final = Ccmodel.Fairness.tail_mean ~frac:0.2 ~times ~series in
-  let metrics =
-    {
-      jain_index = Ccmodel.Fairness.jain per_flow_bps;
-      convergence_time =
-        Ccmodel.Fairness.convergence_time ~times ~series ~final ~rel_band:0.1
-          ~abs_band:(0.02 *. capacity_bps);
-      oscillation_bps =
-        Ccmodel.Fairness.oscillation_amplitude ~tail_frac:0.3 ~times ~series;
-    }
-  in
   {
     per_flow_bps;
     flow_kinds = Array.copy st.kinds;
     mean_queue_bytes = tot.queue_integral /. window;
-    mean_queuing_delay = tot.queue_integral /. window /. capacity;
+    mean_queuing_delay = tot.queue_integral /. window /. st.capacity;
     expected_backoffs = tot.backoffs;
-    metrics;
     steps = st.steps;
     rejected_steps = st.rejected;
   }

@@ -11,11 +11,10 @@
     and ProbeRTT's residual-queue sampling becomes an RTprop estimate of
     [base rtt + queue_delay·(1 − share)].
 
-    Because the dynamics are smooth, the model converges to fixed points
-    instead of sawtoothing, which makes it the natural backend for
-    stability and fairness questions: the result carries Jain's index,
-    convergence time, and residual oscillation amplitude (via
-    {!Ccmodel.Fairness}).
+    Because the dynamics are smooth, the model settles on fixed points
+    instead of sawtoothing. Its result carries what the experiments read
+    from any backend: per-flow goodput, the mean queue and the expected
+    number of loss back-offs, plus the integrator's step counts.
 
     Steady-state shares are calibrated against {!Fluid_sim} on the
     differential grid (see [test/test_packet_vs_fluid.ml]); the two agree
@@ -43,25 +42,11 @@ type config = {
   warmup : Sim_engine.Units.seconds;
       (** Goodput/queue means are taken over [warmup, duration]. *)
   integrator : integrator;
-  sample_period : Sim_engine.Units.seconds;
-      (** Rate-trajectory sampling period for the stability metrics. *)
 }
 
 val default_config : config
 (** 100 Mbps, 10 BDP at 40 ms, 1 CUBIC vs 1 BBR, 60 s with 20 s warm-up,
-    adaptive integrator (tol 1e-4), 50 ms sampling. *)
-
-type metrics = {
-  jain_index : float;
-      (** Jain's index over the per-flow mean goodputs; in (0, 1]. *)
-  convergence_time : float;
-      (** Earliest time (s, from sim start) after which every flow's
-          sampled rate stays within 10% (rel) / 2% of capacity (abs) of
-          its final value; [infinity] if the trajectory never settles. *)
-  oscillation_bps : float;
-      (** Max over flows of the peak-to-peak rate excursion over the
-          trailing 30% of the samples. *)
-}
+    adaptive integrator (tol 1e-4). *)
 
 type result = {
   per_flow_bps : float array;
@@ -72,15 +57,14 @@ type result = {
       (** Time-integral of the smoothed loss-event rate over the
           loss-responsive flows — the ODE analogue of
           {!Fluid_sim.result.loss_events}. *)
-  metrics : metrics;
   steps : int;  (** Accepted integrator steps. *)
   rejected_steps : int;  (** Adaptive rejections (0 under {!Rk4}). *)
 }
 
 val run : config -> result
 (** Integrates the system from a cold (slow-start-sized) initial state.
-    Raises [Invalid_argument] on an empty flow list, non-positive
-    durations/steps, or [warmup >= duration]. *)
+    Raises [Invalid_argument] on an empty flow list, a quantity that is
+    non-positive or not finite (NaN included), or [warmup >= duration]. *)
 
 val mean_bps_of_kind : result -> Fluid_sim.kind -> float
 (** Mean per-flow goodput over flows of the given kind; [nan] if none. *)

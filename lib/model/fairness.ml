@@ -1,82 +1,3 @@
-let check_alloc x =
-  Array.iter
-    (fun v ->
-      if not (Float.is_finite v) || v < 0.0 then
-        invalid_arg "Fairness: allocation entries must be finite and >= 0")
-    x
-
-let jain x =
-  check_alloc x;
-  let n = Array.length x in
-  if n = 0 then 1.0
-  else begin
-    let sum = ref 0.0 and sumsq = ref 0.0 in
-    Array.iter
-      (fun v ->
-        sum := !sum +. v;
-        sumsq := !sumsq +. (v *. v))
-      x;
-    if !sumsq = 0.0 then 1.0 (* simlint: allow R4 *)
-    else !sum *. !sum /. (float_of_int n *. !sumsq)
-  end
-
-let check_trajectory times series =
-  let k = Array.length times in
-  if k = 0 then invalid_arg "Fairness: empty trajectory";
-  if Array.length series <> k then
-    invalid_arg "Fairness: times/series length mismatch"
-
-(* Index of the first sample inside the trailing [frac] of the time span. *)
-let tail_start ~frac times =
-  let k = Array.length times in
-  let t0 = times.(0) and t1 = times.(k - 1) in
-  let cut = t1 -. (frac *. (t1 -. t0)) in
-  let i = ref (k - 1) in
-  while !i > 0 && times.(!i - 1) >= cut do
-    decr i
-  done;
-  !i
-
-let tail_mean ~frac ~times ~series =
-  check_trajectory times series;
-  if not (frac > 0.0 && frac <= 1.0) then
-    invalid_arg "Fairness.tail_mean: frac must be in (0, 1]";
-  let start = tail_start ~frac times in
-  let k = Array.length times in
-  let n = Array.length series.(0) in
-  let acc = Array.make n 0.0 in
-  for j = start to k - 1 do
-    let row = series.(j) in
-    for i = 0 to n - 1 do
-      acc.(i) <- acc.(i) +. row.(i)
-    done
-  done;
-  let count = float_of_int (k - start) in
-  Array.map (fun s -> s /. count) acc
-
-let convergence_time ~times ~series ~final ~rel_band ~abs_band =
-  check_trajectory times series;
-  let k = Array.length times in
-  let n = Array.length final in
-  let inside row =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      let band = Float.max (rel_band *. Float.abs final.(i)) abs_band in
-      if Float.abs (row.(i) -. final.(i)) > band then ok := false
-    done;
-    !ok
-  in
-  (* Walk backwards: the convergence point is just after the last sample
-     that escapes its band. *)
-  let j = ref (k - 1) in
-  let stop = ref false in
-  while not !stop && !j >= 0 do
-    if inside series.(!j) then decr j else stop := true
-  done;
-  if !j = k - 1 then infinity else times.(!j + 1)
-
-(* ---------- flow-completion-time metrics ---------- *)
-
 let ideal_fct ~rtt_s ~rate_bps ~size_bytes =
   if not (rtt_s >= 0.0 && Float.is_finite rtt_s) then
     invalid_arg "Fairness.ideal_fct: rtt_s must be finite and >= 0";
@@ -118,22 +39,3 @@ let binned_mean_slowdown ?(bounds = default_size_bounds) ~ideal completions =
     completions;
   Array.init n (fun b ->
       if counts.(b) = 0 then nan else sums.(b) /. float_of_int counts.(b))
-
-let oscillation_amplitude ~tail_frac ~times ~series =
-  check_trajectory times series;
-  if not (tail_frac > 0.0 && tail_frac <= 1.0) then
-    invalid_arg "Fairness.oscillation_amplitude: tail_frac must be in (0, 1]";
-  let start = tail_start ~frac:tail_frac times in
-  let k = Array.length times in
-  let n = Array.length series.(0) in
-  let worst = ref 0.0 in
-  for i = 0 to n - 1 do
-    let lo = ref series.(start).(i) and hi = ref series.(start).(i) in
-    for j = start + 1 to k - 1 do
-      let v = series.(j).(i) in
-      if v < !lo then lo := v;
-      if v > !hi then hi := v
-    done;
-    if !hi -. !lo > !worst then worst := !hi -. !lo
-  done;
-  !worst

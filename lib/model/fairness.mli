@@ -1,50 +1,9 @@
-(** Fairness and stability metrics over per-flow allocations and sampled
-    rate trajectories.
-
-    Used by the ODE competition backend ({!Fluidsim.Ode_model}) to report
-    the Scherrer-style stability/fairness summary (Jain index, convergence
-    time, oscillation amplitude), and by tests that assert those properties
-    of any backend's outcome.
-
-    A trajectory is a pair of a sample-time array and a per-sample array of
-    per-flow values: [series.(k).(i)] is flow [i]'s value at
-    [times.(k)]. *)
-
-val jain : float array -> float
-(** Jain's fairness index [(Σx)² / (n·Σx²)] over an allocation. By
-    convention 1.0 for the degenerate all-zero allocation (and for the
-    empty one), so the index always lies in (0, 1]. Raises
-    [Invalid_argument] on negative or non-finite entries. *)
-
-val tail_mean : frac:float -> times:float array -> series:float array array
-  -> float array
-(** Per-flow mean over the trailing [frac] (by time span) of the samples —
-    the "final value" estimate used by {!convergence_time}. Raises
-    [Invalid_argument] when the trajectory is empty or
-    [frac] is outside (0, 1]. *)
-
-val convergence_time :
-  times:float array ->
-  series:float array array ->
-  final:float array ->
-  rel_band:float ->
-  abs_band:float ->
-  float
-(** The earliest sample time [t*] such that from [t*] on, every flow stays
-    within [max (rel_band·|finalᵢ|) abs_band] of [finalᵢ]; [infinity] when
-    even the last sample is outside its band. *)
-
-val oscillation_amplitude :
-  tail_frac:float -> times:float array -> series:float array array -> float
-(** Max over flows of the peak-to-peak excursion over the trailing
-    [tail_frac] (by time span) of the samples: the residual limit-cycle
-    amplitude once transients have died out. 0. for a single sample. *)
-
-(** {1 Flow-completion-time metrics}
+(** Flow-completion-time metrics.
 
     Over the completion records of an open-loop short-flow population
     ({!Tcpflow.Experiment.completion}): FCT percentiles and the
-    size-normalised slowdown the datacenter-transport literature reports. *)
+    size-normalised slowdown the datacenter-transport literature reports.
+    The [workload] experiment reads them. *)
 
 val ideal_fct : rtt_s:float -> rate_bps:float -> size_bytes:int -> float
 (** The loss- and queue-free lower bound on a transfer's completion time:

@@ -30,18 +30,3 @@ let poisson_of_load ~load ~rate_bps ~mean_size_bytes =
   if rate_bps <= 0.0 || mean_size_bytes <= 0.0 then
     invalid_arg "Arrival.poisson_of_load: rate and mean size must be > 0";
   Poisson { rate_per_s = load *. rate_bps /. (8.0 *. mean_size_bytes) }
-
-let to_string = function
-  | Poisson { rate_per_s } -> Printf.sprintf "poisson %.6g" rate_per_s
-  | Pareto_gaps { mean_gap_s; alpha } ->
-    Printf.sprintf "paretogaps %.6g %.6g" mean_gap_s alpha
-
-let of_string s =
-  match String.split_on_char ' ' (String.trim s) with
-  | [ "poisson"; r ] ->
-    Option.map (fun rate_per_s -> Poisson { rate_per_s }) (float_of_string_opt r)
-  | [ "paretogaps"; m; a ] -> (
-    match (float_of_string_opt m, float_of_string_opt a) with
-    | Some mean_gap_s, Some alpha -> Some (Pareto_gaps { mean_gap_s; alpha })
-    | _ -> None)
-  | _ -> None

@@ -22,8 +22,3 @@ val poisson_of_load : load:float -> rate_bps:float -> mean_size_bytes:float -> t
 (** [poisson_of_load ~load ~rate_bps ~mean_size_bytes] is the Poisson process
     whose offered byte rate is [load] times the link capacity:
     rate = load * rate_bps / (8 * mean_size). *)
-
-val to_string : t -> string
-(** One-line form used by scenario replay files; [of_string] inverts it. *)
-
-val of_string : string -> t option

@@ -79,42 +79,3 @@ let web_objects =
       xm_bytes = 300_000.0;
       alpha = 1.3;
     }
-
-let to_string = function
-  | Fixed bytes -> Printf.sprintf "fixed %d" bytes
-  | Uniform { lo_bytes; hi_bytes } ->
-    Printf.sprintf "uniform %d %d" lo_bytes hi_bytes
-  | Lognormal { mu; sigma } -> Printf.sprintf "lognormal %.6g %.6g" mu sigma
-  | Pareto { xm_bytes; alpha } ->
-    Printf.sprintf "pareto %.6g %.6g" xm_bytes alpha
-  | Web_objects { mu; sigma; tail_frac; xm_bytes; alpha } ->
-    Printf.sprintf "web %.6g %.6g %.6g %.6g %.6g" mu sigma tail_frac xm_bytes
-      alpha
-
-let of_string s =
-  match String.split_on_char ' ' (String.trim s) with
-  | [ "fixed"; b ] -> Option.map (fun b -> Fixed b) (int_of_string_opt b)
-  | [ "uniform"; lo; hi ] -> (
-    match (int_of_string_opt lo, int_of_string_opt hi) with
-    | Some lo_bytes, Some hi_bytes -> Some (Uniform { lo_bytes; hi_bytes })
-    | _ -> None)
-  | [ "lognormal"; mu; sigma ] -> (
-    match (float_of_string_opt mu, float_of_string_opt sigma) with
-    | Some mu, Some sigma -> Some (Lognormal { mu; sigma })
-    | _ -> None)
-  | [ "pareto"; xm; alpha ] -> (
-    match (float_of_string_opt xm, float_of_string_opt alpha) with
-    | Some xm_bytes, Some alpha -> Some (Pareto { xm_bytes; alpha })
-    | _ -> None)
-  | [ "web"; mu; sigma; tf; xm; alpha ] -> (
-    match
-      ( float_of_string_opt mu,
-        float_of_string_opt sigma,
-        float_of_string_opt tf,
-        float_of_string_opt xm,
-        float_of_string_opt alpha )
-    with
-    | Some mu, Some sigma, Some tail_frac, Some xm_bytes, Some alpha ->
-      Some (Web_objects { mu; sigma; tail_frac; xm_bytes; alpha })
-    | _ -> None)
-  | _ -> None

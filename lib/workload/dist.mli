@@ -38,8 +38,3 @@ val sample : t -> Sim_engine.Rng.t -> int
 val web_objects : t
 (** Preset mix: lognormal body (median ~30 kB) with a 5% Pareto tail
     (alpha 1.3) from 300 kB; mean ~146 kB. *)
-
-val to_string : t -> string
-(** One-line form used by scenario replay files; [of_string] inverts it. *)
-
-val of_string : string -> t option

@@ -46,6 +46,24 @@ let test_supports () =
   Alcotest.(check bool) "fluid reno" false (B.supports B.fluid "reno");
   Alcotest.(check bool) "ode reno" false (B.supports B.ode "reno")
 
+(* Specs every backend must reject as [Invalid_spec]: an empty flow list,
+   and each of rate, buffer, duration, warm-up and RTT made NaN or
+   infinite. *)
+let invalid_specs =
+  let s = mk_spec () in
+  let rtt x = List.map (fun f -> { f with B.rtt = U.seconds x }) s.B.flows in
+  ("no flows", { s with B.flows = [] })
+  :: List.concat_map
+       (fun (what, x) ->
+         [
+           ("rate " ^ what, { s with B.rate_bps = U.bps x });
+           ("buffer " ^ what, { s with B.buffer_bytes = U.bytes x });
+           ("duration " ^ what, { s with B.duration = U.seconds x });
+           ("warmup " ^ what, { s with B.warmup = U.seconds x });
+           ("rtt " ^ what, { s with B.flows = rtt x });
+         ])
+       [ ("nan", nan); ("inf", infinity) ]
+
 let test_validate () =
   List.iter
     (fun backend ->
@@ -54,11 +72,14 @@ let test_validate () =
       | Error e ->
           Alcotest.failf "%s rejects a valid spec: %s" (B.name backend)
             (Format.asprintf "%a" B.pp_error e));
-      match B.validate backend { (mk_spec ()) with B.flows = [] } with
-      | Error (B.Invalid_spec _) -> ()
-      | Ok () | Error _ ->
-          Alcotest.failf "%s: empty flow list should be Invalid_spec"
-            (B.name backend))
+      List.iter
+        (fun (what, spec) ->
+          match B.validate backend spec with
+          | Error (B.Invalid_spec _) -> ()
+          | Ok () | Error _ ->
+              Alcotest.failf "%s: %s should be Invalid_spec" (B.name backend)
+                what)
+        invalid_specs)
     B.all;
   match B.validate B.fluid (mk_spec ~ccas:[ "cubic"; "reno" ] ()) with
   | Error (B.Unsupported_cca { backend; cca; supported }) ->

@@ -3,13 +3,14 @@
 
    The unit half pins the mechanical contract: a lone flow fills the
    link, the fixed-step and adaptive integrators land on the same
-   trajectory, bad configs are rejected eagerly, and the stability
-   metrics are well-formed. The QCheck half states the model-level
-   properties from the paper's analysis in [test/test_model_props.ml]
-   style: Jain's index lives in (0, 1], homogeneous mixes always settle
-   to a fixed point (the smoothed dynamics cannot sawtooth), and —
-   matching the analytic two-flow property — BBR's share against CUBIC
-   never (materially) grows as the buffer deepens. *)
+   outcome, bad configs are rejected eagerly, and the result is
+   well-formed. The QCheck half states the model-level properties from
+   the paper's analysis in [test/test_model_props.ml] style, on the
+   per-flow goodputs every backend reports: identical flows get
+   identical goodput, homogeneous mixes settle to a fixed point (the
+   smoothed dynamics cannot sawtooth, so a later warm-up measures the
+   same goodput), and — matching the analytic two-flow property — BBR's
+   share against CUBIC never (materially) grows as the buffer deepens. *)
 
 module U = Sim_engine.Units
 module F = Fluidsim.Fluid_sim
@@ -21,7 +22,6 @@ let cfg ?(duration = 30.0) ?(warmup = 10.0)
   let rate_bps = U.mbps mbps in
   let rtt = U.ms rtt_ms in
   {
-    O.default_config with
     O.capacity_bps = rate_bps;
     buffer_bytes = U.scale buffer_bdp (U.bdp_bytes ~rate_bps ~rtt);
     flows = List.map (fun kind -> { F.kind; rtt }) kinds;
@@ -79,21 +79,18 @@ let test_validation () =
   expect "Ode_model: capacity must be > 0"
     { base with O.capacity_bps = U.bps 0.0 };
   expect "Ode_model: Rk4 dt must be > 0"
-    { base with O.integrator = O.Rk4 (U.seconds 0.0) }
+    { base with O.integrator = O.Rk4 (U.seconds 0.0) };
+  (* NaN passes a bare [x <= 0.0] test. *)
+  expect "Ode_model: duration must be > 0"
+    { base with O.duration = U.seconds nan };
+  expect "Ode_model: capacity must be > 0"
+    { base with O.capacity_bps = U.bps nan };
+  expect "Ode_model: flow rtt must be > 0"
+    { base with O.flows = [ { F.kind = F.Cubic; rtt = U.seconds nan } ] }
 
-let test_metrics_sanity () =
+let test_result_sanity () =
   let c = O.default_config in
   let r = O.run c in
-  let m = r.O.metrics in
-  Alcotest.(check bool) "jain in (0,1]" true (m.O.jain_index > 0.0 && m.O.jain_index <= 1.0);
-  Alcotest.(check bool)
-    "convergence finite and within the run" true
-    (Float.is_finite m.O.convergence_time
-    && m.O.convergence_time >= 0.0
-    && m.O.convergence_time <= U.Raw.to_float c.O.duration);
-  Alcotest.(check bool)
-    "oscillation finite and non-negative" true
-    (Float.is_finite m.O.oscillation_bps && m.O.oscillation_bps >= 0.0);
   Alcotest.(check bool) "steps positive" true (r.O.steps > 0);
   Alcotest.(check bool) "rejections non-negative" true (r.O.rejected_steps >= 0);
   Alcotest.(check bool)
@@ -116,45 +113,44 @@ let params_gen =
       (fun mbps rtt_ms buffer_bdp -> (mbps, rtt_ms, buffer_bdp))
       (float_range 10.0 100.0) (float_range 10.0 80.0) (float_range 0.5 16.0))
 
-let kinds_gen =
-  QCheck.Gen.(list_size (int_range 1 4) (oneofl [ F.Cubic; F.Bbr; F.Bbr2 ]))
-
 let pp_params (m, r, b) = Printf.sprintf "mbps=%g rtt=%gms buffer=%gbdp" m r b
 
-let prop_jain_in_unit_interval =
-  let arb =
-    QCheck.make
-      QCheck.Gen.(pair params_gen kinds_gen)
-      ~print:(fun (p, kinds) ->
-        Printf.sprintf "%s flows=[%s]" (pp_params p)
-          (String.concat ";" (List.map kind_name kinds)))
-  in
-  QCheck.Test.make ~name:"jain index in (0,1]" ~count:100 arb
-    (fun ((mbps, rtt_ms, buffer_bdp), kinds) ->
-      let r = O.run (cfg ~mbps ~rtt_ms ~buffer_bdp kinds) in
-      let j = r.O.metrics.O.jain_index in
-      j > 0.0 && j <= 1.0 +. 1e-9)
+(* 2-4 flows of one kind on one RTT. *)
+let homogeneous_arb =
+  QCheck.make
+    QCheck.Gen.(
+      pair params_gen (pair (int_range 2 4) (oneofl [ F.Cubic; F.Bbr; F.Bbr2 ])))
+    ~print:(fun (p, (n, kind)) ->
+      Printf.sprintf "%s %dx %s" (pp_params p) n (kind_name kind))
 
-let prop_homogeneous_converges =
-  (* With identical flows the smoothed dynamics have a symmetric fixed
-     point and no mechanism to oscillate around it, so the settling
-     detector must fire well inside the horizon. *)
-  let arb =
-    QCheck.make
-      QCheck.Gen.(
-        pair params_gen
-          (pair (int_range 1 3) (oneofl [ F.Cubic; F.Bbr; F.Bbr2 ])))
-      ~print:(fun (p, (n, kind)) ->
-        Printf.sprintf "%s %dx %s" (pp_params p) n (kind_name kind))
-  in
-  QCheck.Test.make ~name:"homogeneous mixes settle (finite convergence)"
-    ~count:100 arb (fun ((mbps, rtt_ms, buffer_bdp), (n, kind)) ->
+let prop_identical_flows_identical_goodput =
+  (* Flows of one kind on one RTT start from the same state and see the
+     same queue, so the integrator computes the same numbers for each. *)
+  QCheck.Test.make ~name:"identical flows get identical goodput" ~count:100
+    homogeneous_arb
+    (fun ((mbps, rtt_ms, buffer_bdp), (n, kind)) ->
       let r =
-        O.run
-          (cfg ~duration:60.0 ~warmup:20.0 ~mbps ~rtt_ms ~buffer_bdp
-             (List.init n (fun _ -> kind)))
+        O.run (cfg ~mbps ~rtt_ms ~buffer_bdp (List.init n (fun _ -> kind)))
       in
-      Float.is_finite r.O.metrics.O.convergence_time)
+      Array.for_all (Float.equal r.O.per_flow_bps.(0)) r.O.per_flow_bps)
+
+let prop_homogeneous_settles =
+  (* With identical flows the smoothed dynamics have a symmetric fixed
+     point and no mechanism to oscillate around it, so by 40 s the rates
+     have settled: measuring from 50 s instead moves no flow's goodput by
+     more than 1 % of capacity. *)
+  QCheck.Test.make ~name:"homogeneous mixes settle (warm-up independent)"
+    ~count:100 homogeneous_arb
+    (fun ((mbps, rtt_ms, buffer_bdp), (n, kind)) ->
+      let goodput warmup =
+        (O.run
+           (cfg ~duration:60.0 ~warmup ~mbps ~rtt_ms ~buffer_bdp
+              (List.init n (fun _ -> kind))))
+          .O.per_flow_bps
+      in
+      let early = goodput 40.0 and late = goodput 50.0 in
+      let tol = 0.01 *. mbps *. 1e6 in
+      Array.for_all2 (fun a b -> Float.abs (a -. b) <= tol) early late)
 
 let prop_bbr_share_monotone =
   (* The analytic two-flow property ("bbr share non-increasing in buffer
@@ -191,11 +187,11 @@ let tests =
     Alcotest.test_case "Rk4 and Adaptive integrators agree" `Quick
       test_integrators_agree;
     Alcotest.test_case "config validation" `Quick test_validation;
-    Alcotest.test_case "stability metrics sanity" `Quick test_metrics_sanity;
+    Alcotest.test_case "result sanity" `Quick test_result_sanity;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
-        prop_jain_in_unit_interval;
-        prop_homogeneous_converges;
+        prop_identical_flows_identical_goodput;
+        prop_homogeneous_settles;
         prop_bbr_share_monotone;
       ]

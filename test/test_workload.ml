@@ -77,22 +77,6 @@ let test_dist_validate_rejects () =
       ("lognormal sigma", Dist.Lognormal { mu = 1.0; sigma = -1.0 });
     ]
 
-let test_dist_string_roundtrip () =
-  List.iter
-    (fun dist ->
-      match Dist.of_string (Dist.to_string dist) with
-      | Some d ->
-        Alcotest.(check string) "round-trips" (Dist.to_string dist)
-          (Dist.to_string d)
-      | None -> Alcotest.failf "parse failed: %s" (Dist.to_string dist))
-    [
-      Dist.Fixed 30_000;
-      Dist.Uniform { lo_bytes = 100_000; hi_bytes = 500_000 };
-      Dist.Lognormal { mu = log 30_000.0; sigma = 1.0 };
-      Dist.Pareto { xm_bytes = 300_000.0; alpha = 1.3 };
-      Dist.web_objects;
-    ]
-
 (* --- arrival processes --- *)
 
 (* A KS-style check on Poisson inter-arrival gaps: the empirical CDF of
@@ -236,7 +220,6 @@ let tests =
     Alcotest.test_case "size dist bounds" `Quick test_dist_bounds;
     Alcotest.test_case "web mixture tail" `Quick test_dist_tail_heavier_than_body;
     Alcotest.test_case "dist validate rejects" `Quick test_dist_validate_rejects;
-    Alcotest.test_case "dist string round-trip" `Quick test_dist_string_roundtrip;
     Alcotest.test_case "poisson gaps exponential (KS)" `Quick
       test_poisson_gaps_exponential;
     Alcotest.test_case "arrival mean gaps" `Quick test_arrival_means;
