@@ -45,8 +45,11 @@ lint: build
 # --jobs: the cold cached evolve run and an uncached one must both report
 # its 47 distinct specs.
 # The ext-2flow and ext-utility goldens pin the equilibrium check on the
-# 2-flow and the symmetric n-flow game. Bad option values must be usage
-# errors (exit 124), not uncaught exceptions (exit 125) from deep in a run.
+# 2-flow and the symmetric n-flow game. The fig08, ext-red and ext-internals
+# goldens (the last from the traced run) pin the queue statistics: queuing
+# delay, and each CCA's mean and minimum occupancy. Bad option values must
+# be usage errors (exit 124), not uncaught exceptions (exit 125) from deep
+# in a run.
 CHECK_CACHE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-cache
 CHECK_TRACE := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-trace
 CHECK_OUT := $(or $(TMPDIR),/tmp)/bbr-equilibrium-check-out
@@ -66,7 +69,9 @@ check: build test lint
 	dune exec bin/repro.exe -- run fig03 --jobs 2 --cache "$(CHECK_CACHE)" \
 	  | $(call expect,; 0 simulated)
 	dune exec bin/repro.exe -- run ext-internals --jobs 2 \
-	  --trace "$(CHECK_TRACE)" | $(call expect,ext-internals trace: traces=)
+	  --trace "$(CHECK_TRACE)" --out "$(CHECK_OUT)" \
+	  | $(call expect,ext-internals trace: traces=)
+	cmp test/golden/ext_internals_quick.csv "$(CHECK_OUT)/ext-internals.csv"
 	ls "$(CHECK_TRACE)"/*.jsonl > /dev/null
 	ls "$(CHECK_TRACE)"/*.metrics > /dev/null
 	dune exec bin/repro.exe -- run fig01 --jobs 2 --cache "$(CHECK_CACHE)" \
@@ -102,6 +107,10 @@ check: build test lint
 	cmp test/golden/ext_2flow_quick.csv "$(CHECK_OUT)/ext-2flow.csv"
 	dune exec bin/repro.exe -- run ext-utility --jobs 2 --out "$(CHECK_OUT)"
 	cmp test/golden/ext_utility_quick.csv "$(CHECK_OUT)/ext-utility.csv"
+	dune exec bin/repro.exe -- run fig08 --jobs 2 --out "$(CHECK_OUT)"
+	cmp test/golden/fig08_quick.csv "$(CHECK_OUT)/fig08.csv"
+	dune exec bin/repro.exe -- run ext-red --jobs 2 --out "$(CHECK_OUT)"
+	cmp test/golden/ext_red_quick.csv "$(CHECK_OUT)/ext-red.csv"
 	dune exec bin/repro.exe -- run workload --jobs 1 --out "$(CHECK_OUT)"
 	cmp test/golden/workload_quick.csv "$(CHECK_OUT)/workload.csv"
 	dune exec bin/repro.exe -- run workload --jobs 4 --out "$(CHECK_OUT)"

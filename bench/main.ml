@@ -419,9 +419,9 @@ let alloc_gates =
     ("engine/event-queue-1k", 50, 13_400.0, event_queue_1k);
     ("cca/windowed-max-filter", 50, 2_300.0, windowed_max_filter);
     ("netsim/droptail-queue", 50, 590.0, droptail_queue_1k);
-    ("fig08/short-sim-bbr", 3, 171_000.0, short_sim ~other:"bbr");
-    ("fig11/short-sim-bbr2", 3, 168_000.0, short_sim ~other:"bbr2");
-    ("fig07/short-sim-vivace", 3, 258_000.0, short_sim ~other:"vivace");
+    ("fig08/short-sim-bbr", 3, 82_000.0, short_sim ~other:"bbr");
+    ("fig11/short-sim-bbr2", 3, 78_000.0, short_sim ~other:"bbr2");
+    ("fig07/short-sim-vivace", 3, 168_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 940.0, ode_2flow);
@@ -451,9 +451,9 @@ let alloc_gates =
   ]
 
 (* Minor words per packet the bottleneck delivers, from the end of warm-up
-   to the horizon of a short sim whose four flows all run [cca]. The
-   per-run gates above cannot see one 2-word box per packet: that is about
-   13k words of a ~155k-word run. Here it moves the reading by 2. *)
+   to the horizon of a short sim whose four flows all run [cca]. One 2-word
+   box per packet is about 13k words of a ~74k-word run, which the per-run
+   gates above see only as a total; here it moves the reading by 2. *)
 let words_per_packet cca =
   let live =
     Tcpflow.Experiment.setup (short_sim_config ~base:cca ~other:cca ())
@@ -472,7 +472,7 @@ let words_per_packet cca =
 (* Committed words-per-delivered-packet ceilings: the measured value plus
    one word. *)
 let packet_gates =
-  [ ("packet/all-cubic", 11.9, "cubic"); ("packet/all-bbr", 19.8, "bbr") ]
+  [ ("packet/all-cubic", 8.3, "cubic"); ("packet/all-bbr", 16.2, "bbr") ]
 
 let run_alloc_gates () =
   Printf.printf "==== Allocation gates (Gc.minor_words per run) ====\n";

@@ -30,28 +30,64 @@ let last t =
   if t.length = 0 then None
   else Some (t.times.(t.length - 1), t.values.(t.length - 1))
 
-let time_weighted_mean t ~from_ ~until =
-  if t.length = 0 || until <= from_ then nan
-  else begin
-    (* Treat the series as a right-continuous step function. *)
-    let total = ref 0.0 in
-    let value_at_start = ref t.values.(0) in
-    for i = 0 to t.length - 1 do
-      if t.times.(i) <= from_ then value_at_start := t.values.(i)
-    done;
-    let prev_t = ref from_ and prev_v = ref !value_at_start in
-    for i = 0 to t.length - 1 do
-      let ti = t.times.(i) in
-      if ti > from_ && ti <= until then begin
-        total := !total +. (!prev_v *. (ti -. !prev_t));
-        prev_t := ti;
-        prev_v := t.values.(i)
-      end
-      else if ti > until then ()
-    done;
-    total := !total +. (!prev_v *. (until -. !prev_t));
-    !total /. (until -. from_)
-  end
+(* Every field is a float, so the record is stored flat and an update
+   writes unboxed doubles. *)
+module Window = struct
+  type t = {
+    from_ : float;
+    until : float;
+    mutable samples : float;  (* how many were added; a float keeps [t] flat *)
+    mutable prev_t : float;  (* start of the open step, clamped to [from_] *)
+    mutable prev_v : float;  (* its value *)
+    mutable area : float;  (* integral over [from_, prev_t] *)
+    mutable lo : float;
+    mutable hi : float;
+  }
+
+  let create ~from_ ~until =
+    {
+      from_;
+      until;
+      samples = 0.0;
+      prev_t = from_;
+      prev_v = nan;
+      area = 0.0;
+      lo = nan;
+      hi = nan;
+    }
+
+  (* The series is a right-continuous step function. Until the first
+     sample inside (from_, until], the open step holds the last sample at
+     or before [from_], or the first sample if none came that early. *)
+  let[@inline] add w ~time v =
+    if Stats.is_zero w.samples || time <= w.from_ then w.prev_v <- v;
+    w.samples <- w.samples +. 1.0;
+    if time > w.from_ && time <= w.until then begin
+      w.area <- w.area +. (w.prev_v *. (time -. w.prev_t));
+      w.prev_t <- time;
+      w.prev_v <- v
+    end;
+    if time >= w.from_ then begin
+      if Float.is_nan w.lo || v < w.lo then w.lo <- v;
+      if Float.is_nan w.hi || v > w.hi then w.hi <- v
+    end
+
+  let mean w =
+    if Stats.is_zero w.samples || w.until <= w.from_ then nan
+    else (w.area +. (w.prev_v *. (w.until -. w.prev_t))) /. (w.until -. w.from_)
+
+  let min w = w.lo
+  let max w = w.hi
+end
+
+let window t ~from_ ~until =
+  let w = Window.create ~from_ ~until in
+  for i = 0 to t.length - 1 do
+    Window.add w ~time:t.times.(i) t.values.(i)
+  done;
+  w
+
+let time_weighted_mean t ~from_ ~until = Window.mean (window t ~from_ ~until)
 
 let mean t =
   if t.length = 0 then nan
@@ -63,17 +99,11 @@ let mean t =
     !sum /. float_of_int t.length
   end
 
-let extremum t ~from_ ~better =
-  let best = ref nan in
-  for i = 0 to t.length - 1 do
-    if t.times.(i) >= from_ then
-      if Float.is_nan !best || better t.values.(i) !best then
-        best := t.values.(i)
-  done;
-  !best
+let min_value t ?(from_ = neg_infinity) () =
+  Window.min (window t ~from_ ~until:infinity)
 
-let min_value t ?(from_ = neg_infinity) () = extremum t ~from_ ~better:( < )
-let max_value t ?(from_ = neg_infinity) () = extremum t ~from_ ~better:( > )
+let max_value t ?(from_ = neg_infinity) () =
+  Window.max (window t ~from_ ~until:infinity)
 
 let fold t ~init ~f =
   let acc = ref init in

@@ -1,5 +1,6 @@
 (** Append-only time series of [(time, value)] samples with time-weighted
-    aggregation, used for queue occupancy and delay traces. *)
+    aggregation, and {!Window}, the same aggregation over a stream of
+    samples that it does not store. *)
 
 type t
 
@@ -12,6 +13,28 @@ val length : t -> int
 val is_empty : t -> bool
 
 val last : t -> (float * float) option
+
+(** Running statistics of a sample stream over a window [\[from_, until\]]:
+    what {!time_weighted_mean}, {!min_value} and {!max_value} return for
+    the same samples, without keeping them. *)
+module Window : sig
+  type t
+
+  val create : from_:float -> until:float -> t
+
+  val add : t -> time:float -> float -> unit
+  (** Folds in one sample. Samples must come with non-decreasing
+      timestamps. Allocates nothing. *)
+
+  val mean : t -> float
+  (** Time-weighted mean over the window, as {!time_weighted_mean}. *)
+
+  val min : t -> float
+  (** Minimum sample at or after [from_], past [until] included; [nan] if
+      there is none. *)
+
+  val max : t -> float
+end
 
 val time_weighted_mean : t -> from_:float -> until:float -> float
 (** Mean of the step function defined by the samples over [\[from_, until\]].

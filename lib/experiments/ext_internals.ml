@@ -8,8 +8,10 @@
     - b_b from Eq. 18 — BBR's average buffer occupancy.
 
     We run 1 CUBIC vs 1 BBR and read both quantities from the per-class
-    queue-occupancy series the sampler records. Mechanism-level agreement
-    here is stronger evidence than output agreement alone. *)
+    occupancy statistics of the experiment's queue tick, which samples each
+    class's queued bytes every 1 ms and keeps the minimum after warm-up and
+    the time-weighted mean over the measurement window. Mechanism-level
+    agreement here is stronger evidence than output agreement alone. *)
 
 let mbps = 50.0
 let rtt_ms = 40.0

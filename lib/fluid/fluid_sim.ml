@@ -155,15 +155,41 @@ type arena = {
   rate : float array;  (* this step's per-flow throughput, bytes/s *)
 }
 
+(* Every quantity must be finite; each bound is stated so that NaN fails
+   it ([nan <= 0.0] is false). *)
+let validate (c : config) =
+  let module Raw = Sim_engine.Units.Raw in
+  let positive x = Float.is_finite x && x > 0.0 in
+  let duration = Raw.to_float c.duration in
+  let warmup = Raw.to_float c.warmup in
+  if not (positive (Raw.to_float c.dt)) then
+    invalid_arg "Fluid_sim.run: dt must be finite and > 0";
+  if not (positive duration) then
+    invalid_arg "Fluid_sim.run: duration must be finite and > 0";
+  if not (warmup >= 0.0 && warmup < duration) then
+    invalid_arg "Fluid_sim.run: need 0 <= warmup < duration";
+  if c.flows = [] then invalid_arg "Fluid_sim.run: no flows";
+  if not (positive (Raw.to_float c.capacity_bps)) then
+    invalid_arg "Fluid_sim.run: capacity must be finite and > 0";
+  if not (positive (Raw.to_float c.buffer_bytes)) then
+    invalid_arg "Fluid_sim.run: buffer must be finite and > 0";
+  (match c.sync with
+  | Stochastic p ->
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg "Fluid_sim.run: Stochastic p must be in [0, 1]"
+  | Synchronized | Desynchronized -> ());
+  List.iter
+    (fun (f : flow_spec) ->
+      if not (positive (Raw.to_float f.rtt)) then
+        invalid_arg "Fluid_sim.run: flow rtt must be finite and > 0")
+    c.flows
+
 let make_arena (c : config) =
   let module Raw = Sim_engine.Units.Raw in
+  validate c;
   let dt = Raw.to_float c.dt in
   let duration = Raw.to_float c.duration in
   let warmup = Raw.to_float c.warmup in
-  if dt <= 0.0 then invalid_arg "Fluid_sim.run: dt";
-  if warmup >= duration then
-    invalid_arg "Fluid_sim.run: warmup must precede duration";
-  if c.flows = [] then invalid_arg "Fluid_sim.run: no flows";
   let n = List.length c.flows in
   let capacity = Sim_engine.Units.bytes_per_sec c.capacity_bps in
   let rng = Sim_engine.Rng.create c.seed in

@@ -95,7 +95,9 @@ type result = {
 val run : config -> result
 (** Advance one config over its own struct-of-arrays arena with a
     zero-allocation step loop. Raises [Invalid_argument] on an empty flow
-    list, a non-positive [dt], or [warmup >= duration]. *)
+    list, a [dt], duration, capacity, buffer or flow RTT that is not finite
+    and positive, a warm-up outside [\[0, duration)], or [Stochastic p]
+    with [p] outside [\[0, 1\]]. *)
 
 val mean_bps_of_kind : result -> kind -> float
 (** Mean per-flow goodput over flows of the given kind; [nan] if none. *)

@@ -1,5 +1,6 @@
 module Sim = Sim_engine.Sim
 module Units = Sim_engine.Units
+module Window = Sim_engine.Timeseries.Window
 
 type flow_config = {
   cca : string;
@@ -122,8 +123,10 @@ type live = {
   sim : Sim.t;
   net : Netsim.Dumbbell.t;
   senders : Sender.t array;
-  sampler : Netsim.Sampler.t;
-  stop_sampling : unit -> unit;
+  queue_total : Window.t;
+  queue_classes : Window.t array;
+      (* One per class, in [classes] order. *)
+  sampling : bool ref;
   delivered_at_warmup : float array;
   classes : string list;
   churn : Churn.t option;
@@ -132,6 +135,9 @@ type live = {
 let setup ?trace config =
   if (config.warmup :> float) >= (config.duration :> float) then
     invalid_arg "Experiment.run: warmup must precede duration";
+  (* A zero period would re-run the queue tick at one instant forever. *)
+  if not ((config.sample_period :> float) > 0.0) then
+    invalid_arg "Experiment.run: sample_period must be > 0";
   let sim = Sim.create ~seed:config.seed () in
   (* The workload stream is split first, before the AQM policy and the
      per-sender streams, so a schedule is a function of (seed, workload
@@ -163,8 +169,8 @@ let setup ?trace config =
       ~buffer_bytes:config.buffer_bytes ~flows:specs ()
   in
   (* One class per distinct CCA. Churn flows (ids at and above the static
-     population) are in no class: class series measure the long-lived flows
-     only. *)
+     population) are in no class: class statistics measure the long-lived
+     flows only. *)
   let classes = distinct_ccas config.flows in
   let class_names = Array.of_list classes in
   let class_of_flow =
@@ -172,11 +178,33 @@ let setup ?trace config =
       (fun f -> Option.get (Array.find_index (String.equal f.cca) class_names))
       flows
   in
-  let sampler =
-    Netsim.Sampler.create ~sim ~queue:(Netsim.Dumbbell.queue net)
-      ~period:(config.sample_period :> float) ~classes:class_names
-      ~class_of_flow ()
+  (* From now on, one tick per [sample_period] folds the total and each
+     class's occupancy into running window statistics; no sample is kept.
+     The traced Cc_sample tick below is a separate event, so traces keep
+     their order among same-time events. *)
+  let sampling = ref true in
+  let period = (config.sample_period :> float) in
+  let queue = Netsim.Dumbbell.queue net in
+  let window () =
+    Window.create ~from_:(config.warmup :> float)
+      ~until:(config.duration :> float)
   in
+  let queue_total = window () in
+  let queue_classes = Array.map (fun _ -> window ()) class_names in
+  let class_bytes = Array.make (Array.length class_names) 0 in
+  let rec queue_tick () =
+    if !sampling then begin
+      let time = Sim.now sim in
+      Window.add queue_total ~time
+        (float_of_int (Netsim.Droptail_queue.occupancy_bytes queue));
+      Netsim.Droptail_queue.occupancy_by_class queue ~class_of_flow class_bytes;
+      for c = 0 to Array.length queue_classes - 1 do
+        Window.add queue_classes.(c) ~time (float_of_int class_bytes.(c))
+      done;
+      ignore (Sim.schedule sim ~delay:period queue_tick)
+    end
+  in
+  queue_tick ();
   let senders =
     Array.mapi
       (fun i f ->
@@ -188,26 +216,21 @@ let setup ?trace config =
   (* When traced, one periodic tick emits a Cc_sample for every static
      sender, in flow order, from now on. The hub's sinks see each sample and
      nothing here keeps a copy. Untraced runs skip this entirely. *)
-  let stop_sampling =
-    match trace with
-    | None -> ignore
-    | Some hub ->
-      let sampling = ref true in
-      let period = (config.sample_period :> float) in
-      let rec tick () =
-        if !sampling then begin
-          let time = Sim.now sim in
-          Array.iter
-            (fun sender ->
-              Sim_engine.Trace.emit hub ~time ~flow:(Sender.flow sender)
-                (Flow_trace.cc_sample sender))
-            senders;
-          ignore (Sim.schedule sim ~delay:period tick)
-        end
-      in
-      tick ();
-      fun () -> sampling := false
-  in
+  (match trace with
+  | None -> ()
+  | Some hub ->
+    let rec tick () =
+      if !sampling then begin
+        let time = Sim.now sim in
+        Array.iter
+          (fun sender ->
+            Sim_engine.Trace.emit hub ~time ~flow:(Sender.flow sender)
+              (Flow_trace.cc_sample sender))
+          senders;
+        ignore (Sim.schedule sim ~delay:period tick)
+      end
+    in
+    tick ());
   (* Snapshot delivered bytes at the start of the measurement window. *)
   let delivered_at_warmup = Array.make (Array.length senders) 0.0 in
   ignore
@@ -233,8 +256,9 @@ let setup ?trace config =
     sim;
     net;
     senders;
-    sampler;
-    stop_sampling;
+    queue_total;
+    queue_classes;
+    sampling;
     delivered_at_warmup;
     classes;
     churn;
@@ -250,7 +274,6 @@ let finish l =
   let sim = l.sim
   and net = l.net
   and senders = l.senders
-  and sampler = l.sampler
   and delivered_at_warmup = l.delivered_at_warmup in
   let flows = Array.of_list config.flows in
   Sim.run ~until:(config.duration :> float) sim;
@@ -277,33 +300,20 @@ let finish l =
            })
          senders)
   in
-  let from_ = (config.warmup :> float)
-  and until = (config.duration :> float) in
+  let queue_mean_bytes = Window.mean l.queue_total in
   let class_stat f =
-    List.map
-      (fun name -> (name, f (Netsim.Sampler.class_series sampler name)))
-      l.classes
+    List.mapi (fun c name -> (name, f l.queue_classes.(c))) l.classes
   in
   let result =
     {
       config;
       per_flow;
       queuing_delay =
-        Netsim.Sampler.queuing_delay sampler
-          ~rate_bps:(config.rate_bps :> float)
-          ~from_ ~until;
-      queue_mean_bytes =
-        Sim_engine.Timeseries.time_weighted_mean
-          (Netsim.Sampler.total sampler) ~from_ ~until;
-      class_mean_bytes =
-        class_stat (fun series ->
-            Sim_engine.Timeseries.time_weighted_mean series ~from_ ~until);
-      class_min_bytes =
-        class_stat (fun series ->
-            Sim_engine.Timeseries.min_value series ~from_ ());
-      class_max_bytes =
-        class_stat (fun series ->
-            Sim_engine.Timeseries.max_value series ~from_ ());
+        queue_mean_bytes *. Units.bits_per_byte /. (config.rate_bps :> float);
+      queue_mean_bytes;
+      class_mean_bytes = class_stat Window.mean;
+      class_min_bytes = class_stat Window.min;
+      class_max_bytes = class_stat Window.max;
       drops = Netsim.Droptail_queue.drops (Netsim.Dumbbell.queue net);
       utilization =
         (* busy_seconds accrues at transmission start, so a packet in
@@ -339,8 +349,7 @@ let finish l =
           !acc);
     }
   in
-  Netsim.Sampler.stop sampler;
-  l.stop_sampling ();
+  l.sampling := false;
   result
 
 let run ?trace config = finish (setup ?trace config)

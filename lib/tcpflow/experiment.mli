@@ -134,10 +134,14 @@ type live
     state before and during the run. *)
 
 val setup : ?trace:Sim_engine.Trace.t -> config -> live
-(** Build the simulator, bottleneck, senders, samplers and (when traced)
-    the congestion-state sampling tick for [config] without advancing the
-    clock. Raises [Invalid_argument] when
-    [config.warmup >= config.duration]. *)
+(** Build the simulator, bottleneck and senders for [config] without
+    advancing the clock, and start the periodic ticks: the queue tick,
+    which every [sample_period] from time 0 folds the total and each
+    CCA's queue occupancy into running statistics over
+    [\[warmup, duration\]] and keeps no sample, and (when traced) the
+    congestion-state sampling tick. Raises [Invalid_argument] when
+    [config.warmup >= config.duration] or [sample_period] is not
+    positive. *)
 
 val live_sim : live -> Sim_engine.Sim.t
 val live_net : live -> Netsim.Dumbbell.t
@@ -149,8 +153,9 @@ val live_churn : live -> Churn.t option
 
 val finish : live -> result
 (** Run the simulation to [config.duration] (a no-op if a caller already
-    advanced the clock there via {!live_sim}) and compute the {!result},
-    stopping the samplers and the sampling tick. Call at most once. *)
+    advanced the clock there via {!live_sim}), compute the {!result}, its
+    queue statistics read from the queue tick's running sums, and stop
+    both ticks. Call at most once. *)
 
 val throughput_of_cca : result -> string -> float list
 (** Per-flow goodputs (bits/s) of all flows running the named CCA. *)

@@ -50,9 +50,18 @@ let test_queuing_delay_bounded () =
 
 let test_warmup_validation () =
   let config = { (quick_config ()) with warmup = Units.seconds 9.0 } in
-  match E.run config with
+  (match E.run config with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "warmup >= duration should raise"
+  | _ -> Alcotest.fail "warmup >= duration should raise");
+  List.iter
+    (fun period ->
+      let config =
+        { (quick_config ()) with sample_period = Units.seconds period }
+      in
+      Alcotest.check_raises "sample period"
+        (Invalid_argument "Experiment.run: sample_period must be > 0")
+        (fun () -> ignore (E.setup config)))
+    [ 0.0; -1.0; nan ]
 
 let test_buffer_bytes_of_bdp () =
   Alcotest.(check int) "3 bdp at 20 Mbps x 40 ms" 300_000

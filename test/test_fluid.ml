@@ -133,6 +133,43 @@ let test_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "warmup >= duration should raise"
 
+(* NaN passes a bare [x <= 0.0] test, so each bound must be stated so that
+   NaN fails it. A zero capacity or a negative buffer would run, on
+   nonsense. *)
+let test_validation_nonsense () =
+  let module U = Sim_engine.Units in
+  let base = config () in
+  let expect msg c =
+    Alcotest.check_raises msg (Invalid_argument ("Fluid_sim.run: " ^ msg))
+      (fun () -> ignore (F.run c))
+  in
+  let duration = "duration must be finite and > 0"
+  and capacity = "capacity must be finite and > 0"
+  and buffer = "buffer must be finite and > 0"
+  and rtt = "flow rtt must be finite and > 0"
+  and warmup = "need 0 <= warmup < duration"
+  and stochastic = "Stochastic p must be in [0, 1]" in
+  expect duration { base with F.duration = U.seconds nan };
+  expect duration { base with F.duration = U.seconds infinity };
+  expect capacity { base with F.capacity_bps = U.bps nan };
+  expect capacity { base with F.capacity_bps = U.bps 0.0 };
+  expect buffer { base with F.buffer_bytes = U.bytes (-1.0) };
+  expect buffer { base with F.buffer_bytes = U.bytes nan };
+  let flow kind rtt =
+    { base with F.flows = [ { F.kind; rtt = U.seconds rtt } ] }
+  in
+  expect rtt (flow F.Cubic nan);
+  expect rtt (flow F.Bbr 0.0);
+  expect warmup { base with F.warmup = U.seconds (-1.0) };
+  expect warmup { base with F.warmup = U.seconds nan };
+  expect "dt must be finite and > 0" { base with F.dt = U.seconds nan };
+  expect stochastic { base with F.sync = F.Stochastic 1.5 };
+  expect stochastic { base with F.sync = F.Stochastic nan };
+  (* The bounds themselves are valid. *)
+  List.iter
+    (fun p -> ignore (F.run { base with F.sync = F.Stochastic p }))
+    [ 0.0; 1.0 ]
+
 let test_multi_rtt_short_flow_advantage_cubic () =
   (* All-CUBIC with mixed RTTs: the shorter-RTT flow should win. *)
   let capacity_bps = Sim_engine.Units.mbps 50.0 in
@@ -174,6 +211,8 @@ let tests =
     Alcotest.test_case "sync modes run" `Quick test_sync_modes_run;
     Alcotest.test_case "bbr2 gentler" `Quick test_bbr2_gentler_than_bbr;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "validation rejects nan and nonsense" `Quick
+      test_validation_nonsense;
     Alcotest.test_case "multi-rtt cubic" `Quick
       test_multi_rtt_short_flow_advantage_cubic;
   ]

@@ -269,40 +269,54 @@ let test_dumbbell_rtt_lookup () =
   | exception Not_found -> ()
   | _ -> Alcotest.fail "expected Not_found"
 
-(* --- Sampler --- *)
+(* --- Queue statistics --- *)
+
+(* Runs an experiment whose flows never start, with [loads] (flow, bytes)
+   parked in its bottleneck at time 0, after the first queue sample. They
+   go straight into the queue, so the link never drains them, and the
+   result's queue statistics read a known occupancy. *)
+let parked_queue_run ~rate_bps ~warmup ~duration ccas loads =
+  let module E = Tcpflow.Experiment in
+  let module U = Sim_engine.Units in
+  let config =
+    E.config ~warmup:(U.seconds warmup) ~sample_period:(U.ms 10.0)
+      ~rate_bps:(U.bps rate_bps) ~buffer_bytes:1_000_000
+      ~duration:(U.seconds duration)
+      (List.map (E.flow_config ~start_time:(U.seconds 1e3)) ccas)
+  in
+  let live = E.setup config in
+  let q = Dumbbell.queue (E.live_net live) in
+  List.iter (fun (flow, size) -> ignore (enqueue q ~flow ~size ())) loads;
+  E.finish live
 
 let test_sampler_series () =
-  let sim = Sim.create () in
-  let q = new_queue ~capacity_bytes:1_000_000 in
-  let sampler =
-    Netsim.Sampler.create ~sim ~queue:q ~period:0.01 ~classes:[| "even" |]
-      ~class_of_flow:[| 0; -1 |] ()
+  (* Flow 2 is past the static flows, as a churn flow is: in no class. *)
+  let r =
+    parked_queue_run ~rate_bps:1e6 ~warmup:0.01 ~duration:0.05
+      [ "cubic"; "bbr" ] [ (0, 1000); (2, 500) ]
   in
-  ignore (enqueue q ~flow:0 ~size:1000 ());
-  ignore (enqueue q ~flow:1 ~size:500 ());
-  Sim.run ~until:0.05 sim;
-  Netsim.Sampler.stop sampler;
-  let total = Netsim.Sampler.total sampler in
-  Alcotest.(check bool) "sampled" true (Sim_engine.Timeseries.length total >= 5);
-  Alcotest.(check (float 0.0)) "total occupancy" 1500.0
-    (Sim_engine.Timeseries.max_value total ());
-  let even = Netsim.Sampler.class_series sampler "even" in
-  Alcotest.(check (float 0.0)) "class occupancy" 1000.0
-    (Sim_engine.Timeseries.max_value even ());
-  match Netsim.Sampler.class_series sampler "odd" with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "unknown class should raise"
+  let open Tcpflow.Experiment in
+  Alcotest.(check (float 1e-6)) "total occupancy" 1500.0 r.queue_mean_bytes;
+  Alcotest.(check (list string)) "classes" [ "bbr"; "cubic" ]
+    (List.map fst r.class_mean_bytes);
+  Alcotest.(check (float 1e-6)) "class occupancy" 1000.0
+    (List.assoc "cubic" r.class_mean_bytes);
+  (* The empty sample at time 0 precedes the warm-up. *)
+  Alcotest.(check (float 0.0)) "class min" 1000.0
+    (List.assoc "cubic" r.class_min_bytes);
+  Alcotest.(check (float 0.0)) "class max" 1000.0
+    (List.assoc "cubic" r.class_max_bytes);
+  Alcotest.(check (float 0.0)) "empty class" 0.0
+    (List.assoc "bbr" r.class_max_bytes)
 
 let test_sampler_queuing_delay () =
-  let sim = Sim.create () in
-  let q = new_queue ~capacity_bytes:1_000_000 in
-  ignore (enqueue q ~size:12500 ());
-  let sampler = Netsim.Sampler.create ~sim ~queue:q ~period:0.01 () in
-  Sim.run ~until:0.1 sim;
-  Netsim.Sampler.stop sampler;
-  (* 12500 B at 1 Mbps(bytes: 125000 B/s) -> 0.1 s *)
-  Alcotest.(check (float 1e-3)) "queuing delay" 0.1
-    (Netsim.Sampler.queuing_delay sampler ~rate_bps:1e6 ~from_:0.0 ~until:0.1)
+  let r =
+    parked_queue_run ~rate_bps:1e6 ~warmup:0.01 ~duration:0.1 [ "cubic" ]
+      [ (0, 12500) ]
+  in
+  (* 12500 B at 1 Mbps (125000 B/s) -> 0.1 s *)
+  Alcotest.(check (float 1e-9)) "queuing delay" 0.1
+    r.Tcpflow.Experiment.queuing_delay
 
 let tests =
   [
