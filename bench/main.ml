@@ -416,12 +416,12 @@ let digest_20flow =
    ceiling is a reviewed decision, like re-blessing a golden CSV. *)
 let alloc_gates =
   [
-    ("engine/event-queue-1k", 50, 13_400.0, event_queue_1k);
+    ("engine/event-queue-1k", 50, 11_200.0, event_queue_1k);
     ("cca/windowed-max-filter", 50, 2_300.0, windowed_max_filter);
     ("netsim/droptail-queue", 50, 590.0, droptail_queue_1k);
-    ("fig08/short-sim-bbr", 3, 82_000.0, short_sim ~other:"bbr");
-    ("fig11/short-sim-bbr2", 3, 78_000.0, short_sim ~other:"bbr2");
-    ("fig07/short-sim-vivace", 3, 168_000.0, short_sim ~other:"vivace");
+    ("fig08/short-sim-bbr", 3, 27_000.0, short_sim ~other:"bbr");
+    ("fig11/short-sim-bbr2", 3, 27_600.0, short_sim ~other:"bbr2");
+    ("fig07/short-sim-vivace", 3, 121_000.0, short_sim ~other:"vivace");
     ( "fluid/short-10flows-soa", 3, 5_000.0,
       short_fluid ~kind:Fluidsim.Fluid_sim.Bbr );
     ("ode/2flow-competition", 3, 940.0, ode_2flow);
@@ -442,22 +442,19 @@ let alloc_gates =
     (* Steady-state churn reuses slots, and a slot reuses its segment
        ring and callbacks, so nothing the packet path allocates outlives a
        minor GC. The budget is per-run setup (sim + dumbbell + schedule),
-       per-tenant CC state, and short-lived float boxes, which do scale
-       with segments sent: every CCA cwnd/pacing query and on_send boxes
-       one float ([Cc_types.t]'s closures return and take them boxed). A
-       breach means the rebind/ACK path started allocating more per
-       packet. *)
-    ("workload/churn-6s-40pct", 3, 56_000.0, churn_run);
+       per-tenant CC state, and one short-lived float box per send
+       attempt: CUBIC's [cwnd_bytes] computes its window in the call and
+       returns it boxed. A breach means the rebind/ACK path started
+       allocating more per packet. *)
+    ("workload/churn-6s-40pct", 3, 39_000.0, churn_run);
   ]
 
 (* Minor words per packet the bottleneck delivers, from the end of warm-up
-   to the horizon of a short sim whose four flows all run [cca]. One 2-word
-   box per packet is about 13k words of a ~74k-word run, which the per-run
+   to the horizon of a short sim with two [base] and two [other] flows. One
+   2-word box per packet is about 13k words of a run, which the per-run
    gates above see only as a total; here it moves the reading by 2. *)
-let words_per_packet cca =
-  let live =
-    Tcpflow.Experiment.setup (short_sim_config ~base:cca ~other:cca ())
-  in
+let words_per_packet ~base ~other =
+  let live = Tcpflow.Experiment.setup (short_sim_config ~base ~other ()) in
   let sim = Tcpflow.Experiment.live_sim live in
   let link = Netsim.Dumbbell.link (Tcpflow.Experiment.live_net live) in
   Sim_engine.Sim.run ~until:1.0 sim;
@@ -472,7 +469,13 @@ let words_per_packet cca =
 (* Committed words-per-delivered-packet ceilings: the measured value plus
    one word. *)
 let packet_gates =
-  [ ("packet/all-cubic", 8.3, "cubic"); ("packet/all-bbr", 16.2, "bbr") ]
+  [
+    ("packet/all-cubic", 3.1, "cubic", "cubic");
+    ("packet/all-bbr", 1.2, "bbr", "bbr");
+    ("packet/all-bbr2", 1.2, "bbr2", "bbr2");
+    (* The mix long-flows runs. *)
+    ("packet/cubic-bbr", 2.8, "cubic", "bbr");
+  ]
 
 let run_alloc_gates () =
   Printf.printf "==== Allocation gates (Gc.minor_words per run) ====\n";
@@ -496,10 +499,10 @@ let run_alloc_gates () =
   Printf.printf "%-28s %14s %14s  %s\n" "kernel" "words/packet" "ceiling"
     "status";
   List.iter
-    (fun (name, ceiling, cca) ->
+    (fun (name, ceiling, base, other) ->
       (* A warm-up run, as above. *)
-      ignore (words_per_packet cca);
-      let words = words_per_packet cca in
+      ignore (words_per_packet ~base ~other);
+      let words = words_per_packet ~base ~other in
       let ok = words <= ceiling in
       if not ok then incr failures;
       Printf.printf "%-28s %14.2f %14.2f  %s\n%!" name words ceiling

@@ -22,7 +22,9 @@ let make_aimd ~mss () =
       (fun loss ->
         ssthresh := Float.max (!cwnd /. 2.0) (2.0 *. mssf);
         cwnd := if loss.Cca.Cc_types.via_timeout then mssf else !ssthresh);
-    on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
+    (* This controller ignores sends; the sender never calls the shared
+       no-op, so a send costs nothing here. *)
+    on_send = Cca.Cc_types.ignore_send;
     cwnd_bytes = (fun () -> Float.max !cwnd (2.0 *. mssf));
     pacing_rate = (fun () -> nan);
     state = (fun () -> if !cwnd < !ssthresh then "SlowStart" else "AIMD");

@@ -56,6 +56,11 @@ type t = {
   v2 : v2_floats;
   mutable loss_in_round : bool;
   mutable round_id : int;
+  (* The two outputs, boxed: the query closures return these boxes, so a
+     send attempt allocates nothing. [publish] replaces one only when its
+     bits change. *)
+  mutable cwnd_out : float;
+  mutable pacing_out : float;
 }
 
 (* Inlined, like [min_cwnd] and [probe_rtt_cwnd]: the per-ACK steps use
@@ -72,7 +77,9 @@ let[@inline] probe_rtt_cwnd t =
   | V1 -> min_cwnd t
   | V2 -> Float.max (probe_rtt_cwnd_gain *. bdp t) (min_cwnd t)
 
-let cwnd_bytes t =
+(* Inlined into [publish], like [pacing_rate]: a float returned from a
+   call is boxed. *)
+let[@inline] cwnd_bytes t =
   match t.mode with
   | ProbeRTT -> probe_rtt_cwnd t
   | Startup | Drain | ProbeBW -> (
@@ -92,9 +99,24 @@ let cwnd_bytes t =
         in
         Float.max (Float.min model_cwnd hi) (min_cwnd t))
 
-let pacing_rate t =
+let[@inline] pacing_rate t =
   let bw = Windowed_filter.Max_rounds.get t.btlbw in
   if Sim_engine.Stats.is_zero bw then nan else t.f.pacing_gain *. bw
+
+(* Bits, not [Float.equal]: it equates 0.0 and -0.0. *)
+let[@inline] same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Recompute both outputs after each step that can move them: [make],
+   [on_ack] and [on_loss] are the only writers of the state they read. *)
+let publish t =
+  let cwnd = cwnd_bytes t and rate = pacing_rate t in
+  if not (same_bits cwnd t.cwnd_out) then
+    (t.cwnd_out <- cwnd)
+    [@simlint.alloc_ok "one box per change of the window, not one per ACK"];
+  if not (same_bits rate t.pacing_out) then
+    (t.pacing_out <- rate)
+    [@simlint.alloc_ok "one box per change of the pacing rate, not one per ACK"]
 
 let enter_probe_bw t ~now =
   t.mode <- ProbeBW;
@@ -238,7 +260,8 @@ let on_ack t (ack : Cc_types.ack_info) =
   (match t.mode with
   | ProbeRTT -> ()
   | Startup | Drain | ProbeBW -> if rtprop_expired then enter_probe_rtt t);
-  if t.mode = ProbeRTT then handle_probe_rtt t ack
+  if t.mode = ProbeRTT then handle_probe_rtt t ack;
+  publish t
 
 (* V1 is loss-agnostic (paper §2.3, assumption 4). V2's loss response
    (draft, simplified): the in-flight bound is cut only when the loss rate
@@ -261,7 +284,8 @@ let on_loss t (loss : Cc_types.loss_info) =
       v2.inflight_hi <-
         Float.max (beta *. Float.min reference v2.inflight_hi) (min_cwnd t);
       v2.hi_growth_mss <- 1.0;
-      if t.mode = Startup then t.filled_pipe <- true
+      if t.mode = Startup then t.filled_pipe <- true;
+      publish t
     end
 
 let make ?(probe_bw_cwnd_gain = 2.0) ~variant ~mss ~rng () =
@@ -295,15 +319,18 @@ let make ?(probe_bw_cwnd_gain = 2.0) ~variant ~mss ~rng () =
         };
       loss_in_round = false;
       round_id = 0;
+      cwnd_out = nan;
+      pacing_out = nan;
     }
   in
+  publish t;
   {
     Cc_types.name = (match variant with V1 -> "bbr" | V2 -> "bbr2");
     on_ack = on_ack t;
     on_loss = on_loss t;
-    on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
-    cwnd_bytes = (fun () -> cwnd_bytes t);
-    pacing_rate = (fun () -> pacing_rate t);
+    on_send = Cc_types.ignore_send;
+    cwnd_bytes = (fun () -> t.cwnd_out);
+    pacing_rate = (fun () -> t.pacing_out);
     state =
       (fun () ->
         match t.mode with

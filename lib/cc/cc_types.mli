@@ -47,17 +47,29 @@ type t = {
   on_loss : loss_info -> unit;
   on_send : now:float -> inflight_bytes:int -> unit;
       (** Called whenever the sender transmits, letting rate-based CCAs track
-          sending epochs. Most algorithms ignore it. *)
+          sending epochs. Most algorithms ignore it: those should set it to
+          {!ignore_send}, which the sender recognises and never calls. *)
   cwnd_bytes : unit -> float;
       (** Current congestion window. The sender never lets in-flight data
           exceed this. *)
   pacing_rate : unit -> float;
       (** Pacing rate in bytes/s; [nan] when the algorithm is ACK-clocked
           (no pacing). Returned unboxed-sentinel style rather than as an
-          option so the per-send hot path allocates nothing. *)
+          option so the per-send hot path builds no [Some].
+
+          Both queries run on every send attempt and return a boxed float:
+          one that is computed in the call allocates a 2-word box each
+          time, unless the CCA returns a box it keeps, as BBR does by
+          storing each output when it changes. *)
   state : unit -> string;
       (** Human-readable internal state (e.g. ["ProbeBW"]) for traces. *)
 }
 
 val min_cwnd_bytes : mss:int -> float
 (** Floor applied by convention in all bundled CCAs: 2 MSS. *)
+
+val ignore_send : now:float -> inflight_bytes:int -> unit
+(** The [on_send] of a CCA that ignores sends. The sender does not call an
+    [on_send] that is physically this value, so it boxes no [now] per
+    transmission; any other function, a fresh no-op included, is called on
+    every transmission. *)

@@ -153,7 +153,7 @@ let make ?(params = default_params) ~mss () =
     Cc_types.name = "copa";
     on_ack = on_ack t;
     on_loss = on_loss t;
-    on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
+    on_send = Cc_types.ignore_send;
     cwnd_bytes = (fun () -> t.cwnd);
     pacing_rate =
       (fun () ->

@@ -97,7 +97,7 @@ let make ?(params = default_params) ~mss () =
     Cc_types.name = "cubic";
     on_ack = on_ack params t;
     on_loss = on_loss params t;
-    on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
+    on_send = Cc_types.ignore_send;
     cwnd_bytes = (fun () -> Float.max t.cwnd (Cc_types.min_cwnd_bytes ~mss));
     pacing_rate = (fun () -> nan);
     state =

@@ -36,7 +36,7 @@ let make ?(initial_cwnd_mss = 10) ~mss () =
     Cc_types.name = "reno";
     on_ack = on_ack t;
     on_loss = on_loss t;
-    on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
+    on_send = Cc_types.ignore_send;
     cwnd_bytes = (fun () -> Float.max t.cwnd (Cc_types.min_cwnd_bytes ~mss));
     pacing_rate = (fun () -> nan);
     state = (fun () -> if t.cwnd < t.ssthresh then "SlowStart" else "CongAvoid");

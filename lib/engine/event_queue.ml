@@ -184,7 +184,9 @@ let take_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let add_seq t ~time ~seq action =
+(* [add_seq] and [add] are inlined: a [time] passed to a call would be
+   boxed at every insert. *)
+let[@inline] add_seq t ~time ~seq action =
   if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
   if t.length = Array.length t.times then grow_heap t;
   let slot = alloc_slot t in
@@ -198,7 +200,7 @@ let add_seq t ~time ~seq action =
   sift_up t i;
   (t.stamps.(slot) lsl slot_bits) lor slot
 
-let add t ~time action = add_seq t ~time ~seq:(take_seq t) action
+let[@inline] add t ~time action = add_seq t ~time ~seq:(take_seq t) action
 
 let cancel t (h : handle) =
   if h >= 0 then begin

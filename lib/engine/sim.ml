@@ -37,14 +37,16 @@ let create ?(seed = 42) () =
 let now t = t.now.(0)
 let rng t = t.root_rng
 
-let schedule_at t ~time f =
+(* Both inlined, down to the heap insert: a float passed to a call would
+   be boxed, and periodic ticks schedule once per period. *)
+let[@inline] schedule_at t ~time f =
   if not (time >= t.now.(0)) then
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time
          t.now.(0));
   Event_queue.add t.queue ~time f
 
-let schedule t ~delay f =
+let[@inline] schedule t ~delay f =
   if not (delay >= 0.0) then invalid_arg "Sim.schedule: negative delay";
   schedule_at t ~time:(t.now.(0) +. delay) f
 
@@ -73,7 +75,7 @@ module Timer = struct
     on_due : unit -> unit;  (* the entry's callback, allocated once *)
   }
 
-  let insert tm =
+  let[@inline] insert tm =
     tm.entry <-
       Event_queue.add_seq tm.sim.queue ~time:tm.times.deadline ~seq:tm.seq
         tm.on_due;

@@ -23,13 +23,6 @@ let record t ~time v =
   t.values.(t.length) <- v;
   t.length <- t.length + 1
 
-let length t = t.length
-let is_empty t = t.length = 0
-
-let last t =
-  if t.length = 0 then None
-  else Some (t.times.(t.length - 1), t.values.(t.length - 1))
-
 (* Every field is a float, so the record is stored flat and an update
    writes unboxed doubles. *)
 module Window = struct
@@ -89,28 +82,8 @@ let window t ~from_ ~until =
 
 let time_weighted_mean t ~from_ ~until = Window.mean (window t ~from_ ~until)
 
-let mean t =
-  if t.length = 0 then nan
-  else begin
-    let sum = ref 0.0 in
-    for i = 0 to t.length - 1 do
-      sum := !sum +. t.values.(i)
-    done;
-    !sum /. float_of_int t.length
-  end
-
 let min_value t ?(from_ = neg_infinity) () =
   Window.min (window t ~from_ ~until:infinity)
 
 let max_value t ?(from_ = neg_infinity) () =
   Window.max (window t ~from_ ~until:infinity)
-
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.length - 1 do
-    acc := f !acc ~time:t.times.(i) ~value:t.values.(i)
-  done;
-  !acc
-
-let to_list t =
-  List.init t.length (fun i -> (t.times.(i), t.values.(i)))

@@ -9,11 +9,6 @@ val create : unit -> t
 val record : t -> time:float -> float -> unit
 (** Samples must be recorded with non-decreasing timestamps. *)
 
-val length : t -> int
-val is_empty : t -> bool
-
-val last : t -> (float * float) option
-
 (** Running statistics of a sample stream over a window [\[from_, until\]]:
     what {!time_weighted_mean}, {!min_value} and {!max_value} return for
     the same samples, without keeping them. *)
@@ -41,15 +36,8 @@ val time_weighted_mean : t -> from_:float -> until:float -> float
     The value before the first sample is taken as the first sample's value.
     Returns [nan] when the series is empty or the window is empty. *)
 
-val mean : t -> float
-(** Unweighted mean of the sample values ([nan] if empty). *)
-
 val min_value : t -> ?from_:float -> unit -> float
 (** Minimum sampled value at or after [from_] (default: whole series).
     [nan] if no samples qualify. *)
 
 val max_value : t -> ?from_:float -> unit -> float
-
-val fold : t -> init:'a -> f:('a -> time:float -> value:float -> 'a) -> 'a
-
-val to_list : t -> (float * float) list

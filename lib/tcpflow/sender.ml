@@ -127,7 +127,8 @@ let[@simlint.alloc_ok "amortized geometric growth; the ring never shrinks"]
   t.o_times <- times;
   t.o_head <- 0
 
-let order_push t ~seq ~time =
+(* Inlined: a [time] passed to a call would be boxed on every send. *)
+let[@inline] order_push t ~seq ~time =
   if t.o_len = Array.length t.o_seqs then order_grow t;
   let tail = (t.o_head + t.o_len) land (Array.length t.o_seqs - 1) in
   t.o_seqs.(tail) <- seq;
@@ -420,7 +421,9 @@ and transmit t ~seq ~retransmit =
       ~sent_time:now ~delivered:t.fs.delivered
       ~delivered_time:t.fs.delivered_time
   in
-  t.cc.Cc.on_send ~now ~inflight_bytes:t.inflight_bytes;
+  (* The sentinel is never called: the call would box [now]. *)
+  if t.cc.Cc.on_send != Cc.ignore_send then
+    t.cc.Cc.on_send ~now ~inflight_bytes:t.inflight_bytes;
   trace_send t ~seq ~retransmit;
   (* Drops surface later through RACK/RTO, exactly as on a real path. *)
   ignore (Dumbbell.send t.net packet);

@@ -192,6 +192,19 @@ let test_late_first_ack_stays_in_startup () =
         "Startup" (cc.state ()))
     [ "bbr"; "bbr2" ]
 
+(* The sender reads both outputs when a flow activates, before any ACK:
+   10 MSS of window and no pacing rate yet, for either variant. *)
+let test_outputs_before_first_ack () =
+  List.iter
+    (fun name ->
+      let cc = make name in
+      Alcotest.(check (float 0.0)) (name ^ " initial cwnd")
+        (float_of_int (10 * mss))
+        (cc.cwnd_bytes ());
+      Alcotest.(check bool) (name ^ " no pacing rate before an ACK") true
+        (Float.is_nan (cc.pacing_rate ())))
+    [ "bbr"; "bbr2" ]
+
 let tests =
   [
     Alcotest.test_case "conformance matrix" `Quick test_matrix;
@@ -201,4 +214,6 @@ let tests =
       test_pinned_trajectories;
     Alcotest.test_case "bbr family late first ACK stays in Startup" `Quick
       test_late_first_ack_stays_in_startup;
+    Alcotest.test_case "bbr family outputs before the first ACK" `Quick
+      test_outputs_before_first_ack;
   ]

@@ -292,6 +292,92 @@ let test_inflight_zero_when_completed () =
   Alcotest.(check int) "nothing left in flight" 0
     (Tcpflow.Sender.inflight_bytes sender)
 
+(* Reno, CUBIC, BBR, Copa and Vegas set [on_send] to the shared
+   [Cc_types.ignore_send], which the sender skips. Any other [on_send] must
+   still run once per transmission, retransmissions included: a counting
+   closure over CUBIC, on a 1 BDP path that loses segments, sees every
+   fresh segment and every retransmission. *)
+let test_on_send_per_transmission () =
+  let sim = Sim.create ~seed:11 () in
+  let rate_bps = Units.mbps 10.0 in
+  let rtt = Units.seconds 0.02 in
+  let net =
+    Netsim.Dumbbell.create ~sim ~rate_bps
+      ~buffer_bytes:(Units.bytes_to_int (Units.bdp_bytes ~rate_bps ~rtt))
+      ~flows:[ { Netsim.Dumbbell.flow = 0; base_rtt = rtt } ] ()
+  in
+  let calls = ref 0 in
+  let cc =
+    Cca.Registry.create "cubic" ~mss:Units.mss
+      ~rng:(Sim_engine.Rng.split (Sim.rng sim))
+  in
+  let cc =
+    {
+      cc with
+      Cca.Cc_types.on_send = (fun ~now:_ ~inflight_bytes:_ -> incr calls);
+    }
+  in
+  let sender = Tcpflow.Sender.create ~net ~flow:0 ~cc () in
+  Sim.run ~until:10.0 sim;
+  let retransmitted = Tcpflow.Sender.retransmitted_segments sender in
+  Alcotest.(check bool) "segments retransmitted" true (retransmitted > 0);
+  Alcotest.(check int) "one call per fresh segment and retransmission"
+    (Tcpflow.Sender.next_seq sender + retransmitted)
+    !calls
+
+(* A fresh no-op [on_send] is not the sentinel, so the sender calls it;
+   calling it or skipping the sentinel must not change a result byte. *)
+let test_fresh_no_op_on_send () =
+  let variant = "cubic-fresh-on-send" in
+  Cca.Registry.register variant (fun ~mss ~rng ->
+      {
+        (Cca.Registry.create "cubic" ~mss ~rng) with
+        Cca.Cc_types.on_send = (fun ~now:_ ~inflight_bytes:_ -> ());
+      });
+  let run cca =
+    let rate_bps = Units.mbps 10.0 and rtt = Units.ms 20.0 in
+    Tcpflow.Experiment.run
+      (Tcpflow.Experiment.config ~warmup:(Units.seconds 1.0) ~rate_bps
+         ~buffer_bytes:
+           (Tcpflow.Experiment.buffer_bytes_of_bdp ~rate_bps ~rtt ~bdp:1.0)
+         ~duration:(Units.seconds 5.0)
+         (List.init 2 (fun _ ->
+              Tcpflow.Experiment.flow_config ~base_rtt:rtt cca)))
+  in
+  (* The variant's runs name it; rename it so only behaviour is compared. *)
+  let as_cubic (r : Tcpflow.Experiment.result) =
+    let cubic name = if String.equal name variant then "cubic" else name in
+    let classes = List.map (fun (c, v) -> (cubic c, v)) in
+    {
+      r with
+      config =
+        {
+          r.config with
+          flows =
+            List.map
+              (fun (f : Tcpflow.Experiment.flow_config) ->
+                { f with cca = cubic f.cca })
+              r.config.flows;
+        };
+      per_flow =
+        List.map
+          (fun (f : Tcpflow.Experiment.flow_result) ->
+            { f with flow_cca = cubic f.flow_cca })
+          r.per_flow;
+      class_mean_bytes = classes r.class_mean_bytes;
+      class_min_bytes = classes r.class_min_bytes;
+      class_max_bytes = classes r.class_max_bytes;
+    }
+  in
+  let digest r =
+    (* simlint: allow R2 *)
+    Digest.to_hex (Digest.string (Marshal.to_string r []))
+  in
+  let plain = run "cubic" in
+  Alcotest.(check bool) "segments lost" true (plain.drops > 0);
+  Alcotest.(check string) "same result bytes" (digest plain)
+    (digest (as_cubic (run variant)))
+
 let tests =
   [
     Alcotest.test_case "single flow fills link" `Quick
@@ -313,4 +399,8 @@ let tests =
       test_inflight_accounting_exact;
     Alcotest.test_case "inflight zero at completion" `Quick
       test_inflight_zero_when_completed;
+    Alcotest.test_case "on_send once per transmission" `Quick
+      test_on_send_per_transmission;
+    Alcotest.test_case "fresh no-op on_send changes no byte" `Quick
+      test_fresh_no_op_on_send;
   ]

@@ -7,19 +7,22 @@ let series points =
 
 let test_empty () =
   let ts = Timeseries.create () in
-  Alcotest.(check bool) "empty" true (Timeseries.is_empty ts);
-  Alcotest.(check bool) "nan mean" true (Float.is_nan (Timeseries.mean ts));
+  Alcotest.(check bool) "no min" true
+    (Float.is_nan (Timeseries.min_value ts ()));
+  Alcotest.(check bool) "no max" true
+    (Float.is_nan (Timeseries.max_value ts ()));
   Alcotest.(check bool) "nan twm" true
     (Float.is_nan (Timeseries.time_weighted_mean ts ~from_:0.0 ~until:1.0))
 
+(* Both samples are kept, the later one last: it alone is at or after its
+   time, and nothing comes after it. *)
 let test_record_and_last () =
   let ts = series [ (1.0, 10.0); (2.0, 20.0) ] in
-  Alcotest.(check int) "length" 2 (Timeseries.length ts);
-  match Timeseries.last ts with
-  | Some (t, v) ->
-    Alcotest.(check (float 0.0)) "last t" 2.0 t;
-    Alcotest.(check (float 0.0)) "last v" 20.0 v
-  | None -> Alcotest.fail "expected last"
+  Alcotest.(check (float 0.0)) "first kept" 10.0 (Timeseries.min_value ts ());
+  Alcotest.(check (float 0.0)) "last v" 20.0
+    (Timeseries.min_value ts ~from_:2.0 ());
+  Alcotest.(check bool) "last t" true
+    (Float.is_nan (Timeseries.min_value ts ~from_:(Float.succ 2.0) ()))
 
 let test_decreasing_time_rejected () =
   let ts = series [ (2.0, 1.0) ] in
@@ -45,9 +48,12 @@ let test_time_weighted_mean_before_first () =
   Alcotest.(check (float 1e-9)) "extends left" 4.0
     (Timeseries.time_weighted_mean ts ~from_:0.0 ~until:2.0)
 
+(* Over unit-spaced samples, each holding for one second, the
+   time-weighted mean is the unweighted one. *)
 let test_unweighted_mean () =
   let ts = series [ (0.0, 1.0); (1.0, 2.0); (2.0, 6.0) ] in
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Timeseries.mean ts)
+  Alcotest.(check (float 1e-9)) "mean" 3.0
+    (Timeseries.time_weighted_mean ts ~from_:0.0 ~until:3.0)
 
 let test_min_max () =
   let ts = series [ (0.0, 5.0); (1.0, 1.0); (2.0, 9.0) ] in
@@ -58,22 +64,26 @@ let test_min_max () =
   Alcotest.(check bool) "empty window nan" true
     (Float.is_nan (Timeseries.min_value ts ~from_:3.0 ()))
 
+(* The samples read back in order, each from its own time on, and their
+   sum is the integral over [0, 2] of the step each holds for one second. *)
 let test_fold_and_to_list () =
-  let points = [ (0.0, 1.0); (1.0, 2.0) ] in
-  let ts = series points in
-  Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "to_list" points
-    (Timeseries.to_list ts);
-  let sum =
-    Timeseries.fold ts ~init:0.0 ~f:(fun acc ~time:_ ~value -> acc +. value)
-  in
-  Alcotest.(check (float 0.0)) "fold" 3.0 sum
+  let ts = series [ (0.0, 1.0); (1.0, 2.0) ] in
+  Alcotest.(check (list (float 0.0))) "in order" [ 1.0; 2.0 ]
+    (List.map (fun from_ -> Timeseries.min_value ts ~from_ ()) [ 0.0; 1.0 ]);
+  Alcotest.(check (float 0.0)) "sum" 3.0
+    (2.0 *. Timeseries.time_weighted_mean ts ~from_:0.0 ~until:2.0)
 
+(* Every sample survives the arrays' growth, the first and the last
+   included. *)
 let test_growth () =
   let ts = Timeseries.create () in
   for i = 0 to 9999 do
-    Timeseries.record ts ~time:(float_of_int i) 1.0
+    Timeseries.record ts ~time:(float_of_int i) (float_of_int i)
   done;
-  Alcotest.(check int) "10k samples" 10000 (Timeseries.length ts)
+  Alcotest.(check (float 0.0)) "first" 0.0 (Timeseries.min_value ts ());
+  Alcotest.(check (float 0.0)) "last" 9999.0 (Timeseries.max_value ts ());
+  Alcotest.(check (float 1e-9)) "10k samples" 4999.5
+    (Timeseries.time_weighted_mean ts ~from_:0.0 ~until:10000.0)
 
 let prop_constant_series_mean =
   QCheck.Test.make ~name:"constant series has constant twm" ~count:100
