@@ -37,8 +37,8 @@ val counters : unit -> counters
 
 val note_simulation : unit -> unit
 (** Count one simulation (atomic; callable from worker domains). Called
-    where a simulation runs: once per miss that [Runs] evaluates, and once
-    per bespoke run of a driver that bypasses [Runs]. *)
+    where a simulation runs: once per miss that [Runs] evaluates. Every
+    catalog driver simulates through [Runs], so no other caller counts. *)
 
 val mkdir_p : string -> unit
 (** Create a directory and any missing parents; a no-op when it already

@@ -1,28 +1,3 @@
-type t = {
-  mutable times : float array;
-  mutable values : float array;
-  mutable length : int;
-}
-
-let create () =
-  { times = Array.make 256 0.0; values = Array.make 256 0.0; length = 0 }
-
-let grow t =
-  let n = Array.length t.times in
-  let times = Array.make (2 * n) 0.0 and values = Array.make (2 * n) 0.0 in
-  Array.blit t.times 0 times 0 t.length;
-  Array.blit t.values 0 values 0 t.length;
-  t.times <- times;
-  t.values <- values
-
-let record t ~time v =
-  if t.length > 0 && time < t.times.(t.length - 1) then
-    invalid_arg "Timeseries.record: decreasing timestamp";
-  if t.length = Array.length t.times then grow t;
-  t.times.(t.length) <- time;
-  t.values.(t.length) <- v;
-  t.length <- t.length + 1
-
 (* Every field is a float, so the record is stored flat and an update
    writes unboxed doubles. *)
 module Window = struct
@@ -72,18 +47,3 @@ module Window = struct
   let min w = w.lo
   let max w = w.hi
 end
-
-let window t ~from_ ~until =
-  let w = Window.create ~from_ ~until in
-  for i = 0 to t.length - 1 do
-    Window.add w ~time:t.times.(i) t.values.(i)
-  done;
-  w
-
-let time_weighted_mean t ~from_ ~until = Window.mean (window t ~from_ ~until)
-
-let min_value t ?(from_ = neg_infinity) () =
-  Window.min (window t ~from_ ~until:infinity)
-
-let max_value t ?(from_ = neg_infinity) () =
-  Window.max (window t ~from_ ~until:infinity)

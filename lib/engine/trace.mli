@@ -45,8 +45,8 @@ type event =
       delivered_bytes : float;
       cc_state : string;
     }
-      (** A periodic congestion-state sample (built by
-          [Tcpflow.Flow_trace.cc_sample]). *)
+      (** A periodic congestion-state sample, emitted by a traced
+          [Tcpflow.Experiment]'s sampling tick. *)
   | Queue_sample of { queue_bytes : int; queue_packets : int }
       (** Bottleneck occupancy observed at a packet arrival. *)
   | Flow_start of { size_limit_bytes : int }
@@ -144,8 +144,8 @@ module Metrics : sig
     drop_rate : float;  (** drops / sends; [nan] if no sends. *)
     state_occupancy : (string * float) list;
         (** Fraction of {!Cc_sample} events per CCA state, sorted by
-            descending share (ties by name) — the event-stream equivalent
-            of [Flow_trace.state_occupancy]. *)
+            descending share (ties by name): how long a flow spent in
+            each state, when every sample is of one flow. *)
     queue_delay_quantiles : (float * float) list;
         (** [(percentile, seconds)] for p50/p90/p99 over per-arrival queue
             delays; empty without [rate_bps] or queue samples. *)

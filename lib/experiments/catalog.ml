@@ -88,11 +88,6 @@ let all =
       run = Ext_utility.run;
     };
     {
-      id = "ext-short";
-      summary = "Extension: short-flow cross traffic vs the model";
-      run = Ext_short_flows.run;
-    };
-    {
       id = "ext-internals";
       summary = "Extension: model's internal quantities vs measured";
       run = Ext_internals.run;

@@ -12,8 +12,8 @@ type entry = {
 
 val all : entry list
 (** In paper order: table1, fig01, fig03..fig12, then the repo's own
-    artifacts ([evolve], [fluidgrid]) and the extensions (ext-red,
-    ext-utility, ext-short, ext-internals, ext-2flow) motivated by the
+    artifacts ([evolve], [fluidgrid], [workload]) and the extensions
+    (ext-red, ext-utility, ext-internals, ext-2flow) motivated by the
     paper's discussion sections and its ref [21]. *)
 
 val find : string -> entry option

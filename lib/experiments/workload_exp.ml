@@ -1,15 +1,16 @@
-(** The workload-layer experiment: two long flows (1 CUBIC vs 1 BBR) under
-    an open-loop population of web-object-sized short flows at offered
-    loads from 0 to 80% of capacity.
+(** The workload-layer experiment, the paper's §5 "more diverse
+    workloads" gap: two long flows (1 CUBIC vs 1 BBR) under an open-loop
+    population of web-object-sized short flows at offered loads from 0 to
+    80% of capacity.
 
-    Unlike [Ext_short_flows] (which drives a bespoke simulation and exists
-    to validate the model's no-churn caveat), this experiment exercises the
-    first-class workload path — [Tcpflow.Experiment.config] with a
-    [workload] field, [Tcpflow.Churn] slot reuse, FCT completion records —
-    and reports the flow-completion-time distribution the datacenter
-    literature reports: FCT percentiles, size-binned mean slowdown, and the
-    long-flow split under churn. Runs go through {!Runs.eval}, so results
-    are cached and byte-identical across [--jobs]. *)
+    It runs the first-class workload path — [Tcpflow.Experiment.config]
+    with a [workload] field, [Tcpflow.Churn] slot reuse, FCT completion
+    records — and reports the flow-completion-time distribution the
+    datacenter literature reports (FCT percentiles, size-binned mean
+    slowdown), the long-flow split under churn, and, next to it, the
+    paper's 2-flow model, which assumes no churn. Runs go through
+    {!Runs.eval}, so results are cached, traced and audited like every
+    other packet run, and byte-identical across [--jobs]. *)
 
 module E = Tcpflow.Experiment
 module Units = Sim_engine.Units
@@ -57,6 +58,8 @@ type point = {
   fct_p : (float * float) list;  (** (percentile, seconds) *)
   slowdown_bins : float array;  (** per {!Ccmodel.Fairness.default_size_bounds} *)
   utilization : float;
+  model_bbr_bps : float;  (** 2-flow model, which ignores the churn. *)
+  short_goodput_bps : float;  (** Completed transfers over the whole run. *)
 }
 
 let point_of_result ~buffer_bdp ~load (r : E.result) =
@@ -78,6 +81,16 @@ let point_of_result ~buffer_bdp ~load (r : E.result) =
       Ccmodel.Fairness.binned_mean_slowdown ~ideal
         (List.map (fun c -> (c.E.cp_size, c.E.cp_fct)) r.completions);
     utilization = r.utilization;
+    model_bbr_bps =
+      (Ccmodel.Two_flow.solve
+         (Ccmodel.Params.of_paper_units ~mbps ~buffer_bdp
+            ~rtt_ms:(Units.sec_to_ms rtt)))
+        .bbr_bandwidth_bps;
+    short_goodput_bps =
+      (Units.bits_per_sec_of_bytes
+         ~bytes_per_sec:
+           (r.workload_delivered_bytes /. (r.config.duration :> float))
+        :> float);
   }
 
 let points (ctx : Common.ctx) =
@@ -105,7 +118,7 @@ let run ctx : Common.table =
     header =
       [ "buffer(BDP)"; "load"; "long_cubic"; "long_bbr"; "#arrived"; "#done";
         "p50_fct(s)"; "p95_fct(s)"; "p99_fct(s)"; "sd_small"; "sd_mid";
-        "sd_large"; "util" ];
+        "sd_large"; "util"; "model_bbr(no churn)"; "short_goodput" ];
     rows =
       List.map
         (fun p ->
@@ -121,7 +134,11 @@ let run ctx : Common.table =
               ];
               List.map (fun (_, v) -> Common.cell v) p.fct_p;
               Array.to_list (Array.map Common.cell p.slowdown_bins);
-              [ Common.cell p.utilization ];
+              [
+                Common.cell p.utilization;
+                Common.cell (Common.mbps p.model_bbr_bps);
+                Common.cell (Common.mbps p.short_goodput_bps);
+              ];
             ])
         points;
     notes =
@@ -129,5 +146,8 @@ let run ctx : Common.table =
         "slowdown = FCT / (RTT + size/rate), mean per size bin (<100 kB, \
          100 kB-1 MB, >=1 MB); short flows run CUBIC and arrive as an \
          open-loop Poisson process over the web-object size mixture";
+        "model_bbr(no churn) is the paper's 2-flow model at the same link \
+         and buffer, which assumes no churn; short_goodput counts the bytes \
+         of completed short transfers only, over the whole run";
       ];
   }

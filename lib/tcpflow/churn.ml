@@ -16,7 +16,6 @@ type t = {
   net : Dumbbell.t;
   base_flow : int;
   cca : string;
-  mss : int;
   base_rtt : Units.seconds;
   schedule : Schedule.t;
   trace : Sim_engine.Trace.t option;
@@ -71,8 +70,8 @@ let acquire_slot t ~flow ~cc ~size_bytes =
        is still climbing toward its steady-state level. *)
     t.slots_created <- t.slots_created + 1;
     let sender =
-      Sender.create ~net:t.net ~flow ~cc ~mss:t.mss
-        ~data_limit_bytes:size_bytes ?trace:t.trace ()
+      Sender.create ~net:t.net ~flow ~cc ~data_limit_bytes:size_bytes
+        ?trace:t.trace ()
     in
     let slot = { sender; item = -1 } in
     Sender.set_on_complete sender (fun () -> on_slot_complete t slot);
@@ -88,7 +87,7 @@ let arrive t =
     (* Per-tenant CC state draws its stream at arrival time, in event
        order: deterministic for a fixed seed regardless of pool shape. *)
     let cc =
-      Cca.Registry.create t.cca ~mss:t.mss ~rng:(Rng.split (Sim.rng t.sim))
+      Cca.Registry.create t.cca ~mss:Units.mss ~rng:(Rng.split (Sim.rng t.sim))
     in
     let slot = acquire_slot t ~flow ~cc ~size_bytes:it.Schedule.size_bytes in
     slot.item <- i;
@@ -104,8 +103,7 @@ let arrive t =
     end
   end
 
-let create ?trace ?(mss = Units.mss) ~net ~base_flow ~cca ~base_rtt ~schedule
-    () =
+let create ?trace ~net ~base_flow ~cca ~base_rtt ~schedule () =
   let sim = Dumbbell.sim net in
   let t =
     {
@@ -113,7 +111,6 @@ let create ?trace ?(mss = Units.mss) ~net ~base_flow ~cca ~base_rtt ~schedule
       net;
       base_flow;
       cca;
-      mss;
       base_rtt;
       schedule;
       trace;

@@ -21,7 +21,6 @@ type t
 
 val create :
   ?trace:Sim_engine.Trace.t ->
-  ?mss:int ->
   net:Netsim.Dumbbell.t ->
   base_flow:int ->
   cca:string ->

@@ -132,6 +132,22 @@ type live = {
   churn : Churn.t option;
 }
 
+(* The Cc_sample event for a sender's congestion state right now. *)
+let cc_sample sender =
+  let cc = Sender.cc sender in
+  Sim_engine.Trace.Cc_sample
+    {
+      cwnd_bytes = cc.Cca.Cc_types.cwnd_bytes ();
+      inflight_bytes = Sender.inflight_bytes sender;
+      pacing_rate =
+        (* The CCA API is nan-sentinel (hot path); the trace schema keeps
+           the option. *)
+        (let r = cc.Cca.Cc_types.pacing_rate () in
+         if Float.is_nan r then None else Some r);
+      delivered_bytes = Sender.delivered_bytes sender;
+      cc_state = cc.Cca.Cc_types.state ();
+    }
+
 let setup ?trace config =
   if (config.warmup :> float) >= (config.duration :> float) then
     invalid_arg "Experiment.run: warmup must precede duration";
@@ -225,7 +241,7 @@ let setup ?trace config =
         Array.iter
           (fun sender ->
             Sim_engine.Trace.emit hub ~time ~flow:(Sender.flow sender)
-              (Flow_trace.cc_sample sender))
+              (cc_sample sender))
           senders;
         ignore (Sim.schedule sim ~delay:period tick)
       end

@@ -119,11 +119,12 @@ type result = {
 
 val run : ?trace:Sim_engine.Trace.t -> config -> result
 (** When [trace] is given, the dumbbell and every sender emit into it, and
-    one periodic tick emits a {!Flow_trace.cc_sample} per static flow every
-    [sample_period] from time 0, so a sink subscribed before [run] sees the
-    full event stream. Nothing is retained beyond the hub's own ring. [trace]
-    deliberately does not participate in {!digest}: tracing must not
-    perturb cache keys or results.
+    one periodic tick emits a [Cc_sample] of each static flow's congestion
+    state (cwnd, bytes in flight, pacing rate, delivered bytes, CCA state)
+    every [sample_period] from time 0, so a sink subscribed before [run]
+    sees the full event stream. Nothing is retained beyond the hub's own
+    ring. [trace] deliberately does not participate in {!digest}: tracing
+    must not perturb cache keys or results.
 
     Equivalent to [finish (setup ?trace config)]. *)
 

@@ -104,7 +104,6 @@ let rounds t = t.round
 let srtt t = t.fs.srtt
 let min_rtt_observed t = t.fs.min_rtt
 let rto_backoff t = t.rto_backoff
-let snapshot_delivered t = (Sim.now t.sim, t.fs.delivered)
 let completed t = t.seg_limit < max_int && t.cum_ack >= t.seg_limit
 let finished t = t.finished
 let activation_time t = t.activation_time
@@ -603,10 +602,10 @@ let[@simlint.alloc_ok "one bounds tuple per slot (re)activation"] limits
     if bytes <= 0 then invalid_arg (who ^ ": data_limit_bytes");
     ((bytes + mss - 1) / mss, bytes)
 
-let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
-    ?(start_time = Sim_engine.Units.seconds 0.0)
-    ?data_limit_bytes ?on_complete ?trace () =
+let create ~net ~flow ~cc ?(start_time = Sim_engine.Units.seconds 0.0)
+    ?data_limit_bytes ?trace () =
   let sim = Dumbbell.sim net in
+  let mss = Sim_engine.Units.mss in
   let seg_limit, size_limit_bytes =
     limits ~mss ~data_limit_bytes ~who:"Sender.create"
   in
@@ -671,7 +670,7 @@ let create ~net ~flow ~cc ?(mss = Sim_engine.Units.mss)
       finished = false;
       activation_time = nan;
       completion_time = nan;
-      on_complete = (match on_complete with None -> ignore | Some f -> f);
+      on_complete = ignore;
       reverse_delay = 0.0;
       recv_cb = ignore;
       ack_cb = ignore;

@@ -41,18 +41,17 @@ val create :
   net:Netsim.Dumbbell.t ->
   flow:int ->
   cc:Cca.Cc_types.t ->
-  ?mss:int ->
   ?start_time:Sim_engine.Units.seconds ->
   ?data_limit_bytes:int ->
-  ?on_complete:(unit -> unit) ->
   ?trace:Sim_engine.Trace.t ->
   unit ->
   t
 (** Wires a sender and its receiver into [net] for flow id [flow]. The
     sender begins transmitting at [start_time] (default 0) and, when
     [data_limit_bytes] is given, stops once that much data is delivered, at
-    which point [on_complete] (if any) runs — after all per-ACK state
-    updates, so the callback may tear the flow down and release the slot.
+    which point the callback set by {!set_on_complete} (if any) runs —
+    after all per-ACK state updates, so it may tear the flow down and
+    release the slot. Segments are {!Sim_engine.Units.mss} bytes.
 
     When [trace] is given, the sender emits [Send]/[Ack]/[Seg_lost]/
     [Rto_fire]/[Recovery_enter]/[Recovery_exit]/[Cc_state_change] events
@@ -96,8 +95,8 @@ val size_limit_bytes : t -> int
 (** The tenant's transfer size; -1 for bulk (unlimited) flows. *)
 
 val set_on_complete : t -> (unit -> unit) -> unit
-(** Replace the completion callback (e.g. when a pooled slot changes
-    owner). *)
+(** Set the completion callback (none at creation), e.g. when a pooled
+    slot changes owner. *)
 
 val flow : t -> int
 val cc : t -> Cca.Cc_types.t
@@ -127,9 +126,6 @@ val srtt : t -> float
 
 val min_rtt_observed : t -> float
 (** Smallest RTT sample seen; [infinity] before the first sample. *)
-
-val snapshot_delivered : t -> float * float
-(** [(now, delivered_bytes)] — convenience for windowed goodput. *)
 
 val rto_backoff : t -> int
 (** Consecutive unanswered RTO firings: 0 normally; each firing doubles

@@ -9,9 +9,8 @@ let test_catalog_complete () =
       Alcotest.(check bool) (id ^ " present") true (List.mem id ids))
     [ "table1"; "fig01"; "fig03"; "fig04"; "fig05"; "fig06"; "fig07";
       "fig08"; "fig09"; "fig10"; "fig11"; "fig12"; "evolve"; "fluidgrid";
-      "workload"; "ext-red"; "ext-utility"; "ext-short"; "ext-internals";
-      "ext-2flow" ];
-  Alcotest.(check int) "20 artifacts" 20 (List.length ids);
+      "workload"; "ext-red"; "ext-utility"; "ext-internals"; "ext-2flow" ];
+  Alcotest.(check int) "19 artifacts" 19 (List.length ids);
   Alcotest.(check int) "ids unique" (List.length ids)
     (List.length (List.sort_uniq compare ids))
 

@@ -127,48 +127,53 @@ let test_event_times_monotone () =
   in
   Alcotest.(check bool) "non-decreasing timestamps" true (ok records)
 
-(* Two seeded flows through the experiment runner: the Metrics rollup of
-   each flow's Cc_sample events must reproduce Flow_trace.state_occupancy
-   exactly (same counts, same sort). *)
-let test_metrics_agree_with_flow_trace () =
-  let sim = Sim.create ~seed:7 () in
-  let rate_bps = Units.mbps 10.0 in
-  let rtt = Units.seconds 0.02 in
-  let net =
-    Netsim.Dumbbell.create ~sim ~rate_bps ~buffer_bytes:50_000
-      ~flows:
-        [
-          { Netsim.Dumbbell.flow = 0; base_rtt = rtt };
-          { Netsim.Dumbbell.flow = 1; base_rtt = rtt };
-        ]
-      ()
+(* Two seeded flows through a traced experiment: the Metrics rollup of
+   each flow's records must reproduce a direct count of that flow's
+   Cc_sample states exactly (same fractions, same sort). *)
+let test_metrics_agree_with_cc_samples () =
+  let rate_bps = Units.mbps 10.0 and rtt = Units.ms 20.0 in
+  let config =
+    E.config ~seed:7 ~sample_period:(Units.ms 10.0)
+      ~warmup:(Units.seconds 1.0) ~rate_bps ~buffer_bytes:50_000
+      ~duration:(Units.seconds 5.0)
+      [ E.flow_config ~base_rtt:rtt "cubic"; E.flow_config ~base_rtt:rtt "bbr" ]
   in
-  let hub = Trace.create () in
-  let all = ref [] in
-  Trace.subscribe hub (fun r -> all := r :: !all);
-  let tracers =
-    List.map
-      (fun (flow, name) ->
-        let cc =
-          Cca.Registry.create name ~mss:Units.mss
-            ~rng:(Sim_engine.Rng.split (Sim.rng sim))
-        in
-        let sender = Tcpflow.Sender.create ~net ~flow ~cc ~trace:hub () in
-        (flow, Tcpflow.Flow_trace.attach ~trace:hub ~sim ~sender ~period:0.01 ()))
-      [ (0, "cubic"); (1, "bbr") ]
-  in
-  Sim.run ~until:5.0 sim;
-  List.iter
-    (fun (flow, tracer) ->
-      let mine =
-        List.filter (fun r -> r.Trace.flow = flow) (List.rev !all)
+  let metrics = Array.init 2 (fun _ -> Trace.Metrics.create ()) in
+  let states = Array.make 2 [] in
+  let hub = Trace.create ~ring_capacity:1 () in
+  Trace.subscribe hub (fun r ->
+      let flow = r.Trace.flow in
+      if flow <> Trace.link_scope then begin
+        Trace.Metrics.observe metrics.(flow) r;
+        match r.Trace.event with
+        | Trace.Cc_sample { cc_state; _ } ->
+          states.(flow) <- cc_state :: states.(flow)
+        | _ -> ()
+      end);
+  ignore (E.run ~trace:hub config);
+  Array.iteri
+    (fun flow m ->
+      let samples = states.(flow) in
+      let total = float_of_int (List.length samples) in
+      let counted =
+        List.map
+          (fun state ->
+            ( state,
+              float_of_int
+                (List.length (List.filter (String.equal state) samples))
+              /. total ))
+          (List.sort_uniq String.compare samples)
+        |> List.sort (fun (sa, a) (sb, b) ->
+               match Float.compare b a with 0 -> String.compare sa sb | c -> c)
       in
-      let summary = Trace.Metrics.of_records mine in
+      Alcotest.(check bool)
+        (Printf.sprintf "flow %d visits several states" flow)
+        true
+        (List.length counted > 1);
       Alcotest.(check (list (pair string (float 0.0))))
         (Printf.sprintf "flow %d occupancy" flow)
-        (Tcpflow.Flow_trace.state_occupancy tracer)
-        summary.Trace.Metrics.state_occupancy)
-    tracers
+        counted (Trace.Metrics.summary m).Trace.Metrics.state_occupancy)
+    metrics
 
 (* A traced experiment emits one Cc_sample per static flow per sample
    period, from time 0, in flow order at each instant. The count is pinned
@@ -292,8 +297,8 @@ let tests =
     Alcotest.test_case "events match counters" `Quick
       test_events_match_counters;
     Alcotest.test_case "event times monotone" `Quick test_event_times_monotone;
-    Alcotest.test_case "metrics = flow_trace occupancy" `Quick
-      test_metrics_agree_with_flow_trace;
+    Alcotest.test_case "metrics = cc_sample occupancy" `Quick
+      test_metrics_agree_with_cc_samples;
     Alcotest.test_case "trace files deterministic" `Quick
       test_trace_files_deterministic;
     Alcotest.test_case "metrics summary" `Quick test_metrics_summary_line;
